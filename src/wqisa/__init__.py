@@ -22,7 +22,6 @@ from .splines import (
     insert_knot,
     insert_knot_surface,
     knot_averages,
-    local_basis_value,
 )
 from .weights import (
     WeightSpec,
@@ -30,12 +29,8 @@ from .weights import (
     estimate_all_coefficients,
     estimate_control_point,
     fit_surface,
-    weight_gaussian,
-    weight_idw,
-    weight_indicator,
-    weight_knn,
 )
-from .kdtree import PlanarIndex, build
+from .kdtree import PlanarIndex
 from .mba import MbaSurface, dyadic_space, fit_mba, mba_level_coefficients
 from .metrics import (
     ElementErrorMap,
@@ -91,18 +86,12 @@ __all__ = [
     "insert_knot",
     "insert_knot_surface",
     "knot_averages",
-    "local_basis_value",
     "WeightSpec",
     "ZeroWeightError",
     "estimate_all_coefficients",
     "estimate_control_point",
     "fit_surface",
-    "weight_gaussian",
-    "weight_idw",
-    "weight_indicator",
-    "weight_knn",
     "PlanarIndex",
-    "build",
     "MbaSurface",
     "dyadic_space",
     "fit_mba",

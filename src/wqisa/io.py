@@ -19,8 +19,8 @@ import numpy as np
 
 from .clouds import as_cloud
 from .pipeline import FitConfig
-from .splines import KnotVector, TensorSplineSpace, WqisaSurface
-from .weights import WeightSpec
+from .splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
+from .weights import KERNELS, WEIGHT_KINDS, WeightSpec
 
 
 class CloudParseError(ValueError):
@@ -155,15 +155,8 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
     rx, ry = resolution
     if rx < 2 or ry < 2:
         raise ValueError(f"resolution must be at least 2 per axis, got {resolution}")
-    xmin, xmax, ymin, ymax = surface.space.domain
-    xs = np.linspace(xmin, xmax, rx)
-    ys = np.linspace(ymin, ymax, ry)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    gx = gx.ravel()
-    gy = gy.ravel()
-    gz = surface.evaluate_many(gx, gy)
     lines = ["x,y,z"]
-    for x, y, z in zip(gx, gy, gz):
+    for x, y, z in zip(*sample_lattice(surface, (rx, ry)).T):
         lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -173,7 +166,15 @@ def write_report(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-_WEIGHT_CHOICES = ("indicator", "gaussian", "knn", "idw", "idw_truncated")
+# the RunConfig field that carries each WeightSpec field (a grid for a tunable one)
+_SPEC_FIELDS = {
+    "radius": "radius_grid",
+    "sigma": "sigma_grid",
+    "k": "k_grid",
+    "truncation": "truncation",
+    "coincidence_tol": "coincidence_tolerance",
+    "gaussian_squared": "gaussian_squared",
+}
 
 
 @dataclass(frozen=True)
@@ -199,31 +200,24 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.weight not in _WEIGHT_CHOICES:
-            raise ConfigError(f"weight must be one of {_WEIGHT_CHOICES}, got {self.weight!r}")
+        if self.weight not in WEIGHT_KINDS:
+            raise ConfigError(f"weight must be one of {WEIGHT_KINDS}, got {self.weight!r}")
 
     def to_fit_config(self) -> FitConfig:
+        kernel = KERNELS[self.weight]
         common = {"outlier_filter": self.outlier_filter, "fence": self.fence}
-        if self.weight == "knn":
-            if not self.k_grid:
-                raise ConfigError("weight 'knn' needs a nonempty k_grid")
-            grid = tuple(WeightSpec.knn(k, **common) for k in self.k_grid)
-        elif self.weight == "indicator":
-            if not self.radius_grid:
-                raise ConfigError("weight 'indicator' needs a nonempty radius_grid")
-            grid = tuple(WeightSpec.indicator(r, **common) for r in self.radius_grid)
-        elif self.weight == "gaussian":
-            if not self.sigma_grid:
-                raise ConfigError("weight 'gaussian' needs a nonempty sigma_grid")
-            grid = tuple(
-                WeightSpec.gaussian(s, squared=self.gaussian_squared, **common)
-                for s in self.sigma_grid
-            )
-        elif self.weight == "idw":
-            grid = (WeightSpec.idw(self.coincidence_tolerance, **common),)
+        common.update({name: getattr(self, _SPEC_FIELDS[name]) for name in kernel.optional})
+        if kernel.parameter is None:
+            grid = (WeightSpec(self.weight, **common),)
         else:
-            grid = (
-                WeightSpec.truncated_idw(self.truncation, self.coincidence_tolerance, **common),
+            source = _SPEC_FIELDS[kernel.parameter]
+            values = getattr(self, source)
+            if not isinstance(values, tuple):
+                values = (values,)
+            if not values:
+                raise ConfigError(f"weight {self.weight!r} needs a nonempty {source}")
+            grid = tuple(
+                WeightSpec(self.weight, **{kernel.parameter: value}, **common) for value in values
             )
         return FitConfig(
             weight_grid=grid,
@@ -262,40 +256,23 @@ def _parse_value(name: str, text: str, kind):
             return int(text)
         if kind == "float":
             return float(text)
-        if kind == "optional_float":
+        if kind == "float | None":
             return None if text == "auto" else float(text)
         if kind == "bool":
             if text not in ("true", "false"):
                 raise ValueError
             return text == "true"
-        if kind == "int_tuple":
+        if kind == "tuple[int, ...]":
             return tuple(int(f) for f in text.split(",")) if text else ()
-        if kind == "float_tuple":
+        if kind == "tuple[float, ...]":
             return tuple(float(f) for f in text.split(",")) if text else ()
         return text
     except ValueError:
         raise ConfigError(f"cannot parse {name} = {text!r}") from None
 
 
-_FIELD_KINDS = {
-    "degree_x": "int",
-    "degree_y": "int",
-    "weight": "str",
-    "k_grid": "int_tuple",
-    "radius_grid": "float_tuple",
-    "sigma_grid": "float_tuple",
-    "truncation": "int",
-    "coincidence_tolerance": "optional_float",
-    "gaussian_squared": "bool",
-    "outlier_filter": "bool",
-    "fence": "float",
-    "epsilon": "optional_float",
-    "max_iterations": "int",
-    "train_fraction": "float",
-    "validation_fraction": "float",
-    "test_fraction": "float",
-    "seed": "int",
-}
+# field name -> annotation string, which _parse_value dispatches on
+_FIELD_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:

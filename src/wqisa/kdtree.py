@@ -35,7 +35,7 @@ class PlanarIndex:
         node_left: list[int] = []
         node_right: list[int] = []
 
-        def build(ids: np.ndarray, depth: int) -> int:
+        def add_node(ids: np.ndarray, depth: int) -> int:
             if ids.size == 0:
                 return -1
             axis = depth % 2
@@ -47,19 +47,15 @@ class PlanarIndex:
             node_axis.append(axis)
             node_left.append(-2)
             node_right.append(-2)
-            node_left[node] = build(order[:mid], depth + 1)
-            node_right[node] = build(order[mid + 1 :], depth + 1)
+            node_left[node] = add_node(order[:mid], depth + 1)
+            node_right[node] = add_node(order[mid + 1 :], depth + 1)
             return node
 
-        self._root = build(np.arange(pts.shape[0]), 0)
+        self._root = add_node(np.arange(pts.shape[0]), 0)
         self._node_point = np.asarray(node_point, dtype=np.intp)
         self._node_axis = np.asarray(node_axis, dtype=np.intp)
         self._node_left = np.asarray(node_left, dtype=np.intp)
         self._node_right = np.asarray(node_right, dtype=np.intp)
-
-    @classmethod
-    def build(cls, points) -> "PlanarIndex":
-        return cls(points)
 
     @property
     def size(self) -> int:
@@ -146,8 +142,3 @@ class PlanarIndex:
                 stack.append(far)
         hits.sort()
         return np.asarray(hits, dtype=np.intp)
-
-
-def build(points) -> PlanarIndex:
-    """Construct a :class:`PlanarIndex` over the planar projections."""
-    return PlanarIndex(points)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box
+from .clouds import as_cloud, joint_bounding_box
 from .splines import KnotVector, TensorSplineSpace, WqisaSurface, basis_rows
 
 
@@ -29,8 +29,9 @@ class MbaSurface:
             raise ValueError("an MBA surface needs at least one level")
 
     @property
-    def domain(self) -> tuple[float, float, float, float]:
-        return self.levels[0].space.domain
+    def space(self) -> TensorSplineSpace:
+        """The finest level's space; every level covers the same domain."""
+        return self.levels[-1].space
 
     def evaluate(self, x: float, y: float) -> float:
         return float(self.evaluate_many([x], [y])[0])
@@ -108,13 +109,7 @@ def fit_mba(
     cloud = as_cloud(cloud)
     validation = as_cloud(validation)
     if domain is None:
-        boxes = np.asarray([bounding_box(cloud), bounding_box(validation)])
-        domain = (
-            float(boxes[:, 0].min()),
-            float(boxes[:, 1].max()),
-            float(boxes[:, 2].min()),
-            float(boxes[:, 3].max()),
-        )
+        domain = joint_bounding_box(cloud, validation)
     residual = cloud[:, 2].copy()
     val_pred = np.zeros(validation.shape[0])
     levels: list[WqisaSurface] = []

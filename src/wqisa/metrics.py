@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import as_cloud
-from .splines import OutOfDomainError, TensorSplineSpace
+from .splines import TensorSplineSpace, locate_spans, sample_lattice
 
 # rows per block when forming pairwise distances, bounds peak memory
 _CHUNK = 256
@@ -78,22 +78,13 @@ class ElementErrorMap:
     y_edges: np.ndarray
 
 
-def _element_ordinals(edges: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    lo, hi = edges[0], edges[-1]
-    bad = (coords < lo) | (coords > hi)
-    if bad.any():
-        raise OutOfDomainError(f"coordinate {float(coords[bad][0])!r} outside [{lo}, {hi}]")
-    ords = np.searchsorted(edges, coords, side="right") - 1
-    return np.minimum(ords, edges.size - 2)
-
-
 def lmse(surface, validation, space: TensorSplineSpace) -> ElementErrorMap:
     """Mean squared residual of *validation* restricted to each mesh element."""
     validation = as_cloud(validation)
     x_edges = space.knots_x.breakpoints
     y_edges = space.knots_y.breakpoints
-    ex = _element_ordinals(x_edges, validation[:, 0])
-    ey = _element_ordinals(y_edges, validation[:, 1])
+    ex = locate_spans(x_edges, x_edges.size - 2, validation[:, 0])
+    ey = locate_spans(y_edges, y_edges.size - 2, validation[:, 1])
     res = residuals(surface, validation)
     shape = (x_edges.size - 1, y_edges.size - 1)
     sums = np.zeros(shape)
@@ -116,13 +107,9 @@ def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hausdorff(a, b) -> float:
-    """Two-sided Hausdorff distance between nonempty 3-d point sets."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 3 or b.ndim != 2 or b.shape[1] != 3:
-        raise ValueError("point sets must have shape (N, 3)")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("point sets must be nonempty")
+    """Two-sided Hausdorff distance between nonempty, finite 3-d point sets."""
+    a = as_cloud(a)
+    b = as_cloud(b)
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
 
@@ -134,19 +121,8 @@ def surface_sample_points(surface, density: int = 4) -> np.ndarray:
     """
     if density < 1:
         raise ValueError("density must be >= 1")
-    if hasattr(surface, "space"):
-        xmin, xmax, ymin, ymax = surface.space.domain
-        ex, ey = surface.space.element_counts
-    else:  # multilevel stack: use the finest level's mesh
-        xmin, xmax, ymin, ymax = surface.domain
-        ex, ey = surface.levels[-1].space.element_counts
-    xs = np.linspace(xmin, xmax, density * ex + 1)
-    ys = np.linspace(ymin, ymax, density * ey + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    gx = gx.ravel()
-    gy = gy.ravel()
-    gz = surface.evaluate_many(gx, gy)
-    return np.column_stack([gx, gy, gz])
+    ex, ey = surface.space.element_counts
+    return sample_lattice(surface, (density * ex + 1, density * ey + 1))
 
 
 def linf_gridded(values_a, values_b) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box
+from .clouds import as_cloud, bounding_box, joint_bounding_box
 from .metrics import ElementErrorMap, ErrorStats, gmse as surface_gmse, lmse
 from .splines import TensorSplineSpace, WqisaSurface, insert_knot
 from .weights import WeightSpec, ZeroWeightError, fit_surface
@@ -268,15 +268,7 @@ def fit_split(
     """
     started = time.perf_counter()
     if domain is None:
-        boxes = np.asarray(
-            [bounding_box(data.training), bounding_box(data.validation), bounding_box(data.test)]
-        )
-        domain = (
-            float(boxes[:, 0].min()),
-            float(boxes[:, 1].max()),
-            float(boxes[:, 2].min()),
-            float(boxes[:, 3].max()),
-        )
+        domain = joint_bounding_box(data.training, data.validation, data.test)
     epsilon = config.epsilon
     if epsilon is None:
         epsilon = 0.01 * float(np.var(data.training[:, 2]))
@@ -303,7 +295,7 @@ def fit_split(
         previous = best.gmse if best is not None else None
         best = tuned
         best_iteration = iteration
-        if previous is not None and previous - tuned.gmse < STAGNATION_TOL:
+        if previous is not None and previous - tuned.gmse <= STAGNATION_TOL * previous:
             stop_reason = "stagnated"
             break
         if iteration == config.max_iterations:

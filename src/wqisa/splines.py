@@ -118,18 +118,27 @@ class KnotVector:
         )
 
 
+def locate_spans(knots: np.ndarray, last: int, ts: np.ndarray) -> np.ndarray:
+    """Index ``mu`` with ``knots[mu] <= t < knots[mu + 1]`` for each *t*.
+
+    *knots* is nondecreasing and spans the domain ``[knots[0], knots[-1]]``;
+    the right end is folded into span *last*, the last nonempty one, so the
+    result is defined on the closed domain.
+    """
+    lo, hi = knots[0], knots[-1]
+    bad = ~((ts >= lo) & (ts <= hi))
+    if bad.any():
+        raise OutOfDomainError(f"point {float(ts[bad][0])!r} outside the domain [{lo}, {hi}]")
+    return np.minimum(np.searchsorted(knots, ts, side="right") - 1, last)
+
+
 def find_span(kv: KnotVector, t: float) -> int:
     """Index ``mu`` of the nonempty knot span with ``knots[mu] <= t < knots[mu+1]``.
 
     The right end of the domain is mapped to the last nonempty span, so the
     result is defined for every ``t`` in the closed domain.
     """
-    a, b = kv.domain
-    if not (a <= t <= b):
-        raise OutOfDomainError(f"t={t!r} outside the domain [{a}, {b}]")
-    if t == b:
-        return kv.num_basis - 1
-    return int(np.searchsorted(kv.knots, t, side="right") - 1)
+    return int(locate_spans(kv.knots, kv.num_basis - 1, np.array([t], dtype=float))[0])
 
 
 def basis_rows(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -140,15 +149,8 @@ def basis_rows(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
     recurrence, so each row is nonnegative and sums to one up to rounding.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    a, b = kv.domain
-    bad = ~((ts >= a) & (ts <= b))
-    if bad.any():
-        raise OutOfDomainError(
-            f"point {float(ts[bad][0])!r} outside the domain [{a}, {b}]"
-        )
     p = kv.degree
-    n = kv.num_basis
-    spans = np.minimum(np.searchsorted(kv.knots, ts, side="right") - 1, n - 1)
+    spans = locate_spans(kv.knots, kv.num_basis - 1, ts)
     m = ts.shape[0]
     values = np.ones((m, 1))
     if p == 0:
@@ -186,32 +188,6 @@ def basis_value(kv: KnotVector, i: int, t: float) -> float:
     if 0 <= offset <= kv.degree:
         return float(values[0, offset])
     return 0.0
-
-
-def local_basis_value(local_knots, t: float) -> float:
-    """Evaluate the single B-spline determined by its local knot vector.
-
-    *local_knots* holds ``degree + 2`` nondecreasing values.  This is the
-    plain two-term recursion with the 0/0 := 0 convention and half-open
-    support, kept independent of the span-based evaluation so either can
-    check the other.
-    """
-    lk = np.asarray(local_knots, dtype=float)
-    if lk.ndim != 1 or lk.size < 2:
-        raise ValueError("local knot vector needs at least two values")
-    if np.any(np.diff(lk) < 0):
-        raise ValueError("local knots must be nondecreasing")
-    p = lk.size - 2
-    if p == 0:
-        return 1.0 if lk[0] <= t < lk[1] else 0.0
-    value = 0.0
-    denom = lk[p] - lk[0]
-    if denom > 0.0:
-        value += (t - lk[0]) / denom * local_basis_value(lk[:-1], t)
-    denom = lk[p + 1] - lk[1]
-    if denom > 0.0:
-        value += (lk[p + 1] - t) / denom * local_basis_value(lk[1:], t)
-    return value
 
 
 def knot_averages(kv: KnotVector) -> np.ndarray:
@@ -353,6 +329,21 @@ def evaluate_surface_many(surface: WqisaSurface, xs, ys) -> np.ndarray:
 def evaluate_surface(surface: WqisaSurface, x: float, y: float) -> float:
     """Surface value at a single point; raises ``OutOfDomainError`` outside."""
     return surface.evaluate(x, y)
+
+
+def sample_lattice(surface, counts: tuple[int, int]) -> np.ndarray:
+    """``(x, y, z)`` rows of *surface* on a uniform lattice over its domain.
+
+    ``counts`` gives the nodes per axis, ends included; x varies slowest.
+    Works for any surface with a ``space`` and ``evaluate_many``.
+    """
+    xmin, xmax, ymin, ymax = surface.space.domain
+    gx, gy = np.meshgrid(
+        np.linspace(xmin, xmax, counts[0]), np.linspace(ymin, ymax, counts[1]), indexing="ij"
+    )
+    gx = gx.ravel()
+    gy = gy.ravel()
+    return np.column_stack([gx, gy, surface.evaluate_many(gx, gy)])
 
 
 def insert_knot_surface(surface: WqisaSurface, axis: str, t: float) -> WqisaSurface:

@@ -1,14 +1,15 @@
-"""Weight functions and the weighted control-point estimator.
+"""Window kernels and the weighted control-point estimator.
 
 Every coefficient of a fitted surface is the weighted mean of cloud heights,
 with weights centered at a parametric location ``(u, v)``:
 
     estimate = sum(z * w(x, y, u, v)) / sum(w(x, y, u, v))
 
-Available window kinds: indicator (closed ball of radius ``r``), Gaussian
-(``exp(-d / (2 sigma^2))``, with a squared-distance variant behind a switch),
-k-nearest-neighbor (uniform ``1/k`` on the k closest planar projections),
-inverse-distance, and inverse-distance truncated to the K closest points.
+The window kinds are listed in ``KERNELS``: indicator (closed ball of radius
+``r``), Gaussian (``exp(-d / (2 sigma^2))``, with a squared-distance variant
+behind a switch), k-nearest-neighbor (uniform ``1/k`` on the k closest planar
+projections), inverse-distance, and inverse-distance truncated to the K
+closest points.  ``_positive_weights`` is the one definition of each kernel.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +31,27 @@ from .splines import TensorSplineSpace, WqisaSurface, knot_averages
 # below this size a vectorized scan is both faster and equally exact
 LARGE_CLOUD = 4096
 
-WEIGHT_KINDS = ("indicator", "gaussian", "knn", "idw", "idw_truncated")
-
 # default coincidence tolerance: this fraction of the bounding-box diagonal
 COINCIDENCE_SCALE = 1e-12
+
+
+class Kernel(NamedTuple):
+    """What a window kind needs from a :class:`WeightSpec`."""
+
+    parameter: str | None  # the tunable field, None when the kind has none
+    optional: tuple[str, ...]  # further fields the kind accepts
+    indexed: bool  # a PlanarIndex can serve the kind's neighbor queries
+
+
+KERNELS = {
+    "indicator": Kernel("radius", (), True),
+    "gaussian": Kernel("sigma", ("gaussian_squared",), False),
+    "knn": Kernel("k", (), True),
+    "idw": Kernel(None, ("coincidence_tol",), False),
+    "idw_truncated": Kernel("truncation", ("coincidence_tol",), True),
+}
+
+WEIGHT_KINDS = tuple(KERNELS)
 
 
 class ZeroWeightError(ValueError):
@@ -59,34 +78,23 @@ class WeightSpec:
     fence: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.kind not in WEIGHT_KINDS:
+        kernel = KERNELS.get(self.kind)
+        if kernel is None:
             raise ValueError(f"unknown weight kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
-        required = {
-            "indicator": ("radius",),
-            "gaussian": ("sigma",),
-            "knn": ("k",),
-            "idw": (),
-            "idw_truncated": ("truncation",),
-        }[self.kind]
-        allowed = set(required)
-        if self.kind in ("idw", "idw_truncated"):
-            allowed.add("coincidence_tol")
-        if self.kind == "gaussian":
-            allowed.add("gaussian_squared")
         for name in ("radius", "sigma", "k", "truncation", "coincidence_tol"):
             value = getattr(self, name)
-            if name in required and value is None:
+            if name == kernel.parameter and value is None:
                 raise ValueError(f"weight kind {self.kind!r} requires parameter {name!r}")
-            if value is not None and name not in allowed:
+            if value is not None and name != kernel.parameter and name not in kernel.optional:
                 raise ValueError(f"parameter {name!r} does not apply to kind {self.kind!r}")
         if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive")
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.truncation is not None and self.truncation < 1:
-            raise ValueError("truncation must be a positive integer")
+        for name in ("k", "truncation"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.coincidence_tol is not None and self.coincidence_tol < 0:
             raise ValueError("coincidence tolerance must be nonnegative")
         if self.fence < 0:
@@ -95,13 +103,8 @@ class WeightSpec:
     @property
     def parameter(self) -> float | int | None:
         """The kind's tunable scalar, used for reports and grid labels."""
-        return {
-            "indicator": self.radius,
-            "gaussian": self.sigma,
-            "knn": self.k,
-            "idw": None,
-            "idw_truncated": self.truncation,
-        }[self.kind]
+        name = KERNELS[self.kind].parameter
+        return None if name is None else getattr(self, name)
 
     @classmethod
     def indicator(cls, radius: float, **common) -> "WeightSpec":
@@ -124,70 +127,6 @@ class WeightSpec:
         cls, truncation: int, coincidence_tol: float | None = None, **common
     ) -> "WeightSpec":
         return cls(kind="idw_truncated", truncation=truncation, coincidence_tol=coincidence_tol, **common)
-
-
-def weight_indicator(x: float, y: float, u: float, v: float, r: float) -> float:
-    """1 inside the closed ball of radius *r* around ``(u, v)``, else 0."""
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    dx = x - u
-    dy = y - v
-    return 1.0 if dx * dx + dy * dy <= r * r else 0.0
-
-
-def weight_gaussian(
-    x: float, y: float, u: float, v: float, sigma: float, squared: bool = False
-) -> float:
-    """Gaussian window ``exp(-d / (2 sigma^2))`` on the planar distance *d*.
-
-    ``squared=True`` switches the exponent to the squared distance, the
-    conventional bell shape.
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    dx = x - u
-    dy = y - v
-    d2 = dx * dx + dy * dy
-    exponent = d2 if squared else np.sqrt(d2)
-    return float(np.exp(-exponent / (2.0 * sigma * sigma)))
-
-
-def weight_knn(query, cloud, k: int) -> np.ndarray:
-    """Per-point weights: ``1/k`` on the k nearest planar projections, else 0.
-
-    Distance ties at the k-th place are broken by input order, so results
-    are reproducible.  Weights sum to one.
-    """
-    cloud = as_cloud(cloud)
-    n = cloud.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    ids = _nearest_ids(cloud, float(query[0]), float(query[1]), k)
-    weights = np.zeros(n)
-    weights[ids] = 1.0 / k
-    return weights
-
-
-def weight_idw(x: float, y: float, u: float, v: float, cloud, tol: float) -> float:
-    """Inverse-distance weight with the coincidence case split.
-
-    If no cloud projection lies within *tol* of ``(u, v)`` the weight is the
-    reciprocal distance from ``(x, y)`` to ``(u, v)``.  Otherwise the
-    coincident points share uniform weight ``1/|C|`` and all others get 0.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    cloud = as_cloud(cloud)
-    du = cloud[:, 0] - u
-    dv = cloud[:, 1] - v
-    coincident = du * du + dv * dv <= tol * tol
-    count = int(np.count_nonzero(coincident))
-    dx = x - u
-    dy = y - v
-    d2 = dx * dx + dy * dy
-    if count == 0:
-        return float(1.0 / np.sqrt(d2))
-    return 1.0 / count if d2 <= tol * tol else 0.0
 
 
 def _nearest_ids(cloud: np.ndarray, u: float, v: float, k: int, index: PlanarIndex | None = None) -> np.ndarray:
@@ -306,7 +245,7 @@ def estimate_all_coefficients(cloud, space: TensorSplineSpace, spec: WeightSpec)
     """
     cloud = as_cloud(cloud)
     index = None
-    if cloud.shape[0] >= LARGE_CLOUD and spec.kind in ("indicator", "knn", "idw_truncated"):
+    if cloud.shape[0] >= LARGE_CLOUD and KERNELS[spec.kind].indexed:
         index = PlanarIndex(cloud[:, :2])
     us = knot_averages(space.knots_x)
     vs = knot_averages(space.knots_y)

@@ -16,7 +16,7 @@ from wqisa.io import (
     write_surface_grid,
 )
 from wqisa.splines import TensorSplineSpace, WqisaSurface
-from wqisa.weights import WeightSpec, fit_surface
+from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
 from oracles import random_cloud
 
@@ -165,9 +165,31 @@ class TestRunConfig:
         config = parse_config("epsilon = auto\n")
         assert config.epsilon is None
 
-    def test_to_fit_config_knn(self):
-        config = RunConfig(weight="knn", k_grid=(1, 2, 3)).to_fit_config()
-        assert [s.k for s in config.weight_grid] == [1, 2, 3]
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    def test_to_fit_config(self, kind):
+        grids = {
+            "knn": [1, 2, 3],
+            "indicator": [0.1, 0.25],
+            "gaussian": [0.2, 0.5],
+            "idw": [None],
+            "idw_truncated": [7],
+        }
+        run = RunConfig(
+            weight=kind,
+            k_grid=(1, 2, 3),
+            radius_grid=(0.1, 0.25),
+            sigma_grid=(0.2, 0.5),
+            truncation=7,
+            coincidence_tolerance=1e-3,
+            gaussian_squared=True,
+        )
+        config = parse_config(format_config(run)).to_fit_config()
+        optional = KERNELS[kind].optional
+        assert config.weight_kind == kind
+        assert [spec.parameter for spec in config.weight_grid] == grids[kind]
+        for spec in config.weight_grid:
+            assert spec.coincidence_tol == (1e-3 if "coincidence_tol" in optional else None)
+            assert spec.gaussian_squared == ("gaussian_squared" in optional)
 
     def test_to_fit_config_requires_grid(self):
         with pytest.raises(ConfigError, match="radius_grid"):

@@ -3,34 +3,34 @@
 import numpy as np
 import pytest
 
-from wqisa.kdtree import PlanarIndex, build
+from wqisa.kdtree import PlanarIndex
 
 from oracles import brute_knn_ids, brute_radius_ids
 
 
 class TestBuild:
     def test_single_point(self):
-        idx = build(np.array([[0.5, 0.5]]))
+        idx = PlanarIndex(np.array([[0.5, 0.5]]))
         assert idx.size == 1
         np.testing.assert_array_equal(idx.knn((0, 0), 1), [0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            build(np.empty((0, 2)))
+            PlanarIndex(np.empty((0, 2)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            build(np.array([[0.0, np.nan]]))
+            PlanarIndex(np.array([[0.0, np.nan]]))
 
     def test_duplicates_all_retrievable(self):
         pts = np.tile([[1.0, 2.0]], (7, 1))
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         np.testing.assert_array_equal(idx.knn((1.0, 2.0), 7), np.arange(7))
         np.testing.assert_array_equal(idx.within_radius((1.0, 2.0), 0.0), np.arange(7))
 
     def test_three_d_input_uses_projection(self):
         pts = np.array([[0.0, 0.0, 9.0], [1.0, 1.0, -9.0]])
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         np.testing.assert_array_equal(idx.knn((0.1, 0.0), 1), [0])
 
 
@@ -38,20 +38,20 @@ class TestKnn:
     def test_k_equals_n_returns_everything(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(37, 2))
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         assert set(idx.knn((0.5, 0.5), 37).tolist()) == set(range(37))
 
     def test_coincident_query_point_first(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, size=(50, 2))
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         for pid in (0, 13, 49):
             assert idx.knn(pts[pid], 3)[0] == pid
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-3, 3, size=(200, 2))
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         for _ in range(50):
             q = rng.uniform(-4, 4, size=2)
             for k in (1, 3, 7):
@@ -62,19 +62,19 @@ class TestKnn:
     def test_ties_keep_lower_ids(self):
         # four points at identical distance from the center
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [5.0, 5.0]])
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         np.testing.assert_array_equal(idx.knn((0.0, 0.0), 2), [0, 1])
         np.testing.assert_array_equal(idx.knn((0.0, 0.0), 3), [0, 1, 2])
 
     def test_k_out_of_range(self):
-        idx = build(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        idx = PlanarIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
         for k in (0, 3):
             with pytest.raises(ValueError):
                 idx.knn((0, 0), k)
 
     def test_visit_count_returned(self):
         rng = np.random.default_rng(3)
-        idx = build(rng.uniform(0, 1, size=(256, 2)))
+        idx = PlanarIndex(rng.uniform(0, 1, size=(256, 2)))
         ids, visited = idx.knn((0.5, 0.5), 4, with_count=True)
         assert ids.size == 4
         assert 0 < visited <= 256
@@ -82,20 +82,20 @@ class TestKnn:
 
 class TestWithinRadius:
     def test_zero_radius_no_coincident(self):
-        idx = build(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        idx = PlanarIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert idx.within_radius((0.5, 0.5), 0.0).size == 0
 
     def test_radius_spanning_cloud_returns_everything(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 1, size=(64, 2))
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         got = idx.within_radius(pts[0], 2.0)
         np.testing.assert_array_equal(got, np.arange(64))
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-2, 2, size=(300, 2))
-        idx = build(pts)
+        idx = PlanarIndex(pts)
         for _ in range(60):
             q = rng.uniform(-2.5, 2.5, size=2)
             r = rng.uniform(0, 2.0)
@@ -104,7 +104,7 @@ class TestWithinRadius:
             )
 
     def test_negative_radius_rejected(self):
-        idx = build(np.array([[0.0, 0.0]]))
+        idx = PlanarIndex(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
             idx.within_radius((0, 0), -0.1)
 

@@ -156,6 +156,18 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff(np.empty((0, 3)), np.array([[0.0, 0.0, 0.0]]))
 
+    def test_non_finite_rejected(self):
+        # a NaN must not hide the far point that shares its 256-row block
+        rng = np.random.default_rng(10)
+        a = rng.uniform(0, 1, size=(300, 3))
+        b = a.copy()
+        b[5] = [50.0, 0.0, 0.0]
+        b[7, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            hausdorff(a, b)
+        with pytest.raises(ValueError, match="non-finite"):
+            hausdorff(b, a)
+
     def test_surface_sampling_density(self):
         surface = constant_surface(1.0)
         pts = surface_sample_points(surface, density=4)

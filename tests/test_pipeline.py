@@ -238,6 +238,18 @@ class TestFit:
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         assert report.iterations[0].mesh_elements == (1, 1)
 
+    def test_height_scale_does_not_change_the_fit_path(self):
+        # the stagnation test is relative, so z -> 1e-6 z refines the same way
+        for n, seed in ((600, 1), (400, 2), (500, 4)):
+            cloud = perturb(hemisphere_cloud(n, seed=seed), noise_std=0.05, seed=seed + 1)
+            scaled = cloud * [1.0, 1.0, 1e-6]
+            config = FitConfig(weight_grid=knn_parameter_grid(3), seed=seed)
+            _, base = fit(cloud, config)
+            _, small = fit(scaled, config)
+            path = [(rec.mesh_elements, rec.parameter) for rec in base.iterations]
+            assert [(rec.mesh_elements, rec.parameter) for rec in small.iterations] == path
+            assert small.stop_reason == base.stop_reason
+
 
 class TestCrossValidate:
     def test_loo_on_constant_cloud_is_exact(self):

@@ -8,6 +8,7 @@ from wqisa.splines import (
     OutOfDomainError,
     TensorSplineSpace,
     WqisaSurface,
+    basis_rows,
     basis_value,
     element_of,
     evaluate_surface,
@@ -15,7 +16,6 @@ from wqisa.splines import (
     insert_knot,
     insert_knot_surface,
     knot_averages,
-    local_basis_value,
 )
 
 from oracles import naive_basis
@@ -84,8 +84,9 @@ class TestBasisValue:
         assert basis_value(kv, 0, 1.5) == 0.0
 
     def test_quadratic_uniform_local_knots(self):
-        # single quadratic over [0,1,2,3] evaluated at the center of its support
-        assert local_basis_value([0, 1, 2, 3], 1.5) == pytest.approx(0.75, abs=1e-15)
+        # basis 2 has local knots [0, 1, 2, 3]; 1.5 is the center of its support
+        kv = KnotVector(2, [0, 0, 0, 1, 2, 3, 3, 3])
+        assert basis_value(kv, 2, 1.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_index_out_of_range(self):
         kv = KnotVector(1, [0, 0, 1, 1])
@@ -201,6 +202,13 @@ class TestElementOf:
         space = TensorSplineSpace(kv, kv)
         mu, nu = element_of(space, 1.0, 1.0)
         assert kv.knots[mu] < 1.0 <= kv.knots[mu + 1]
+
+    def test_find_span_matches_basis_rows(self):
+        # one span lookup: knot values and the right end land in the same span
+        kv = KnotVector(3, [0, 0, 0, 0, 0.2, 0.5, 0.5, 0.7, 1, 1, 1, 1])
+        ts = np.concatenate([np.linspace(0.0, 1.0, 1001), kv.knots])
+        spans, _ = basis_rows(kv, ts)
+        assert [find_span(kv, t) for t in ts] == spans.tolist()
 
     def test_out_of_domain(self):
         space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))

@@ -9,13 +9,9 @@ from wqisa.weights import (
     ZeroWeightError,
     estimate_all_coefficients,
     estimate_control_point,
-    weight_gaussian,
-    weight_idw,
-    weight_indicator,
-    weight_knn,
 )
 
-from oracles import brute_estimate, random_cloud
+from oracles import brute_estimate, brute_knn_ids, random_cloud
 
 
 class TestWeightSpec:
@@ -38,6 +34,10 @@ class TestWeightSpec:
             WeightSpec.gaussian(-1.0)
         with pytest.raises(ValueError):
             WeightSpec.knn(0)
+        for bad in (WeightSpec.knn, WeightSpec.truncated_idw):
+            with pytest.raises(ValueError, match="positive integer"):
+                bad(2.5)
+            assert bad(np.int64(3)).parameter == 3
 
     def test_parameter_property(self):
         assert WeightSpec.knn(4).parameter == 4
@@ -45,76 +45,117 @@ class TestWeightSpec:
         assert WeightSpec.idw().parameter is None
 
 
+def covers(point, query, spec) -> bool:
+    """Whether a one-point cloud at *point* gets positive weight at *query*."""
+    cloud = np.array([[point[0], point[1], 1.0]])
+    try:
+        estimate_control_point(cloud, query[0], query[1], spec)
+    except ZeroWeightError:
+        return False
+    return True
+
+
+def far_weight(d, spec) -> float:
+    """Weight at distance *d* relative to the weight at distance 0.
+
+    A height-0 point sits at the window center and a height-1 point at
+    distance *d*, so the estimate is ``w(d) / (w(0) + w(d))``.
+    """
+    cloud = np.array([[0.0, 0.0, 0.0], [d, 0.0, 1.0]])
+    estimate = estimate_control_point(cloud, 0.0, 0.0, spec)
+    return estimate / (1.0 - estimate)
+
+
 class TestWeightFunctions:
+    """Each window kernel, observed through the estimator on tiny clouds."""
+
     def test_indicator_zero_distance(self):
-        assert weight_indicator(0, 0, 0, 0, r=1.0) == 1.0
+        assert covers((0.0, 0.0), (0.0, 0.0), WeightSpec.indicator(1.0))
 
     def test_indicator_pythagorean_boundary(self):
-        assert weight_indicator(3, 4, 0, 0, r=5.0) == 1.0
-        assert weight_indicator(3, 4, 0, 0, r=4.9) == 0.0
+        # the ball is closed: (3, 4) lies exactly on the radius-5 circle
+        assert covers((3.0, 4.0), (0.0, 0.0), WeightSpec.indicator(5.0))
+        assert not covers((3.0, 4.0), (0.0, 0.0), WeightSpec.indicator(4.9))
 
     def test_indicator_symmetric(self):
         rng = np.random.default_rng(1)
         for x, y, u, v in rng.uniform(-3, 3, size=(25, 4)):
-            r = rng.uniform(0.1, 4.0)
-            assert weight_indicator(x, y, u, v, r) == weight_indicator(u, v, x, y, r)
+            spec = WeightSpec.indicator(rng.uniform(0.1, 4.0))
+            assert covers((x, y), (u, v), spec) == covers((u, v), (x, y), spec)
 
     def test_gaussian_coincident(self):
-        assert weight_gaussian(1.0, 2.0, 1.0, 2.0, sigma=0.7) == 1.0
+        # one coincident point of weight 1 and another at a distance of 1
+        cloud = np.array([[1.0, 2.0, 0.0], [2.0, 2.0, 1.0]])
+        got = estimate_control_point(cloud, 1.0, 2.0, WeightSpec.gaussian(0.7))
+        w = np.exp(-1.0 / (2 * 0.7 * 0.7))
+        assert got == pytest.approx(w / (1.0 + w), rel=1e-14)
 
     def test_gaussian_characteristic_distance(self):
         # at planar distance 2*sigma^2 the printed exponent is exactly -1
         for sigma in (0.3, 1.0, 2.5):
             d = 2.0 * sigma * sigma
-            assert weight_gaussian(d, 0, 0, 0, sigma) == pytest.approx(np.exp(-1.0), rel=1e-14)
+            assert far_weight(d, WeightSpec.gaussian(sigma)) == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_gaussian_strictly_decreasing(self):
-        values = [weight_gaussian(d, 0, 0, 0, sigma=0.8) for d in np.linspace(0, 4, 30)]
+        spec = WeightSpec.gaussian(0.8)
+        values = [far_weight(d, spec) for d in np.linspace(0, 4, 30)]
         assert np.all(np.diff(values) < 0)
 
     def test_gaussian_squared_variant(self):
         d = 1.7
         sigma = 0.9
         expected = np.exp(-(d * d) / (2 * sigma * sigma))
-        assert weight_gaussian(d, 0, 0, 0, sigma, squared=True) == pytest.approx(expected, rel=1e-15)
+        got = far_weight(d, WeightSpec.gaussian(sigma, squared=True))
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_knn_all_points(self):
         cloud = random_cloud(np.random.default_rng(2), 12)
-        w = weight_knn((0.0, 0.0), cloud, k=12)
-        np.testing.assert_allclose(w, np.full(12, 1 / 12))
+        got = estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(12))
+        assert got == pytest.approx(cloud[:, 2].mean(), rel=1e-14)
 
     def test_knn_unique_nearest(self):
         cloud = np.array([[0, 0, 1.0], [5, 5, 2.0], [9, 9, 3.0]])
-        w = weight_knn((0.1, 0.0), cloud, k=1)
-        np.testing.assert_allclose(w, [1.0, 0.0, 0.0])
+        assert estimate_control_point(cloud, 0.1, 0.0, WeightSpec.knn(1)) == 1.0
+
+    def test_knn_ties_keep_lower_ids(self):
+        # four points at identical distance from the center
+        cloud = np.array([[1.0, 0, 10.0], [0, 1.0, 20.0], [-1.0, 0, 30.0], [0, -1.0, 40.0]])
+        assert estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(1)) == 10.0
+        assert estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(2)) == 15.0
+        assert estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(3)) == 20.0
 
     def test_knn_collinear_end_query(self):
         cloud = np.column_stack([np.arange(5.0), np.zeros(5), np.arange(5.0)])
-        w = weight_knn((0.0, 0.0), cloud, k=2)
-        np.testing.assert_allclose(w, [0.5, 0.5, 0, 0, 0])
+        assert estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(2)) == 0.5
 
     def test_knn_weights_sum_to_one(self):
+        # uniform 1/k weights: the estimate is the plain mean of the k nearest
         rng = np.random.default_rng(3)
         cloud = random_cloud(rng, 40)
         for k in (1, 5, 17, 40):
-            w = weight_knn(rng.uniform(-2, 2, size=2), cloud, k)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
+            u, v = rng.uniform(-2, 2, size=2)
+            nearest = cloud[brute_knn_ids(cloud, u, v, k), 2]
+            got = estimate_control_point(cloud, u, v, WeightSpec.knn(k))
+            assert got == pytest.approx(nearest.mean(), rel=1e-12, abs=1e-12)
 
     def test_knn_k_out_of_range(self):
         cloud = random_cloud(np.random.default_rng(4), 5)
-        with pytest.raises(ValueError):
-            weight_knn((0, 0), cloud, k=6)
-        with pytest.raises(ValueError):
-            weight_knn((0, 0), cloud, k=0)
+        with pytest.raises(ZeroWeightError, match="exceeds cloud size"):
+            estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(6))
+        with pytest.raises(ValueError, match="positive integer"):
+            WeightSpec.knn(0)
 
     def test_idw_reciprocal_distance(self):
         cloud = np.array([[2.0, 0.0, 1.0], [5.0, 5.0, 2.0]])
-        assert weight_idw(2.0, 0.0, 0.0, 0.0, cloud, tol=0.0) == pytest.approx(0.5, rel=1e-15)
+        w1, w2 = 1.0 / 2.0, 1.0 / np.sqrt(50.0)
+        got = estimate_control_point(cloud, 0.0, 0.0, WeightSpec.idw(coincidence_tol=0.0))
+        assert got == pytest.approx((w1 * 1.0 + w2 * 2.0) / (w1 + w2), rel=1e-15)
 
     def test_idw_coincident_points_share_weight(self):
+        # the three coincident points share the weight equally, the far one gets 0
         cloud = np.array([[1, 1, 0.0], [1, 1, 2.0], [1, 1, 4.0], [3, 3, 9.0]])
-        for x, y, expected in [(1, 1, 1 / 3), (3, 3, 0.0)]:
-            assert weight_idw(x, y, 1.0, 1.0, cloud, tol=1e-9) == pytest.approx(expected, rel=1e-15)
+        for spec in (WeightSpec.idw(1e-9), WeightSpec.truncated_idw(4, 1e-9)):
+            assert estimate_control_point(cloud, 1.0, 1.0, spec) == pytest.approx(2.0, rel=1e-15)
 
 
 class TestEstimateControlPoint:
