@@ -126,14 +126,19 @@ def surface_to_dict(surface: WqisaSurface) -> dict:
 
 
 def surface_from_dict(payload: dict) -> WqisaSurface:
+    if not isinstance(payload, dict):
+        raise ValueError(f"surface payload must be a JSON object, got {type(payload).__name__}")
     try:
+        # KnotVector rejects a degree that is not an integer
         space = TensorSplineSpace(
-            KnotVector(int(payload["degree_x"]), np.asarray(payload["knots_x"], dtype=float)),
-            KnotVector(int(payload["degree_y"]), np.asarray(payload["knots_y"], dtype=float)),
+            KnotVector(payload["degree_x"], np.asarray(payload["knots_x"], dtype=float)),
+            KnotVector(payload["degree_y"], np.asarray(payload["knots_y"], dtype=float)),
         )
         coefficients = np.asarray(payload["coefficients"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"surface payload is missing field {exc}") from None
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed surface payload: {exc}") from None
     return WqisaSurface(space, coefficients)
 
 

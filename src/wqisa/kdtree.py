@@ -1,22 +1,29 @@
 """Exact planar k-d tree for nearest-neighbor and radius queries.
 
-Built once, then immutable; queries allocate only local state, so an index
-can be shared across threads.  Distances are compared on squared norms
-internally.  Ties at the k-th distance keep the lower point id so that
-results are reproducible regardless of build order.
+An implicit bucketed tree (Friedman, Bentley & Finkel, ACM TOMS 1977): a
+permutation of the point ids plus one split value per internal node.  Node
+``(s, e)`` covers positions ``s:e``; above ``LEAF_SIZE`` points it splits at
+``m = (s + e) // 2``, on x at even depth and y at odd, with ``s:m`` at or below
+the split value and ``m:e`` at or above it.  Leaves are scanned by numpy.
+
+Built once, then immutable, so an index can be shared across threads.
+Squared distances are computed as a full scan computes them and only cells
+strictly beyond the search bound are skipped, so results equal a full scan's;
+ties at the k-th distance keep the lower point id.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+
+# most points per leaf: a leaf costs one numpy pass, not a Python step per point
+LEAF_SIZE = 64
 
 
 class PlanarIndex:
-    """Balanced 2-d tree over planar points, median split, alternating axes."""
+    """Balanced bucketed 2-d tree over planar points, alternating axes."""
 
-    __slots__ = ("points", "_node_point", "_node_axis", "_node_left", "_node_right", "_root")
+    __slots__ = ("points", "_order", "_x", "_y", "_split")
 
     def __init__(self, points: np.ndarray):
         raw = np.asarray(points, dtype=float)
@@ -30,84 +37,63 @@ class PlanarIndex:
             raise ValueError("points must be finite")
         pts.flags.writeable = False
         self.points = pts
-        node_point: list[int] = []
-        node_axis: list[int] = []
-        node_left: list[int] = []
-        node_right: list[int] = []
-
-        def add_node(ids: np.ndarray, depth: int) -> int:
-            if ids.size == 0:
-                return -1
-            axis = depth % 2
-            # sort on (coordinate, id) so equal coordinates split deterministically
-            order = ids[np.lexsort((ids, pts[ids, axis]))]
-            mid = order.size // 2
-            node = len(node_point)
-            node_point.append(int(order[mid]))
-            node_axis.append(axis)
-            node_left.append(-2)
-            node_right.append(-2)
-            node_left[node] = add_node(order[:mid], depth + 1)
-            node_right[node] = add_node(order[mid + 1 :], depth + 1)
-            return node
-
-        self._root = add_node(np.arange(pts.shape[0]), 0)
-        self._node_point = np.asarray(node_point, dtype=np.intp)
-        self._node_axis = np.asarray(node_axis, dtype=np.intp)
-        self._node_left = np.asarray(node_left, dtype=np.intp)
-        self._node_right = np.asarray(node_right, dtype=np.intp)
+        n = pts.shape[0]
+        order = np.arange(n)
+        # split[m] belongs to the one internal node that splits at m
+        split = [0.0] * n
+        stack = [(0, n, 0)]
+        while stack:
+            s, e, axis = stack.pop()
+            if e - s <= LEAF_SIZE:
+                continue
+            m = (s + e) // 2
+            ids = order[s:e]
+            keys = pts[ids, axis]
+            part = np.argpartition(keys, m - s)
+            order[s:e] = ids[part]
+            split[m] = float(keys[part[m - s]])
+            stack.append((s, m, 1 - axis))
+            stack.append((m, e, 1 - axis))
+        self._order = order
+        # coordinates in tree order, so a leaf run is a contiguous slice
+        self._x = pts[order, 0]
+        self._y = pts[order, 1]
+        self._split = split
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
     def knn(self, query, k: int, with_count: bool = False):
-        """Ids of the *k* nearest points, ascending distance.
+        """Ids of the *k* nearest points, ascending (distance, id).
 
         With ``with_count=True`` also returns the number of tree nodes
         visited, which instruments the sublinear-growth contract.
         """
-        if not 1 <= k <= self.size:
-            raise ValueError(f"k must be in [1, {self.size}], got {k}")
+        n = self.size
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}], got {k}")
         u, v = float(query[0]), float(query[1])
-        pts = self.points
-        node_point = self._node_point
-        node_axis = self._node_axis
-        node_left = self._node_left
-        node_right = self._node_right
-        # max-heap on (d2, id): heap root is the current worst candidate
-        heap: list[tuple[float, int]] = []
-        visited = 0
-
-        def visit(node: int) -> None:
-            nonlocal visited
-            if node < 0:
-                return
-            visited += 1
-            pid = node_point[node]
-            px, py = pts[pid, 0], pts[pid, 1]
-            dx = px - u
-            dy = py - v
-            d2 = dx * dx + dy * dy
-            if len(heap) < k:
-                heapq.heappush(heap, (-d2, -pid))
-            else:
-                worst_d2, worst_id = -heap[0][0], -heap[0][1]
-                if (d2, pid) < (worst_d2, worst_id):
-                    heapq.heapreplace(heap, (-d2, -pid))
-            axis = node_axis[node]
-            diff = (u - px) if axis == 0 else (v - py)
-            near, far = (node_left[node], node_right[node]) if diff < 0 else (
-                node_right[node],
-                node_left[node],
-            )
-            visit(near)
-            if len(heap) < k or diff * diff <= -heap[0][0]:
-                visit(far)
-
-        visit(self._root)
-        ordered = sorted((-d2, -pid) for d2, pid in heap)
-        ids = np.asarray([pid for _, pid in ordered], dtype=np.intp)
+        # the k-th distance within the smallest subtree on the query's side
+        # that holds k points bounds the true k-th distance from above
+        s, e, axis = 0, n, 0
+        while e - s > LEAF_SIZE:
+            m = (s + e) // 2
+            child = (s, m) if (v if axis else u) < self._split[m] else (m, e)
+            if child[1] - child[0] < k:
+                break
+            (s, e), axis = child, 1 - axis
+        ids = self._order[s:e]
+        d2 = (self._x[s:e] - u) ** 2 + (self._y[s:e] - v) ** 2
+        nearest = np.lexsort((ids, d2))[:k]
+        visited = 1
+        if e - s < n:  # points outside the subtree may still beat the bound
+            runs, visited = self._runs(u, v, float(d2[nearest[-1]]))
+            if runs[0][0] < s or runs[-1][1] > e:
+                # the bound ball leaves the subtree: rank every candidate
+                ids, d2 = self._candidates(runs, u, v)
+                nearest = np.lexsort((ids, d2))[:k]
+        ids = ids[nearest]
         if with_count:
             return ids, visited
         return ids
@@ -118,27 +104,49 @@ class PlanarIndex:
             raise ValueError(f"radius must be nonnegative, got {r}")
         u, v = float(query[0]), float(query[1])
         r2 = r * r
-        pts = self.points
-        hits: list[int] = []
-        stack = [self._root]
+        ids, d2 = self._candidates(self._runs(u, v, r2)[0], u, v)
+        return np.sort(ids[d2 <= r2])
+
+    def _runs(self, u: float, v: float, bound: float) -> tuple[list[tuple[int, int]], int]:
+        """Leaf runs ``(s, e)`` whose cell lies within squared distance
+        *bound* of ``(u, v)``, ascending with adjacent runs merged, and the
+        number of nodes visited."""
+        split = self._split
+        runs: list[tuple[int, int]] = []
+        visited = 0
+        # (s, e, axis, own, other): gaps from the query to the node's cell along
+        # its split axis and the other axis.  The near child inherits them; the
+        # far child widens the gap to the split line.  Left children pop first.
+        stack = [(0, self.size, 0, 0.0, 0.0)]
         while stack:
-            node = stack.pop()
-            if node < 0:
+            s, e, axis, own, other = stack.pop()
+            visited += 1
+            if e - s <= LEAF_SIZE:
+                if runs and runs[-1][1] == s:
+                    runs[-1] = (runs[-1][0], e)
+                else:
+                    runs.append((s, e))
                 continue
-            pid = self._node_point[node]
-            px, py = pts[pid, 0], pts[pid, 1]
-            dx = px - u
-            dy = py - v
-            if dx * dx + dy * dy <= r2:
-                hits.append(int(pid))
-            diff = (u - px) if self._node_axis[node] == 0 else (v - py)
-            near, far = (
-                (self._node_left[node], self._node_right[node])
-                if diff < 0
-                else (self._node_right[node], self._node_left[node])
-            )
-            stack.append(near)
-            if diff * diff <= r2:
-                stack.append(far)
-        hits.sort()
-        return np.asarray(hits, dtype=np.intp)
+            m = (s + e) // 2
+            gap = (v if axis else u) - split[m]
+            far = gap * gap + other * other <= bound
+            if gap < 0:
+                if far:
+                    stack.append((m, e, 1 - axis, other, -gap))
+                stack.append((s, m, 1 - axis, other, own))
+            else:
+                stack.append((m, e, 1 - axis, other, own))
+                if far:
+                    stack.append((s, m, 1 - axis, other, gap))
+        return runs, visited
+
+    def _candidates(self, runs, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
+        """Point ids of the leaf runs and their squared distances."""
+        if len(runs) == 1:
+            s, e = runs[0]
+            ids, x, y = self._order[s:e], self._x[s:e], self._y[s:e]
+        else:
+            ids = np.concatenate([self._order[s:e] for s, e in runs])
+            x = np.concatenate([self._x[s:e] for s, e in runs])
+            y = np.concatenate([self._y[s:e] for s, e in runs])
+        return ids, (x - u) ** 2 + (y - v) ** 2

@@ -10,6 +10,8 @@ The window kinds are listed in ``KERNELS``: indicator (closed ball of radius
 behind a switch), k-nearest-neighbor (uniform ``1/k`` on the k closest planar
 projections), inverse-distance, and inverse-distance truncated to the K
 closest points.  ``_positive_weights`` is the one definition of each kernel.
+The kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
+``PlanarIndex`` at every cloud size; the others weigh the whole cloud.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -26,10 +28,6 @@ import numpy as np
 from .clouds import as_cloud, bbox_diagonal
 from .kdtree import PlanarIndex
 from .splines import TensorSplineSpace, WqisaSurface, knot_averages
-
-# a k-d tree pays off only when many estimates reuse it on a big cloud;
-# below this size a vectorized scan is both faster and equally exact
-LARGE_CLOUD = 4096
 
 # default coincidence tolerance: this fraction of the bounding-box diagonal
 COINCIDENCE_SCALE = 1e-12
@@ -129,15 +127,6 @@ class WeightSpec:
         return cls(kind="idw_truncated", truncation=truncation, coincidence_tol=coincidence_tol, **common)
 
 
-def _nearest_ids(cloud: np.ndarray, u: float, v: float, k: int, index: PlanarIndex | None = None) -> np.ndarray:
-    """Exact k-nearest planar projections, ties broken by lower id."""
-    if index is not None:
-        return index.knn((u, v), k)
-    d2 = (cloud[:, 0] - u) ** 2 + (cloud[:, 1] - v) ** 2
-    order = np.lexsort((np.arange(d2.size), d2))
-    return order[:k]
-
-
 def _coincidence_tol(spec: WeightSpec, cloud: np.ndarray) -> float:
     if spec.coincidence_tol is not None:
         return spec.coincidence_tol
@@ -155,12 +144,7 @@ def _positive_weights(
     x = cloud[:, 0]
     y = cloud[:, 1]
     if spec.kind == "indicator":
-        r = spec.radius
-        if index is not None:
-            ids = index.within_radius((u, v), r)
-        else:
-            d2 = (x - u) ** 2 + (y - v) ** 2
-            ids = np.flatnonzero(d2 <= r * r)
+        ids = index.within_radius((u, v), spec.radius)
         return ids, np.ones(ids.size)
     if spec.kind == "gaussian":
         d2 = (x - u) ** 2 + (y - v) ** 2
@@ -172,13 +156,12 @@ def _positive_weights(
         k = spec.k
         if k > cloud.shape[0]:
             raise ZeroWeightError(f"k={k} exceeds cloud size {cloud.shape[0]}")
-        ids = _nearest_ids(cloud, u, v, k, index)
+        ids = index.knn((u, v), k)
         return ids, np.full(ids.size, 1.0 / k)
     # the two inverse-distance kinds share the coincidence case split
     tol = _coincidence_tol(spec, cloud)
     if spec.kind == "idw_truncated":
-        kk = min(spec.truncation, cloud.shape[0])
-        ids = _nearest_ids(cloud, u, v, kk, index)
+        ids = index.knn((u, v), min(spec.truncation, cloud.shape[0]))
     else:
         ids = np.arange(cloud.shape[0])
     d2 = (x[ids] - u) ** 2 + (y[ids] - v) ** 2
@@ -198,6 +181,9 @@ def estimate_control_point(
 ) -> float:
     """Weighted mean of cloud heights with the window centered at ``(u, v)``.
 
+    *index* must be a ``PlanarIndex`` over the cloud's planar projection;
+    an indexed kind builds one when it is omitted.
+
     With ``spec.outlier_filter`` the positively weighted points are first
     screened through Tukey fences on their heights (quartiles by linear
     interpolation of order statistics); if the fences reject everything the
@@ -207,6 +193,8 @@ def estimate_control_point(
     the caller can widen the window instead of silently producing zeros.
     """
     cloud = as_cloud(cloud)
+    if index is None and KERNELS[spec.kind].indexed:
+        index = PlanarIndex(cloud[:, :2])
     ids, w = _positive_weights(cloud, float(u), float(v), spec, index)
     if ids.size == 0:
         raise ZeroWeightError(f"no point has positive weight at (u, v)=({u}, {v})")
@@ -239,14 +227,12 @@ def estimate_control_point(
 def estimate_all_coefficients(cloud, space: TensorSplineSpace, spec: WeightSpec) -> np.ndarray:
     """Estimate the full coefficient grid at every pair of knot averages.
 
-    Entries are independent; a k-d tree over the cloud is built once and
-    reused when the cloud is large and the window kind queries neighborhoods.
+    Entries are independent; when the window kind queries neighborhoods, a
+    k-d tree over the cloud is built once and serves every entry.
     Zero-weight failures are re-raised with the offending grid entry.
     """
     cloud = as_cloud(cloud)
-    index = None
-    if cloud.shape[0] >= LARGE_CLOUD and KERNELS[spec.kind].indexed:
-        index = PlanarIndex(cloud[:, :2])
+    index = PlanarIndex(cloud[:, :2]) if KERNELS[spec.kind].indexed else None
     us = knot_averages(space.knots_x)
     vs = knot_averages(space.knots_y)
     grid = np.empty((us.size, vs.size))

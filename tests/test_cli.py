@@ -215,6 +215,20 @@ class TestExitCodes:
             == 2
         )
 
+    def test_malformed_surface_is_two(self, tmp_path, cloud_file, capsys):
+        # a JSON array instead of an object, a fractional degree that must
+        # not be truncated to an integer, and an object where knots belong
+        knots = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        surface = {"degree_x": 2, "degree_y": 2, "knots_x": knots, "knots_y": knots,
+                   "coefficients": [[0.0] * 3] * 3}
+        path = tmp_path / "s.json"
+        for payload in ([1, 2], {**surface, "degree_x": 2.7}, {**surface, "knots_y": {}}):
+            path.write_text(json.dumps(payload))
+            argv = ["eval", "--surface", str(path), "--cloud", str(cloud_file),
+                    "--out", str(tmp_path / "e.json")]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "wqisa" in capsys.readouterr().out

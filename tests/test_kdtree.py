@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wqisa.kdtree import PlanarIndex
+from wqisa.kdtree import LEAF_SIZE, PlanarIndex
 
 from oracles import brute_knn_ids, brute_radius_ids
 
@@ -120,4 +122,62 @@ def test_large_random_cloud_agrees_with_brute_force():
         r = rng.uniform(0, 1.0)
         np.testing.assert_array_equal(
             idx.within_radius(q, r), brute_radius_ids(pts, q[0], q[1], r)
+        )
+
+
+# -- properties on degenerate clouds ------------------------------------------
+
+COORD = st.floats(-10.0, 10.0, allow_nan=False)
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def _sized(n, element):
+    return st.lists(element, min_size=n, max_size=n)
+
+
+def _collinear(ts, c, axis):
+    return [((t, c), (c, t), (t, t))[axis] for t in ts]
+
+
+def clouds():
+    """Tiny, duplicate-heavy, collinear and leaf-sized planar clouds."""
+    # sizes drawn uniformly, so most clouds need more than one leaf
+    sizes = st.integers(1, 3 * LEAF_SIZE)
+    tiny = st.integers(1, 3).flatmap(lambda n: _sized(n, st.tuples(COORD, COORD)))
+    # integer coordinates on a 4x4 lattice: many coincident points and ties
+    lattice = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    dupes = sizes.flatmap(lambda n: _sized(n, lattice))
+    collinear = st.builds(
+        _collinear, sizes.flatmap(lambda n: _sized(n, st.integers(-5, 5) | COORD)), COORD,
+        st.integers(0, 2),
+    )
+    leaf_sized = st.sampled_from([LEAF_SIZE - 1, LEAF_SIZE, LEAF_SIZE + 1, 2 * LEAF_SIZE + 1]).flatmap(
+        lambda n: _sized(n, st.tuples(COORD, COORD))
+    )
+    return st.one_of(tiny, dupes, collinear, leaf_sized).map(lambda p: np.array(p, dtype=float))
+
+
+def queries(data, points):
+    """A free query, or one exactly at a data point."""
+    return data.draw(st.tuples(COORD, COORD) | st.sampled_from([tuple(p) for p in points]))
+
+
+@PROPERTY
+@given(points=clouds(), data=st.data())
+def test_knn_matches_brute_force_on_degenerate_clouds(points, data):
+    idx = PlanarIndex(points)
+    n = points.shape[0]
+    u, v = queries(data, points)
+    for k in range(1, n + 1):
+        np.testing.assert_array_equal(idx.knn((u, v), k), brute_knn_ids(points, u, v, k))
+
+
+@PROPERTY
+@given(points=clouds(), data=st.data())
+def test_within_radius_matches_brute_force_on_degenerate_clouds(points, data):
+    idx = PlanarIndex(points)
+    u, v = queries(data, points)
+    for r in (0.0, data.draw(st.floats(0.0, 30.0)), data.draw(st.integers(0, 4))):
+        np.testing.assert_array_equal(
+            idx.within_radius((u, v), r), brute_radius_ids(points, u, v, r)
         )

@@ -270,11 +270,12 @@ class TestEstimateAllCoefficients:
         with pytest.raises(ZeroWeightError, match=r"\(i=0, j=1\)"):
             estimate_all_coefficients(cloud, space, WeightSpec.indicator(0.05))
 
-    def test_spatial_index_path_matches_direct_path(self):
-        # past the size threshold a k-d tree serves the neighbor queries;
-        # results must not change
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_indexed_kinds_match_brute_force(self, n):
+        # a k-d tree serves the neighbor queries of these kinds at every
+        # cloud size; the estimates must equal a full scan's bit for bit
         rng = np.random.default_rng(13)
-        cloud = random_cloud(rng, 5000)
+        cloud = random_cloud(rng, n)
         bbox = (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max())
         space = TensorSplineSpace.single_element((2, 2), bbox)
         for spec in (WeightSpec.knn(3), WeightSpec.indicator(0.8), WeightSpec.truncated_idw(40)):
