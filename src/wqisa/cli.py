@@ -113,13 +113,12 @@ def _build_parser() -> _Parser:
 def _cmd_split(args) -> int:
     cloud = read_cloud(args.cloud)
     data = split(cloud, args.fractions, args.seed)
-    ext = "csv" if args.format == "csv" else "xyz"
     for name, subset in (
         ("train", data.training),
         ("validation", data.validation),
         ("test", data.test),
     ):
-        write_cloud(f"{args.out_prefix}_{name}.{ext}", subset, fmt=args.format)
+        write_cloud(f"{args.out_prefix}_{name}.{args.format}", subset)
     return 0
 
 
@@ -133,7 +132,7 @@ def _cmd_fit(args) -> int:
     write_report(
         {
             "tool_version": __version__,
-            "config": _jsonable(run_config.to_dict()),
+            "config": run_config.to_dict(),
             "report": report.to_json_dict(),
         },
         args.report_out,
@@ -182,7 +181,7 @@ def _cmd_compare(args) -> int:
     write_report(
         {
             "tool_version": __version__,
-            "config": _jsonable(run_config.to_dict()),
+            "config": run_config.to_dict(),
             "wqisa": {
                 "punctual": wq_stats.to_dict(),
                 "hausdorff": wq_haus,
@@ -220,14 +219,6 @@ def _cmd_synth(args) -> int:
         )
     write_cloud(args.out, cloud)
     return 0
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def cli_main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,13 @@
 """File formats: point clouds, surfaces, run configurations, sampled grids.
 
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
-CSV with a header row and a configurable column mapping.  Surfaces persist
-as self-describing JSON (degrees, knot vectors, coefficient grid).  Run
-configurations are line-oriented ``key = value`` text and round-trip
-losslessly.  All floats are written with 17 significant digits, enough to
-reproduce the binary value exactly.
+CSV with a header row and a configurable column mapping; the extension picks
+the format unless one is given.  Both are read by one loop over ``(line
+number, fields)`` records and written by one row template, which also writes
+sampled surface grids as ``x,y,z`` CSV.  Surfaces persist as self-describing
+JSON (degrees, knot vectors, coefficient grid).  Run configurations are
+line-oriented ``key = value`` text and round-trip losslessly.  All floats are
+written as ``%.17g``: 17 significant digits reproduce the binary value exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, fields
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -31,18 +34,23 @@ class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
+# the one float format: 17 significant digits reproduce every binary value
+_FLOAT = "%.17g"
+# rows formatted and written per block, so a large cloud is never one string
+_ROWS_PER_WRITE = 4096
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return _FLOAT % value
 
 
-def _parse_floats(fields_: list[str], line_no: int, path) -> tuple[float, float, float]:
-    try:
-        x, y, z = (float(f) for f in fields_)
-    except ValueError:
-        raise CloudParseError(f"{path}: line {line_no}: cannot parse {fields_!r} as numbers") from None
-    if not all(np.isfinite(v) for v in (x, y, z)):
-        raise CloudParseError(f"{path}: line {line_no}: non-finite value")
-    return x, y, z
+def _cloud_format(path: Path, fmt: str | None) -> str:
+    """*fmt*, or the format the extension implies: ``.csv`` is CSV, else XYZ."""
+    if fmt is None:
+        fmt = "csv" if path.suffix.lower() == ".csv" else "xyz"
+    if fmt not in ("xyz", "csv"):
+        raise ValueError(f"unknown cloud format {fmt!r}")
+    return fmt
 
 
 def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x", "y", "z")) -> np.ndarray:
@@ -53,42 +61,40 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
     *columns* names the header columns holding x, y and z.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "xyz"
-    if fmt not in ("xyz", "csv"):
-        raise ValueError(f"unknown cloud format {fmt!r}")
-    rows: list[tuple[float, float, float]] = []
-    text = path.read_text()
+    fmt = _cloud_format(path, fmt)
+    lines = path.read_text().splitlines()
+    # records are (line number, fields) pairs; a field count outside [low, high] is width_error
     if fmt == "xyz":
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise CloudParseError(
-                    f"{path}: line {line_no}: expected 3 values, got {len(parts)}"
-                )
-            rows.append(_parse_floats(parts, line_no, path))
+        records = enumerate(map(str.split, lines), start=1)
+        idx, low, high, width_error = [0, 1, 2], 3, 3, "expected 3 values, got {}"
     else:
-        reader = csv.reader(text.splitlines())
+        reader = csv.reader(lines)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CloudParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         try:
             idx = [header.index(c) for c in columns]
         except ValueError:
             raise CloudParseError(
                 f"{path}: header {header!r} is missing one of the columns {columns!r}"
             ) from None
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not f.strip() for f in record):
-                continue
-            if max(idx) >= len(record):
-                raise CloudParseError(f"{path}: line {line_no}: too few fields")
-            rows.append(_parse_floats([record[i] for i in idx], line_no, path))
+        records = enumerate(reader, start=2)
+        low, high, width_error = max(idx) + 1, inf, "too few fields"
+    rows: list[tuple[float, float, float]] = []
+    for line_no, fields_ in records:
+        if not "".join(fields_).strip():
+            continue
+        if not low <= len(fields_) <= high:
+            raise CloudParseError(f"{path}: line {line_no}: " + width_error.format(len(fields_)))
+        picked = [fields_[i] for i in idx]
+        try:
+            x, y, z = map(float, picked)
+        except ValueError:
+            raise CloudParseError(f"{path}: line {line_no}: cannot parse {picked!r} as numbers") from None
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise CloudParseError(f"{path}: line {line_no}: non-finite value")
+        rows.append((x, y, z))
     if not rows:
         raise CloudParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -98,19 +104,13 @@ def write_cloud(path, cloud, fmt: str | None = None) -> None:
     """Write a cloud as XYZ ascii or CSV (inferred from the extension)."""
     path = Path(path)
     cloud = as_cloud(cloud)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "xyz"
-    lines = []
-    if fmt == "csv":
-        lines.append("x,y,z")
-        join = ","
-    elif fmt == "xyz":
-        join = " "
-    else:
-        raise ValueError(f"unknown cloud format {fmt!r}")
-    for row in cloud:
-        lines.append(join.join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    header, sep = ("x,y,z\n", ",") if _cloud_format(path, fmt) == "csv" else ("", " ")
+    row = sep.join([_FLOAT] * 3) + "\n"
+    with path.open("w") as fh:
+        fh.write(header)
+        for start in range(0, cloud.shape[0], _ROWS_PER_WRITE):
+            block = cloud[start : start + _ROWS_PER_WRITE]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def surface_to_dict(surface: WqisaSurface) -> dict:
@@ -160,10 +160,7 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
     rx, ry = resolution
     if rx < 2 or ry < 2:
         raise ValueError(f"resolution must be at least 2 per axis, got {resolution}")
-    lines = ["x,y,z"]
-    for x, y, z in zip(*sample_lattice(surface, (rx, ry)).T):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(z)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_cloud(path, sample_lattice(surface, (rx, ry)), fmt="csv")
 
 
 def write_report(payload: dict, path) -> None:

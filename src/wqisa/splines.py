@@ -42,7 +42,9 @@ class KnotVector:
     knots: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
+        # bool is an int subclass, but a JSON true is no degree
+        integral = isinstance(self.degree, (int, np.integer)) and not isinstance(self.degree, bool)
+        if not integral or self.degree < 0:
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
         knots = _frozen_copy(self.knots)
         object.__setattr__(self, "degree", int(self.degree))

@@ -23,17 +23,8 @@ def hemisphere_cloud(n: int, seed: int = 0) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = np.empty((n, 3))
-    filled = 0
-    while filled < n:
-        xy = rng.uniform(0.0, 1.0, size=(n - filled, 2))
-        radicand = 64.0 - 81.0 * ((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.5) ** 2)
-        good = xy[radicand >= 0.0]
-        take = good.shape[0]
-        pts[filled : filled + take, :2] = good
-        filled += take
-    pts[:, 2] = hemisphere_height(pts[:, 0], pts[:, 1])
-    return pts
+    xy = rng.uniform(0.0, 1.0, size=(n, 2))
+    return np.column_stack([xy, hemisphere_height(xy[:, 0], xy[:, 1])])
 
 
 def perturb(

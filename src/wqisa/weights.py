@@ -91,7 +91,9 @@ class WeightSpec:
             raise ValueError("sigma must be positive")
         for name in ("k", "truncation"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
+            # bool is an int subclass, but True is no window size
+            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if value is not None and not (integral and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.coincidence_tol is not None and self.coincidence_tol < 0:
             raise ValueError("coincidence tolerance must be nonnegative")
@@ -140,7 +142,7 @@ def _positive_weights(
     spec: WeightSpec,
     index: PlanarIndex | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ids with strictly positive weight and those weights."""
+    """Ascending ids (a reproducible summation order) with positive weight, and those weights."""
     x = cloud[:, 0]
     y = cloud[:, 1]
     if spec.kind == "indicator":
@@ -156,12 +158,12 @@ def _positive_weights(
         k = spec.k
         if k > cloud.shape[0]:
             raise ZeroWeightError(f"k={k} exceeds cloud size {cloud.shape[0]}")
-        ids = index.knn((u, v), k)
+        ids = np.sort(index.knn((u, v), k))
         return ids, np.full(ids.size, 1.0 / k)
     # the two inverse-distance kinds share the coincidence case split
     tol = _coincidence_tol(spec, cloud)
     if spec.kind == "idw_truncated":
-        ids = index.knn((u, v), min(spec.truncation, cloud.shape[0]))
+        ids = np.sort(index.knn((u, v), min(spec.truncation, cloud.shape[0])))
     else:
         ids = np.arange(cloud.shape[0])
     d2 = (x[ids] - u) ** 2 + (y[ids] - v) ** 2
@@ -198,10 +200,6 @@ def estimate_control_point(
     ids, w = _positive_weights(cloud, float(u), float(v), spec, index)
     if ids.size == 0:
         raise ZeroWeightError(f"no point has positive weight at (u, v)=({u}, {v})")
-    # canonical ascending-id order makes the accumulation reproducible
-    order = np.argsort(ids)
-    ids = ids[order]
-    w = w[order]
     z = cloud[ids, 2]
     if spec.outlier_filter and z.size > 1:
         q1, q3 = np.percentile(z, (25.0, 75.0))

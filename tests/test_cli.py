@@ -217,12 +217,20 @@ class TestExitCodes:
 
     def test_malformed_surface_is_two(self, tmp_path, cloud_file, capsys):
         # a JSON array instead of an object, a fractional degree that must
-        # not be truncated to an integer, and an object where knots belong
+        # not be truncated to an integer, a boolean degree that must not be
+        # read as 1, and an object where knots belong
         knots = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
         surface = {"degree_x": 2, "degree_y": 2, "knots_x": knots, "knots_y": knots,
                    "coefficients": [[0.0] * 3] * 3}
         path = tmp_path / "s.json"
-        for payload in ([1, 2], {**surface, "degree_x": 2.7}, {**surface, "knots_y": {}}):
+        for payload in (
+            [1, 2],
+            {**surface, "degree_x": 2.7},
+            # a consistent degree-1 surface, were True taken for 1
+            {**surface, "degree_x": True, "knots_x": [0.0, 0.0, 1.0, 1.0],
+             "coefficients": [[0.0] * 3] * 2},
+            {**surface, "knots_y": {}},
+        ):
             path.write_text(json.dumps(payload))
             argv = ["eval", "--surface", str(path), "--cloud", str(cloud_file),
                     "--out", str(tmp_path / "e.json")]

@@ -15,10 +15,20 @@ from wqisa.io import (
     write_cloud,
     write_surface_grid,
 )
-from wqisa.splines import TensorSplineSpace, WqisaSurface
+from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
 from oracles import random_cloud
+
+
+FORMATS = ["xyz", "csv"]
+
+
+def assert_rejected(path, text, message):
+    """Reading *text* from *path* raises a CloudParseError matching *message*."""
+    path.write_text(text)
+    with pytest.raises(CloudParseError, match=message):
+        read_cloud(path)
 
 
 class TestReadCloud:
@@ -34,29 +44,59 @@ class TestReadCloud:
         cloud = read_cloud(path, columns=("east", "north", "height"))
         np.testing.assert_array_equal(cloud, [[1, 2, 7.5], [3, 4, 8.5]])
 
-    def test_malformed_row_names_line(self, tmp_path):
-        path = tmp_path / "c.xyz"
-        path.write_text("a b c\n")
-        with pytest.raises(CloudParseError, match="line 1"):
-            read_cloud(path)
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("c.xyz", "a b c\n", r"line 1: cannot parse \['a', 'b', 'c'\]"),
+            ("c.csv", "x,y,z\n0,0,1\n1,b,2\n", r"line 3: cannot parse \['1', 'b', '2'\]"),
+        ],
+        ids=FORMATS,
+    )
+    def test_malformed_row_names_line(self, tmp_path, name, text, message):
+        assert_rejected(tmp_path / name, text, message)
 
-    def test_wrong_field_count_names_line(self, tmp_path):
-        path = tmp_path / "c.xyz"
-        path.write_text("0 0 1\n1 2\n")
-        with pytest.raises(CloudParseError, match="line 2"):
-            read_cloud(path)
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("c.xyz", "0 0 1\n1 2\n", "line 2: expected 3 values, got 2"),
+            ("c.csv", "x,y,z\n0,0,1\n1,2\n", "line 3: too few fields"),
+        ],
+        ids=FORMATS,
+    )
+    def test_wrong_field_count_names_line(self, tmp_path, name, text, message):
+        assert_rejected(tmp_path / name, text, message)
 
-    def test_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "c.xyz"
-        path.write_text("0 0 nan\n")
-        with pytest.raises(CloudParseError, match="non-finite"):
-            read_cloud(path)
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("c.xyz", "0 0 nan\n", "line 1: non-finite value"),
+            ("c.csv", "x,y,z\n0,0,1\n1,inf,2\n", "line 3: non-finite value"),
+        ],
+        ids=FORMATS,
+    )
+    def test_non_finite_rejected(self, tmp_path, name, text, message):
+        assert_rejected(tmp_path / name, text, message)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("c.xyz", "0 0 1\n\n  \n1 2\n", "line 4: expected 3 values"),
+            ("c.csv", "x,y,z\n\n0,0,1\n , ,\n1,2\n", "line 5: too few fields"),
+        ],
+        ids=FORMATS,
+    )
+    def test_error_after_blank_line_names_file_line(self, tmp_path, name, text, message):
+        # blank records are skipped but still counted
+        assert_rejected(tmp_path / name, text, message)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.xyz"
         path.write_text("")
         with pytest.raises(CloudParseError, match="no data"):
             read_cloud(path)
+
+    def test_empty_csv_rejected(self, tmp_path):
+        assert_rejected(tmp_path / "c.csv", "", "empty file")
 
     def test_missing_csv_column_reported(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -75,6 +115,47 @@ class TestReadCloud:
         path = tmp_path / "c.csv"
         write_cloud(path, cloud)
         np.testing.assert_array_equal(read_cloud(path), cloud)
+
+
+# 17 significant digits, the exponent and sign rules of %.17g, and -0 kept
+TRICKY_ROWS = (
+    "0.10000000000000001{0}0.33333333333333331{0}-0\n"
+    "4.9406564584124654e-324{0}1e+22{0}-2.5\n"
+)
+
+
+class TestWrittenText:
+    def test_cloud_rows(self, tmp_path):
+        cloud = np.array([[0.1, 1.0 / 3.0, -0.0], [5e-324, 1e22, -2.5]])
+        write_cloud(tmp_path / "c.xyz", cloud)
+        write_cloud(tmp_path / "c.csv", cloud)
+        assert (tmp_path / "c.xyz").read_text() == TRICKY_ROWS.format(" ")
+        assert (tmp_path / "c.csv").read_text() == "x,y,z\n" + TRICKY_ROWS.format(",")
+
+    def test_many_rows_match_row_by_row_formatting(self, tmp_path):
+        cloud = random_cloud(np.random.default_rng(4), 10_000)
+        path = tmp_path / "c.xyz"
+        write_cloud(path, cloud)
+        assert path.read_text() == "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in cloud)
+
+    def test_surface_grid_rows(self, tmp_path):
+        # degree 1, so the lattice corners reproduce the coefficients exactly
+        space = TensorSplineSpace(
+            KnotVector(1, [0.1, 0.1, 1.0 / 3.0, 1.0 / 3.0]),
+            KnotVector(1, [-0.0, -0.0, 1e22, 1e22]),
+        )
+        surface = WqisaSurface(space, np.array([[0.1, 5e-324], [1e22, -0.0]]))
+        path = tmp_path / "grid.csv"
+        write_surface_grid(surface, (3, 2), path)
+        assert path.read_text() == (
+            "x,y,z\n"
+            "0.10000000000000001,0,0.10000000000000001\n"
+            "0.10000000000000001,1e+22,4.9406564584124654e-324\n"
+            "0.21666666666666667,0,5.000000000000001e+21\n"
+            "0.21666666666666667,1e+22,-0\n"
+            "0.33333333333333331,0,1e+22\n"
+            "0.33333333333333331,1e+22,-0\n"
+        )
 
 
 class TestSurfacePersistence:

@@ -35,8 +35,9 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec.knn(0)
         for bad in (WeightSpec.knn, WeightSpec.truncated_idw):
-            with pytest.raises(ValueError, match="positive integer"):
-                bad(2.5)
+            for value in (2.5, True):
+                with pytest.raises(ValueError, match="positive integer"):
+                    bad(value)
             assert bad(np.int64(3)).parameter == 3
 
     def test_parameter_property(self):
