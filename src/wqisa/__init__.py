@@ -18,7 +18,6 @@ from .splines import (
     WqisaSurface,
     basis_value,
     element_of,
-    evaluate_surface,
     insert_knot,
     insert_knot_surface,
     knot_averages,
@@ -26,7 +25,6 @@ from .splines import (
 from .weights import (
     WeightSpec,
     ZeroWeightError,
-    estimate_all_coefficients,
     estimate_control_point,
     fit_surface,
 )
@@ -82,13 +80,11 @@ __all__ = [
     "WqisaSurface",
     "basis_value",
     "element_of",
-    "evaluate_surface",
     "insert_knot",
     "insert_knot_surface",
     "knot_averages",
     "WeightSpec",
     "ZeroWeightError",
-    "estimate_all_coefficients",
     "estimate_control_point",
     "fit_surface",
     "PlanarIndex",

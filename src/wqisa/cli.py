@@ -239,7 +239,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         ConfigError,
         ZeroWeightError,
         OutOfDomainError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
         ValueError,
     ) as exc:

@@ -38,13 +38,7 @@ def bounding_box(cloud: np.ndarray) -> tuple[float, float, float, float]:
 
 def joint_bounding_box(*clouds: np.ndarray) -> tuple[float, float, float, float]:
     """Smallest ``(xmin, xmax, ymin, ymax)`` holding every cloud's projection."""
-    boxes = np.asarray([bounding_box(cloud) for cloud in clouds])
-    return (
-        float(boxes[:, 0].min()),
-        float(boxes[:, 1].max()),
-        float(boxes[:, 2].min()),
-        float(boxes[:, 3].max()),
-    )
+    return bounding_box(np.concatenate(clouds))
 
 
 def bbox_diagonal(cloud: np.ndarray) -> float:

@@ -113,8 +113,8 @@ def write_cloud(path, cloud, fmt: str | None = None) -> None:
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-def surface_to_dict(surface: WqisaSurface) -> dict:
-    return {
+def save_surface(surface: WqisaSurface, path) -> None:
+    payload = {
         "format": "wqisa-surface",
         "version": 1,
         "degree_x": surface.space.knots_x.degree,
@@ -123,9 +123,11 @@ def surface_to_dict(surface: WqisaSurface) -> dict:
         "knots_y": [float(t) for t in surface.space.knots_y.knots],
         "coefficients": [[float(c) for c in row] for row in surface.coefficients],
     }
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def surface_from_dict(payload: dict) -> WqisaSurface:
+def load_surface(path) -> WqisaSurface:
+    payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"surface payload must be a JSON object, got {type(payload).__name__}")
     try:
@@ -140,14 +142,6 @@ def surface_from_dict(payload: dict) -> WqisaSurface:
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError(f"malformed surface payload: {exc}") from None
     return WqisaSurface(space, coefficients)
-
-
-def save_surface(surface: WqisaSurface, path) -> None:
-    Path(path).write_text(json.dumps(surface_to_dict(surface), sort_keys=True) + "\n")
-
-
-def load_surface(path) -> WqisaSurface:
-    return surface_from_dict(json.loads(Path(path).read_text()))
 
 
 def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path) -> None:

@@ -9,8 +9,9 @@ import numpy as np
 from .clouds import as_cloud
 from .splines import TensorSplineSpace, locate_spans, sample_lattice
 
-# rows per block when forming pairwise distances, bounds peak memory
-_CHUNK = 256
+# point pairs per distance block: bounds peak memory in either argument
+# order, and a 256 KB block of squared distances stays in cache
+_BLOCK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,11 @@ class ElementErrorMap:
     """Per-element mean squared validation error on a tensor mesh.
 
     ``values[e, f]`` is the LMSE of element ``(e, f)``; elements containing
-    no validation projection carry exactly 0.  ``x_edges``/``y_edges`` are
-    the distinct knot values bounding the elements.
+    no validation projection carry exactly 0.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    x_edges: np.ndarray
-    y_edges: np.ndarray
 
 
 def lmse(surface, validation, space: TensorSplineSpace) -> ElementErrorMap:
@@ -94,23 +92,28 @@ def lmse(surface, validation, space: TensorSplineSpace) -> ElementErrorMap:
     values = np.zeros(shape)
     hit = counts > 0
     values[hit] = sums[hit] / counts[hit]
-    return ElementErrorMap(values=values, counts=counts, x_edges=x_edges, y_edges=y_edges)
-
-
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    worst = 0.0
-    for start in range(0, a.shape[0], _CHUNK):
-        block = a[start : start + _CHUNK]
-        d2 = ((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
-    return worst
+    return ElementErrorMap(values=values, counts=counts)
 
 
 def hausdorff(a, b) -> float:
-    """Two-sided Hausdorff distance between nonempty, finite 3-d point sets."""
+    """Two-sided Hausdorff distance between nonempty, finite 3-d point sets.
+
+    One sweep over row blocks of *a*: row minima of each block's squared
+    distances give the direction a -> b, and a running column minimum gives
+    b -> a.
+    """
     a = as_cloud(a)
     b = as_cloud(b)
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    bx, by, bz = (np.ascontiguousarray(column) for column in b.T)
+    rows = max(1, _BLOCK_PAIRS // b.shape[0])
+    a_to_b = 0.0
+    b_to_a = np.full(b.shape[0], np.inf)
+    for start in range(0, a.shape[0], rows):
+        block = a[start : start + rows]
+        d2 = (block[:, 0:1] - bx) ** 2 + (block[:, 1:2] - by) ** 2 + (block[:, 2:3] - bz) ** 2
+        a_to_b = max(a_to_b, float(d2.min(axis=1).max()))
+        np.minimum(b_to_a, d2.min(axis=0), out=b_to_a)
+    return float(np.sqrt(max(a_to_b, float(b_to_a.max()))))
 
 
 def surface_sample_points(surface, density: int = 4) -> np.ndarray:

@@ -12,7 +12,7 @@ given the seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -135,7 +135,7 @@ class FitConfig:
             raise ValueError(f"weight grid mixes kinds: {sorted(kinds)}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.epsilon is not None and self.epsilon < 0:
+        if self.epsilon is not None and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if min(self.degrees) < 0:
             raise ValueError("degrees must be nonnegative")
@@ -239,21 +239,9 @@ class FitReport:
         """JSON-ready view.  Wall time is omitted: reports with the same
         seed must be byte-identical, and timing is the one field that is
         not a function of the inputs."""
-        return {
-            "iterations": [
-                {
-                    "mesh_elements": list(rec.mesh_elements),
-                    "parameter": rec.parameter,
-                    "gmse": rec.gmse,
-                }
-                for rec in self.iterations
-            ],
-            "stop_reason": self.stop_reason,
-            "best_iteration": self.best_iteration,
-            "weight_kind": self.weight_kind,
-            "test_mse": self.test_mse,
-            "seed": self.seed,
-        }
+        payload = asdict(self)
+        del payload["wall_time_s"]
+        return payload
 
 
 def fit_split(

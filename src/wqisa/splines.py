@@ -304,33 +304,24 @@ class WqisaSurface:
             raise ValueError("coefficients must be finite")
 
     def evaluate(self, x: float, y: float) -> float:
+        """Surface value at a single point; raises ``OutOfDomainError`` outside."""
         return float(self.evaluate_many([x], [y])[0])
 
     def evaluate_many(self, xs, ys) -> np.ndarray:
-        return evaluate_surface_many(self, xs, ys)
+        """Evaluate at paired coordinate arrays ``xs``, ``ys``."""
+        px, py = self.space.degrees
+        spans_x, bx = basis_rows(self.space.knots_x, xs)
+        spans_y, by = basis_rows(self.space.knots_y, ys)
+        ix = spans_x[:, None] - px + np.arange(px + 1)[None, :]
+        iy = spans_y[:, None] - py + np.arange(py + 1)[None, :]
+        active = self.coefficients[ix[:, :, None], iy[:, None, :]]
+        values = np.einsum("mab,ma,mb->m", active, bx, by)
+        lo = active.min(axis=(1, 2))
+        hi = active.max(axis=(1, 2))
+        return np.clip(values, lo, hi)
 
     def __repr__(self) -> str:
         return f"WqisaSurface(space={self.space!r})"
-
-
-def evaluate_surface_many(surface: WqisaSurface, xs, ys) -> np.ndarray:
-    """Evaluate the surface at paired coordinate arrays ``xs``, ``ys``."""
-    space = surface.space
-    px, py = space.degrees
-    spans_x, bx = basis_rows(space.knots_x, xs)
-    spans_y, by = basis_rows(space.knots_y, ys)
-    ix = spans_x[:, None] - px + np.arange(px + 1)[None, :]
-    iy = spans_y[:, None] - py + np.arange(py + 1)[None, :]
-    active = surface.coefficients[ix[:, :, None], iy[:, None, :]]
-    values = np.einsum("mab,ma,mb->m", active, bx, by)
-    lo = active.min(axis=(1, 2))
-    hi = active.max(axis=(1, 2))
-    return np.clip(values, lo, hi)
-
-
-def evaluate_surface(surface: WqisaSurface, x: float, y: float) -> float:
-    """Surface value at a single point; raises ``OutOfDomainError`` outside."""
-    return surface.evaluate(x, y)
 
 
 def sample_lattice(surface, counts: tuple[int, int]) -> np.ndarray:

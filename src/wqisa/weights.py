@@ -95,9 +95,9 @@ class WeightSpec:
             integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if value is not None and not (integral and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.coincidence_tol is not None and self.coincidence_tol < 0:
+        if self.coincidence_tol is not None and not self.coincidence_tol >= 0:
             raise ValueError("coincidence tolerance must be nonnegative")
-        if self.fence < 0:
+        if not self.fence >= 0:
             raise ValueError("fence multiplier must be nonnegative")
 
     @property
@@ -222,8 +222,8 @@ def estimate_control_point(
     return float(min(max(estimate, z.min()), z.max()))
 
 
-def estimate_all_coefficients(cloud, space: TensorSplineSpace, spec: WeightSpec) -> np.ndarray:
-    """Estimate the full coefficient grid at every pair of knot averages.
+def fit_surface(cloud, space: TensorSplineSpace, spec: WeightSpec) -> WqisaSurface:
+    """Surface on *space* with a coefficient estimated at every pair of knot averages.
 
     Entries are independent; when the window kind queries neighborhoods, a
     k-d tree over the cloud is built once and serves every entry.
@@ -240,9 +240,4 @@ def estimate_all_coefficients(cloud, space: TensorSplineSpace, spec: WeightSpec)
                 grid[i, j] = estimate_control_point(cloud, u, v, spec, index)
             except ZeroWeightError as exc:
                 raise ZeroWeightError(f"coefficient (i={i}, j={j}): {exc}") from None
-    return grid
-
-
-def fit_surface(cloud, space: TensorSplineSpace, spec: WeightSpec) -> WqisaSurface:
-    """Convenience wrapper: estimate all coefficients and wrap them."""
-    return WqisaSurface(space, estimate_all_coefficients(cloud, space, spec))
+    return WqisaSurface(space, grid)

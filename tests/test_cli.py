@@ -189,15 +189,15 @@ class TestExitCodes:
         assert cli_main(["frobnicate"]) == 1
         assert cli_main(["fit", "--cloud", "x.xyz"]) == 1
 
-    def test_data_error_is_two(self, tmp_path):
-        missing = tmp_path / "missing.xyz"
-        assert cli_main(
-            [
-                "split",
-                "--cloud", str(missing),
-                "--out-prefix", str(tmp_path / "p"),
-            ]
-        ) == 2
+    def test_data_error_is_two(self, tmp_path, capsys):
+        # a missing file, and a directory where a file is read or written
+        for argv in (
+            ["split", "--cloud", str(tmp_path / "missing.xyz"), "--out-prefix", str(tmp_path / "p")],
+            ["split", "--cloud", str(tmp_path), "--out-prefix", str(tmp_path / "p")],
+            ["synth", "--n", "20", "--out", str(tmp_path)],
+        ):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"

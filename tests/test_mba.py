@@ -6,7 +6,7 @@ import pytest
 from wqisa.mba import MbaSurface, dyadic_space, fit_mba, mba_level_coefficients
 from wqisa.splines import TensorSplineSpace, WqisaSurface
 from wqisa.synthetic import hemisphere_cloud
-from wqisa.weights import estimate_all_coefficients  # noqa: F401  (namespace sanity)
+from wqisa.weights import fit_surface  # noqa: F401  (namespace sanity)
 
 
 def bilinear_unit_space() -> TensorSplineSpace:

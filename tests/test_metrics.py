@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wqisa import metrics
 from wqisa.metrics import (
     ErrorStats,
     gmse,
@@ -152,12 +153,29 @@ class TestHausdorff:
             assert got == hausdorff(b, a)
             assert got == brute_hausdorff(a, b)
 
+    @pytest.mark.parametrize("far_in", ["a", "b"])
+    def test_many_blocks_match_brute_force(self, far_in):
+        # both sets exceed one distance block; the farthest point sits in the
+        # last row block of `a` or the last column of `b`
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1, 1, size=(1500, 3))
+        b = rng.uniform(-1, 1, size=(1200, 3))
+        assert a.shape[0] * b.shape[0] > 20 * metrics._BLOCK_PAIRS
+        if far_in == "a":
+            a[-3] = [0.5, -0.25, 6.0]
+        else:
+            b[-1] = [-4.0, 0.5, 0.25]
+        expected = brute_hausdorff(a, b)
+        assert expected > 3.0
+        assert hausdorff(a, b) == expected
+        assert hausdorff(b, a) == expected
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff(np.empty((0, 3)), np.array([[0.0, 0.0, 0.0]]))
 
     def test_non_finite_rejected(self):
-        # a NaN must not hide the far point that shares its 256-row block
+        # a NaN must not hide the far point that shares its distance block
         rng = np.random.default_rng(10)
         a = rng.uniform(0, 1, size=(300, 3))
         b = a.copy()

@@ -174,8 +174,6 @@ class TestRefineMesh:
         bogus = ElementErrorMap(
             values=np.zeros((3, 3)),
             counts=np.zeros((3, 3), dtype=np.intp),
-            x_edges=np.array([0.0, 1.0]),
-            y_edges=np.array([0.0, 1.0]),
         )
         with pytest.raises(ValueError, match="aligned"):
             refine_mesh(space, bogus, 0.0)
@@ -292,6 +290,11 @@ class TestFitConfig:
     def test_mixed_kind_grid_rejected(self):
         with pytest.raises(ValueError, match="mixes kinds"):
             FitConfig(weight_grid=(WeightSpec.knn(1), WeightSpec.idw()))
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_negative_or_nan_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            FitConfig(epsilon=epsilon)
 
     def test_default_grid_is_knn_one_to_ten(self):
         config = FitConfig()

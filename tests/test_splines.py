@@ -11,7 +11,6 @@ from wqisa.splines import (
     basis_rows,
     basis_value,
     element_of,
-    evaluate_surface,
     find_span,
     insert_knot,
     insert_knot_surface,
@@ -232,18 +231,18 @@ class TestEvaluateSurface:
         space = TensorSplineSpace(random_knot_vector(rng), random_knot_vector(rng))
         surface = WqisaSurface(space, np.full(space.shape, 7.3))
         for x, y in rng.uniform(0, 1, size=(20, 2)):
-            assert evaluate_surface(surface, x, y) == 7.3
+            assert surface.evaluate(x, y) == 7.3
 
     def test_bilinear_interpolation(self):
         space = TensorSplineSpace(KnotVector(1, [0, 0, 1, 1]), KnotVector(1, [0, 0, 1, 1]))
         surface = WqisaSurface(space, [[0.0, 0.0], [1.0, 1.0]])
-        assert evaluate_surface(surface, 0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert surface.evaluate(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_domain_is_distinct_error(self):
         space = TensorSplineSpace.single_element((2, 2), (0, 1, 0, 1))
         surface = WqisaSurface(space, np.zeros(space.shape))
         with pytest.raises(OutOfDomainError):
-            evaluate_surface(surface, 2.0, 0.5)
+            surface.evaluate(2.0, 0.5)
 
     def test_convex_combination_bound_is_exact(self):
         rng = np.random.default_rng(17)

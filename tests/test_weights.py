@@ -7,8 +7,8 @@ from wqisa.splines import KnotVector, TensorSplineSpace, knot_averages
 from wqisa.weights import (
     WeightSpec,
     ZeroWeightError,
-    estimate_all_coefficients,
     estimate_control_point,
+    fit_surface,
 )
 
 from oracles import brute_estimate, brute_knn_ids, random_cloud
@@ -39,6 +39,14 @@ class TestWeightSpec:
                 with pytest.raises(ValueError, match="positive integer"):
                     bad(value)
             assert bad(np.int64(3)).parameter == 3
+        # NaN fails every comparison, so it must not slip past a `< 0` test
+        for value in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="fence multiplier"):
+                WeightSpec.knn(3, outlier_filter=True, fence=value)
+            with pytest.raises(ValueError, match="coincidence tolerance"):
+                WeightSpec.idw(coincidence_tol=value)
+            with pytest.raises(ValueError, match="coincidence tolerance"):
+                WeightSpec.truncated_idw(5, coincidence_tol=value)
 
     def test_parameter_property(self):
         assert WeightSpec.knn(4).parameter == 4
@@ -237,6 +245,8 @@ class TestEstimateControlPoint:
 
 
 class TestEstimateAllCoefficients:
+    """The full coefficient grid, as ``fit_surface`` estimates it."""
+
     def test_constant_cloud_constant_grid(self):
         cloud = random_cloud(np.random.default_rng(11), 25)
         cloud[:, 2] = -3.5
@@ -244,7 +254,7 @@ class TestEstimateAllCoefficients:
             KnotVector.uniform_open(2, 2, cloud[:, 0].min(), cloud[:, 0].max()),
             KnotVector.uniform_open(2, 3, cloud[:, 1].min(), cloud[:, 1].max()),
         )
-        grid = estimate_all_coefficients(cloud, space, WeightSpec.knn(4))
+        grid = fit_surface(cloud, space, WeightSpec.knn(4)).coefficients
         np.testing.assert_array_equal(grid, np.full(space.shape, -3.5))
 
     def test_single_element_full_knn_is_cloud_mean(self):
@@ -253,7 +263,7 @@ class TestEstimateAllCoefficients:
             (2, 2),
             (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max()),
         )
-        grid = estimate_all_coefficients(cloud, space, WeightSpec.knn(15))
+        grid = fit_surface(cloud, space, WeightSpec.knn(15)).coefficients
         np.testing.assert_allclose(grid, cloud[:, 2].mean(), rtol=1e-14)
 
     def test_one_nearest_picks_nearest_sample(self):
@@ -262,14 +272,14 @@ class TestEstimateAllCoefficients:
             [[0.05, 0.05, 1.0], [0.95, 0.1, 2.0], [0.0, 0.9, 3.0], [1.0, 1.0, 4.0]]
         )
         space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
-        grid = estimate_all_coefficients(cloud, space, WeightSpec.knn(1))
+        grid = fit_surface(cloud, space, WeightSpec.knn(1)).coefficients
         np.testing.assert_array_equal(grid, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_zero_weight_names_offending_entry(self):
         cloud = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 2.0]])
         space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
         with pytest.raises(ZeroWeightError, match=r"\(i=0, j=1\)"):
-            estimate_all_coefficients(cloud, space, WeightSpec.indicator(0.05))
+            fit_surface(cloud, space, WeightSpec.indicator(0.05))
 
     @pytest.mark.parametrize("n", [1000, 5000])
     def test_indexed_kinds_match_brute_force(self, n):
@@ -280,7 +290,7 @@ class TestEstimateAllCoefficients:
         bbox = (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max())
         space = TensorSplineSpace.single_element((2, 2), bbox)
         for spec in (WeightSpec.knn(3), WeightSpec.indicator(0.8), WeightSpec.truncated_idw(40)):
-            grid = estimate_all_coefficients(cloud, space, spec)
+            grid = fit_surface(cloud, space, spec).coefficients
             for i, u in enumerate(knot_averages(space.knots_x)):
                 for j, v in enumerate(knot_averages(space.knots_y)):
                     assert grid[i, j] == brute_estimate(cloud, u, v, spec)
