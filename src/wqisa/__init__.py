@@ -20,9 +20,11 @@ from .splines import (
     element_of,
     insert_knot,
     insert_knot_surface,
+    knot_average_grid,
     knot_averages,
 )
 from .weights import (
+    NeighbourTable,
     WeightSpec,
     ZeroWeightError,
     estimate_control_point,
@@ -82,7 +84,9 @@ __all__ = [
     "element_of",
     "insert_knot",
     "insert_knot_surface",
+    "knot_average_grid",
     "knot_averages",
+    "NeighbourTable",
     "WeightSpec",
     "ZeroWeightError",
     "estimate_control_point",

@@ -208,15 +208,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cloud = hemisphere_cloud(args.n, args.seed)
-    if args.noise_std > 0 or args.outlier_fraction > 0:
-        cloud = perturb(
-            cloud,
-            noise_std=args.noise_std,
-            outlier_fraction=args.outlier_fraction,
-            outlier_scale=args.outlier_scale,
-            seed=args.seed,
-        )
+    # perturb checks every option and leaves the cloud as it is at zero noise
+    cloud = perturb(
+        hemisphere_cloud(args.n, args.seed),
+        noise_std=args.noise_std,
+        outlier_fraction=args.outlier_fraction,
+        outlier_scale=args.outlier_scale,
+        seed=args.seed,
+    )
     write_cloud(args.out, cloud)
     return 0
 

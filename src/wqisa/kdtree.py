@@ -75,25 +75,24 @@ class PlanarIndex:
             raise ValueError(f"k must be in [1, {n}], got {k}")
         u, v = float(query[0]), float(query[1])
         # the k-th distance within the smallest subtree on the query's side
-        # that holds k points bounds the true k-th distance from above
+        # that holds 2k points bounds the true k-th distance from above; a
+        # subtree of only k points would give its farthest point as the bound
         s, e, axis = 0, n, 0
         while e - s > LEAF_SIZE:
             m = (s + e) // 2
             child = (s, m) if (v if axis else u) < self._split[m] else (m, e)
-            if child[1] - child[0] < k:
+            if child[1] - child[0] < 2 * k:
                 break
             (s, e), axis = child, 1 - axis
         ids = self._order[s:e]
         d2 = (self._x[s:e] - u) ** 2 + (self._y[s:e] - v) ** 2
-        nearest = np.lexsort((ids, d2))[:k]
         visited = 1
         if e - s < n:  # points outside the subtree may still beat the bound
-            runs, visited = self._runs(u, v, float(d2[nearest[-1]]))
+            runs, visited = self._runs(u, v, float(np.partition(d2, k - 1)[k - 1]))
             if runs[0][0] < s or runs[-1][1] > e:
                 # the bound ball leaves the subtree: rank every candidate
                 ids, d2 = self._candidates(runs, u, v)
-                nearest = np.lexsort((ids, d2))[:k]
-        ids = ids[nearest]
+        ids = _nearest(ids, d2, k)
         if with_count:
             return ids, visited
         return ids
@@ -150,3 +149,15 @@ class PlanarIndex:
             x = np.concatenate([self._x[s:e] for s, e in runs])
             y = np.concatenate([self._y[s:e] for s, e in runs])
         return ids, (x - u) ** 2 + (y - v) ** 2
+
+
+def _nearest(ids: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
+    """The *k* candidates first in (distance, id) order, in that order.
+
+    A partition finds the k-th distance; only candidates at or below it,
+    ties included, are sorted.
+    """
+    if k < d2.size:
+        head = d2 <= np.partition(d2, k - 1)[k - 1]
+        ids, d2 = ids[head], d2[head]
+    return ids[np.lexsort((ids, d2))[:k]]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .clouds import as_cloud, bounding_box, joint_bounding_box
 from .metrics import ElementErrorMap, ErrorStats, gmse as surface_gmse, lmse
-from .splines import TensorSplineSpace, WqisaSurface, insert_knot
-from .weights import WeightSpec, ZeroWeightError, fit_surface
+from .splines import TensorSplineSpace, WqisaSurface, insert_knot, knot_average_grid
+from .weights import NeighbourTable, WeightSpec, ZeroWeightError, fit_surface
 
 DEFAULT_FRACTIONS = (0.5, 0.25, 0.25)
 
@@ -55,7 +55,8 @@ def split(cloud, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS, seed
     if n < 4:
         raise ValueError(f"need at least 4 points to split, got {n}")
     ft, fv, fu = fractions
-    if min(ft, fv, fu) <= 0 or ft + fv + fu > 1 + 1e-9:
+    # written so that a NaN fraction, which fails every comparison, is rejected
+    if not (min(ft, fv, fu) > 0 and ft + fv + fu <= 1 + 1e-9):
         raise ValueError(f"fractions must be positive and sum to at most 1, got {fractions}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -173,11 +174,17 @@ def tune_parameters(
     """
     if len(grid) == 0:
         raise ValueError("parameter grid must be nonempty")
+    centres = knot_average_grid(space)
+    # one neighbor query per knot average serves every entry of a kind
+    tables = {
+        kind: NeighbourTable(training, centres, [spec for spec in grid if spec.kind == kind])
+        for kind in dict.fromkeys(spec.kind for spec in grid)
+    }
     best: TuneResult | None = None
     failure: ZeroWeightError | None = None
     for spec in grid:
         try:
-            surface = fit_surface(training, space, spec)
+            surface = fit_surface(training, space, spec, tables[spec.kind])
         except ZeroWeightError as exc:
             failure = exc
             continue
@@ -257,6 +264,13 @@ def fit_split(
     started = time.perf_counter()
     if domain is None:
         domain = joint_bounding_box(data.training, data.validation, data.test)
+    xmin, xmax, ymin, ymax = domain
+    flat = [axis for axis, lo, hi in (("x", xmin, xmax), ("y", ymin, ymax)) if not lo < hi]
+    if flat:
+        raise ValueError(
+            f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} has zero "
+            f"width in {' and '.join(flat)}; a surface needs points spread along both x and y"
+        )
     epsilon = config.epsilon
     if epsilon is None:
         epsilon = 0.01 * float(np.var(data.training[:, 2]))

@@ -208,6 +208,14 @@ def knot_averages(kv: KnotVector) -> np.ndarray:
     return windows[1 : n + 1].mean(axis=1)
 
 
+def knot_average_grid(space: TensorSplineSpace) -> np.ndarray:
+    """``(n_x * n_y, 2)`` knot-average pairs ``(u_i, v_j)``, one per
+    coefficient, row-major in ``(i, j)``."""
+    us = knot_averages(space.knots_x)
+    vs = knot_averages(space.knots_y)
+    return np.column_stack((np.repeat(us, vs.size), np.tile(vs, us.size)))
+
+
 def insert_knot(kv: KnotVector, t: float) -> KnotVector:
     """New knot vector with *t* inserted, preserving order and regularity."""
     a, b = kv.domain

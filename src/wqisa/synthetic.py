@@ -41,10 +41,12 @@ def perturb(
     untouched; the result is a new cloud, deterministic per seed.
     """
     cloud = as_cloud(cloud)
+    # written so that NaN, which fails every comparison, is rejected too
     if not 0.0 <= outlier_fraction <= 1.0:
-        raise ValueError("outlier_fraction must be in [0, 1]")
-    if noise_std < 0 or outlier_scale < 0:
-        raise ValueError("noise_std and outlier_scale must be nonnegative")
+        raise ValueError(f"outlier_fraction must be in [0, 1], got {outlier_fraction!r}")
+    for name, value in (("noise_std", noise_std), ("outlier_scale", outlier_scale)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     rng = np.random.default_rng(seed)
     out = cloud.copy()
     z = out[:, 2]

@@ -9,9 +9,18 @@ The window kinds are listed in ``KERNELS``: indicator (closed ball of radius
 ``r``), Gaussian (``exp(-d / (2 sigma^2))``, with a squared-distance variant
 behind a switch), k-nearest-neighbor (uniform ``1/k`` on the k closest planar
 projections), inverse-distance, and inverse-distance truncated to the K
-closest points.  ``_positive_weights`` is the one definition of each kernel.
-The kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
+closest points.  ``_window`` is the one definition of each kernel.  The
+kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 ``PlanarIndex`` at every cloud size; the others weigh the whole cloud.
+
+Coefficients are estimated in batches.  A ``NeighbourTable`` runs one
+neighbor query per knot average, and that query serves every entry of a
+weight grid of one kind; ``pipeline.tune_parameters`` builds one table per
+mesh and hands it to ``fit_surface`` for each grid entry.  The kernels, the
+Tukey fences and the clamp act on all rows at once, but each quotient is
+still ``dot(z, w) / sum(w)`` over one row in ascending id order, so a
+coefficient does not depend on the batch it was estimated in;
+``estimate_control_point`` is a batch of one.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -21,16 +30,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .clouds import as_cloud, bbox_diagonal
 from .kdtree import PlanarIndex
-from .splines import TensorSplineSpace, WqisaSurface, knot_averages
+from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 
 # default coincidence tolerance: this fraction of the bounding-box diagonal
 COINCIDENCE_SCALE = 1e-12
+# most candidates a NeighbourTable holds at once (an id and a squared
+# distance, 16 bytes each); a larger table queries again for each spec,
+# one batch of centres at a time
+TABLE_BUDGET = 1 << 20
 
 
 class Kernel(NamedTuple):
@@ -135,43 +148,221 @@ def _coincidence_tol(spec: WeightSpec, cloud: np.ndarray) -> float:
     return COINCIDENCE_SCALE * bbox_diagonal(cloud)
 
 
-def _positive_weights(
-    cloud: np.ndarray,
-    u: float,
-    v: float,
-    spec: WeightSpec,
-    index: PlanarIndex | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ids (a reproducible summation order) with positive weight, and those weights."""
-    x = cloud[:, 0]
-    y = cloud[:, 1]
+class Neighbours(NamedTuple):
+    """Candidate points of consecutive window centres, one row per centre.
+
+    Row ``r`` is ``ids[starts[r]:starts[r + 1]]``; ``d2`` holds each
+    candidate's squared planar distance from the row's centre.
+    """
+
+    ids: np.ndarray
+    d2: np.ndarray
+    starts: np.ndarray
+
+
+def _neighbours(cloud: np.ndarray, centres: np.ndarray, rows: list[np.ndarray]) -> Neighbours:
+    sizes = [row.size for row in rows]
+    starts = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    ids = np.concatenate(rows)
+    # the arithmetic of a full scan, so distances tie exactly as they do there
+    du = cloud[ids, 0] - np.repeat(centres[:, 0], sizes)
+    dv = cloud[ids, 1] - np.repeat(centres[:, 1], sizes)
+    return Neighbours(ids, du**2 + dv**2, starts)
+
+
+class NeighbourTable:
+    """Candidate neighbours of many window centres, shared by a weight grid.
+
+    One query per centre serves every spec of the grid's kind.  Under the
+    (distance, id) order the k nearest points are a prefix of the K nearest,
+    so knn and idw_truncated rows hold the ``K = min(largest size, n)``
+    nearest; a closed ball holds every smaller ball about its centre, so
+    indicator rows hold the ball of the largest radius.  Kinds that weigh the
+    whole cloud keep no rows, and neither does a table that would pass
+    ``TABLE_BUDGET`` candidates: those make the rows for each spec as they
+    are read, a batch of centres at a time.
+    """
+
+    def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
+        self.cloud = as_cloud(cloud)
+        self.centres = np.array(centres, dtype=float).reshape(-1, 2)
+        kinds = {spec.kind for spec in grid}
+        if len(kinds) != 1:
+            raise ValueError(f"a neighbour table serves one weight kind, got {sorted(kinds)}")
+        self.kind = kinds.pop()
+        self.reach = self._reach_for(grid)
+        self._index = None
+        self._rows: Neighbours | None = None
+        if not KERNELS[self.kind].indexed:
+            return
+        self._index = PlanarIndex(self.cloud[:, :2]) if index is None else index
+        if self.kind != "indicator" and len(self.centres) * self.reach > TABLE_BUDGET:
+            return
+        rows, total = [], 0
+        for centre in self.centres:
+            rows.append(self._query(centre, self.reach))
+            total += rows[-1].size
+            if total > TABLE_BUDGET:
+                return
+        self._rows = _neighbours(self.cloud, self.centres, rows)
+
+    def _reach_for(self, grid) -> float | int | None:
+        """How far one query must reach to serve every spec of *grid*."""
+        if self.kind == "indicator":
+            return max(spec.radius for spec in grid)
+        if KERNELS[self.kind].indexed:
+            return min(max(spec.parameter for spec in grid), self.cloud.shape[0])
+        return None
+
+    def _query(self, centre, reach) -> np.ndarray:
+        if self.kind == "indicator":
+            return self._index.within_radius(centre, reach)
+        return self._index.knn(centre, reach)
+
+    def _serves(self, spec: WeightSpec) -> bool:
+        """Whether the rows hold every point that *spec* can weigh."""
+        return spec.kind == self.kind and (
+            self.reach is None or self._reach_for((spec,)) <= self.reach
+        )
+
+    def _batches(self, spec: WeightSpec) -> Iterator[tuple[int, Neighbours]]:
+        """``(first row, rows)`` pairs that cover every centre in order, each
+        batch within ``TABLE_BUDGET`` candidates unless a single row is not."""
+        if self._rows is not None:
+            yield 0, self._rows
+            return
+        n = self.cloud.shape[0]
+        if self._index is None:
+            # every point, in id order, one centre at a time
+            x, y = self.cloud[:, 0], self.cloud[:, 1]
+            everyone, starts = np.arange(n), np.array([0, n])
+            for r, (u, v) in enumerate(self.centres):
+                yield r, Neighbours(everyone, (x - u) ** 2 + (y - v) ** 2, starts)
+            return
+        reach = self._reach_for((spec,))
+        # a knn-like row holds `reach` points at most, a ball up to n
+        step = max(1, TABLE_BUDGET // (n if self.kind == "indicator" else reach))
+        for first in range(0, len(self.centres), step):
+            centres = self.centres[first : first + step]
+            yield first, _neighbours(self.cloud, centres, [self._query(c, reach) for c in centres])
+
+
+def _subset(keep: np.ndarray, starts: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kept entries of each array, then the row starts that delimit them."""
+    if keep.all():
+        return (*arrays, starts)
+    kept = np.flatnonzero(keep)
+    return (*(a[kept] for a in arrays), np.searchsorted(kept, starts))
+
+
+def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's points with positive weight, ascending id (a reproducible
+    summation order), their weights, and the row starts: the one definition
+    of every kernel."""
+    ids, d2, starts = rows
     if spec.kind == "indicator":
-        ids = index.within_radius((u, v), spec.radius)
-        return ids, np.ones(ids.size)
+        return _subset(d2 <= spec.radius * spec.radius, starts, ids, np.ones(ids.size))
     if spec.kind == "gaussian":
-        d2 = (x - u) ** 2 + (y - v) ** 2
         exponent = d2 if spec.gaussian_squared else np.sqrt(d2)
         w = np.exp(-exponent / (2.0 * spec.sigma * spec.sigma))
-        ids = np.flatnonzero(w > 0.0)
-        return ids, w[ids]
-    if spec.kind == "knn":
-        k = spec.k
-        if k > cloud.shape[0]:
-            raise ZeroWeightError(f"k={k} exceeds cloud size {cloud.shape[0]}")
-        ids = np.sort(index.knn((u, v), k))
-        return ids, np.full(ids.size, 1.0 / k)
-    # the two inverse-distance kinds share the coincidence case split
+        return _subset(w > 0.0, starts, ids, w)
+    if spec.kind in ("knn", "idw_truncated"):
+        # each row's first `size` in (distance, id) order, re-sorted by id
+        count = starts.size - 1
+        size = min(spec.parameter, cloud.shape[0])
+        nearest = ids.reshape(count, -1)[:, :size]
+        order = np.argsort(nearest, axis=1)
+        ids = np.take_along_axis(nearest, order, axis=1).ravel()
+        starts = np.arange(count + 1) * size
+        if spec.kind == "knn":
+            return ids, np.full(ids.size, 1.0 / size), starts
+        d2 = np.take_along_axis(d2.reshape(count, -1)[:, :size], order, axis=1).ravel()
+    # the two inverse-distance kinds share the coincidence case split: a row
+    # with coincident points gives them equal weight and the others none
     tol = _coincidence_tol(spec, cloud)
-    if spec.kind == "idw_truncated":
-        ids = np.sort(index.knn((u, v), min(spec.truncation, cloud.shape[0])))
-    else:
-        ids = np.arange(cloud.shape[0])
-    d2 = (x[ids] - u) ** 2 + (y[ids] - v) ** 2
     coincident = d2 <= tol * tol
-    if coincident.any():
-        ids = ids[coincident]
-        return ids, np.full(ids.size, 1.0 / ids.size)
-    return ids, 1.0 / np.sqrt(d2)
+    if not coincident.any():
+        return ids, 1.0 / np.sqrt(d2), starts
+    row = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    shared = np.bincount(row[coincident], minlength=starts.size - 1)[row]
+    split = shared > 0
+    w = np.empty(ids.size)
+    w[split] = 1.0 / shared[split]
+    w[~split] = 1.0 / np.sqrt(d2[~split])
+    return _subset(coincident | ~split, starts, ids, w)
+
+
+def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which heights lie inside their row's Tukey fences (quartiles by linear
+    interpolation of order statistics), and which rows' fences reject every
+    height; those rows keep all of theirs."""
+    sizes = np.diff(starts)
+    keep = np.ones(z.size, dtype=bool)
+    rejected = np.zeros(sizes.size, dtype=bool)
+    # the rows of one length form a matrix whose quartiles are one call
+    for size in np.unique(sizes[sizes > 1]):
+        rows = np.flatnonzero(sizes == size)
+        cols = starts[rows][:, None] + np.arange(size)
+        heights = z[cols]
+        q1, q3 = np.percentile(heights, (25.0, 75.0), axis=1)
+        iqr = q3 - q1
+        inside = (heights >= (q1 - fence * iqr)[:, None]) & (heights <= (q3 + fence * iqr)[:, None])
+        none = ~inside.any(axis=1)
+        inside[none] = True
+        rejected[rows[none]] = True
+        keep[cols] = inside
+    return keep, rejected
+
+
+class _EmptyWindow(Exception):
+    """A window without positive weight, at a known row of a table."""
+
+    def __init__(self, row: int, message: str, centres: np.ndarray | None = None):
+        if centres is not None:
+            message += " at (u, v)=({}, {})".format(*centres[row])
+        super().__init__(message)
+        self.row = row
+
+
+def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
+    """Clamped weighted mean at every centre of *table*, in row order.
+
+    Each quotient is ``dot(z, w) / sum(w)`` over one row, in ascending id
+    order, so it does not depend on how many rows share a batch.
+    """
+    cloud = table.cloud
+    if spec.kind == "knn" and spec.k > cloud.shape[0]:
+        raise _EmptyWindow(0, f"k={spec.k} exceeds cloud size {cloud.shape[0]}")
+    out = np.empty(len(table.centres))
+    for first, rows in table._batches(spec):
+        ids, w, starts = _window(rows, spec, cloud)
+        z = cloud[ids, 2]
+        rejected = np.zeros(starts.size - 1, dtype=bool)
+        if spec.outlier_filter:
+            keep, rejected = _tukey_fences(z, starts, spec.fence)
+            z, w, starts = _subset(keep, starts, z, w)
+        bounds = starts.tolist()
+        for r, fell_back in enumerate(rejected.tolist()):
+            s, e = bounds[r], bounds[r + 1]
+            if s == e:
+                raise _EmptyWindow(first + r, "no point has positive weight", table.centres)
+            if fell_back:
+                warnings.warn(
+                    "outlier filter rejected every contributing point; "
+                    "falling back to the unfiltered estimate",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            total = float(w[s:e].sum())
+            if not total > 0.0:
+                raise _EmptyWindow(first + r, "total weight underflowed to zero", table.centres)
+            out[first + r] = float(np.dot(z[s:e], w[s:e])) / total
+        batch = out[first : first + starts.size - 1]
+        lo = np.minimum.reduceat(z, starts[:-1])
+        hi = np.maximum.reduceat(z, starts[:-1])
+        batch[:] = np.minimum(np.maximum(batch, lo), hi)
+    return out
 
 
 def estimate_control_point(
@@ -194,50 +385,36 @@ def estimate_control_point(
     Raises ``ZeroWeightError`` when no point receives positive weight, so
     the caller can widen the window instead of silently producing zeros.
     """
-    cloud = as_cloud(cloud)
-    if index is None and KERNELS[spec.kind].indexed:
-        index = PlanarIndex(cloud[:, :2])
-    ids, w = _positive_weights(cloud, float(u), float(v), spec, index)
-    if ids.size == 0:
-        raise ZeroWeightError(f"no point has positive weight at (u, v)=({u}, {v})")
-    z = cloud[ids, 2]
-    if spec.outlier_filter and z.size > 1:
-        q1, q3 = np.percentile(z, (25.0, 75.0))
-        iqr = q3 - q1
-        keep = (z >= q1 - spec.fence * iqr) & (z <= q3 + spec.fence * iqr)
-        if not keep.any():
-            warnings.warn(
-                "outlier filter rejected every contributing point; "
-                "falling back to the unfiltered estimate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            z = z[keep]
-            w = w[keep]
-    total = float(np.sum(w))
-    if not total > 0.0:
-        raise ZeroWeightError(f"total weight underflowed to zero at (u, v)=({u}, {v})")
-    estimate = float(np.dot(z, w)) / total
-    return float(min(max(estimate, z.min()), z.max()))
+    table = NeighbourTable(cloud, ((float(u), float(v)),), (spec,), index)
+    try:
+        return float(_estimates(table, spec)[0])
+    except _EmptyWindow as exc:
+        raise ZeroWeightError(str(exc)) from None
 
 
-def fit_surface(cloud, space: TensorSplineSpace, spec: WeightSpec) -> WqisaSurface:
+def fit_surface(
+    cloud, space: TensorSplineSpace, spec: WeightSpec, table: NeighbourTable | None = None
+) -> WqisaSurface:
     """Surface on *space* with a coefficient estimated at every pair of knot averages.
 
-    Entries are independent; when the window kind queries neighborhoods, a
-    k-d tree over the cloud is built once and serves every entry.
+    *table* holds the neighbours of those knot averages in *cloud* for a
+    grid that includes *spec*; ``pipeline.tune_parameters`` shares one
+    across its grid, and without one the function builds its own.
     Zero-weight failures are re-raised with the offending grid entry.
     """
     cloud = as_cloud(cloud)
-    index = PlanarIndex(cloud[:, :2]) if KERNELS[spec.kind].indexed else None
-    us = knot_averages(space.knots_x)
-    vs = knot_averages(space.knots_y)
-    grid = np.empty((us.size, vs.size))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            try:
-                grid[i, j] = estimate_control_point(cloud, u, v, spec, index)
-            except ZeroWeightError as exc:
-                raise ZeroWeightError(f"coefficient (i={i}, j={j}): {exc}") from None
-    return WqisaSurface(space, grid)
+    centres = knot_average_grid(space)
+    if table is None:
+        table = NeighbourTable(cloud, centres, (spec,))
+    elif not (
+        table._serves(spec)
+        and np.array_equal(table.centres, centres)
+        and np.array_equal(table.cloud, cloud)
+    ):
+        raise ValueError("the neighbour table was built for another cloud, mesh or weight grid")
+    try:
+        coefficients = _estimates(table, spec)
+    except _EmptyWindow as exc:
+        i, j = divmod(exc.row, space.shape[1])
+        raise ZeroWeightError(f"coefficient (i={i}, j={j}): {exc}") from None
+    return WqisaSurface(space, coefficients.reshape(space.shape))

@@ -199,6 +199,28 @@ class TestExitCodes:
             assert cli_main(argv) == 2
             assert capsys.readouterr().err.startswith("error:")
 
+    def test_nan_synth_options_are_two(self, tmp_path, capsys):
+        out = tmp_path / "h.xyz"
+        for option in ("--noise-std", "--outlier-fraction", "--outlier-scale"):
+            argv = ["synth", "--n", "50", option, "nan", "--out", str(out)]
+            assert cli_main(argv) == 2
+            assert option[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_zero_width_cloud_is_two(self, tmp_path, config_file, capsys, command):
+        # a vertical line: every point has the same x
+        t = np.linspace(0.0, 1.0, 40)
+        path = tmp_path / "line.xyz"
+        write_cloud(path, np.column_stack([np.full(40, 0.5), t, t * t]))
+        argv = [command, "--cloud", str(path), "--config", str(config_file)]
+        if command == "fit":
+            argv += ["--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json")]
+        else:
+            argv += ["--out", str(tmp_path / "c.json")]
+        assert cli_main(argv) == 2
+        assert "zero width in x;" in capsys.readouterr().err
+
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"
         bad.write_text("1 2 fish\n")

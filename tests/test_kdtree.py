@@ -74,6 +74,15 @@ class TestKnn:
             with pytest.raises(ValueError):
                 idx.knn((0, 0), k)
 
+    @pytest.mark.parametrize("k", [499, 500, 501, 999, 1000])
+    def test_k_near_cloud_size_matches_linear_scan(self, k):
+        # coordinates on a 0.01 lattice, so the k-th distance is often tied
+        rng = np.random.default_rng(7)
+        pts = np.round(rng.uniform(0, 1, size=(1000, 2)), 2)
+        idx = PlanarIndex(pts)
+        for q in rng.uniform(-0.2, 1.2, size=(8, 2)):
+            np.testing.assert_array_equal(idx.knn(q, k), brute_knn_ids(pts, q[0], q[1], k))
+
     def test_visit_count_returned(self):
         rng = np.random.default_rng(3)
         idx = PlanarIndex(rng.uniform(0, 1, size=(256, 2)))

@@ -67,6 +67,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(cloud, fractions=(0.8, 0.3, 0.1))
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_nan_fraction_rejected(self, position):
+        cloud = random_cloud(np.random.default_rng(5), 50)
+        fractions = [0.5, 0.25, 0.25]
+        fractions[position] = float("nan")
+        with pytest.raises(ValueError, match="fractions must be positive"):
+            split(cloud, fractions=tuple(fractions))
+
 
 class TestKfold:
     def test_loo_holdouts_are_singletons(self):
@@ -132,6 +140,39 @@ class TestTuneParameters:
         grid = [WeightSpec.knn(5), WeightSpec.knn(10_000)]
         result = tune_parameters(self.training, self.validation, self.space, grid)
         assert result.spec is grid[0]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [WeightSpec.knn(k) for k in (1, 3, 200, 6, 12)],
+            [WeightSpec.truncated_idw(t, outlier_filter=True) for t in (2, 9, 500)],
+            [WeightSpec.indicator(r) for r in (1e-6, 0.3, 0.6, 1.2)],
+            [WeightSpec.indicator(0.5, outlier_filter=True), WeightSpec.knn(4), WeightSpec.indicator(0.2)],
+        ],
+    )
+    def test_shared_neighbours_pick_what_separate_fits_pick(self, grid):
+        # the grid shares one neighbour query per knot average and kind;
+        # every entry must score as it does when fitted on its own, and
+        # entries that cannot be fitted (k > n, empty balls) are skipped
+        from wqisa.splines import KnotVector
+
+        space = TensorSplineSpace(
+            KnotVector.piecewise_bezier(2, np.linspace(*self.space.domain[:2], 4)),
+            KnotVector.piecewise_bezier(2, np.linspace(*self.space.domain[2:], 3)),
+        )
+        result = tune_parameters(self.training, self.validation, space, grid)
+        scores = []
+        for spec in grid:
+            try:
+                scores.append(gmse(fit_surface(self.training, space, spec), self.validation))
+            except ZeroWeightError:
+                scores.append(np.inf)
+        best = int(np.argmin(scores))
+        assert result.spec is grid[best]
+        assert result.gmse == scores[best]
+        np.testing.assert_array_equal(
+            result.surface.coefficients, fit_surface(self.training, space, grid[best]).coefficients
+        )
 
 
 class TestRefineMesh:
@@ -213,6 +254,20 @@ class TestFit:
         surface_b, report_b = fit(cloud, config)
         assert report_a.to_json_dict() == report_b.to_json_dict()
         np.testing.assert_array_equal(surface_a.coefficients, surface_b.coefficients)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_zero_width_cloud_names_the_axis(self, axis):
+        # a vertical line (x or y constant), or every point at one (x, y)
+        t = np.linspace(0.0, 1.0, 30)
+        cloud = np.column_stack([t, t, np.sin(t)])
+        flat = {0: [0], 1: [1], 2: [0, 1]}[axis]
+        cloud[:, flat] = 0.25
+        names = " and ".join("xy"[a] for a in flat)
+        config = FitConfig(weight_grid=knn_parameter_grid(3), seed=0)
+        with pytest.raises(ValueError, match=f"zero width in {names};"):
+            fit(cloud, config)
+        with pytest.raises(ValueError, match=f"zero width in {names};"):
+            fit_split(split(cloud, seed=0), config)
 
     def test_zero_weight_failure_names_iteration(self):
         cloud = random_cloud(np.random.default_rng(11), 60)

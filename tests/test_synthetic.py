@@ -65,6 +65,20 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(cloud, outlier_fraction=1.5)
 
+    def test_nan_and_infinite_parameters_rejected(self):
+        # NaN fails every comparison, so it must not slip past a `< 0` test
+        cloud = hemisphere_cloud(10, seed=17)
+        for name, value in (
+            ("noise_std", np.nan),
+            ("noise_std", np.inf),
+            ("noise_std", -0.1),
+            ("outlier_scale", np.nan),
+            ("outlier_scale", np.inf),
+            ("outlier_fraction", np.nan),
+        ):
+            with pytest.raises(ValueError, match=name):
+                perturb(cloud, **{name: value})
+
     def test_input_not_mutated(self):
         cloud = hemisphere_cloud(30, seed=15)
         copy = cloud.copy()

@@ -1,10 +1,15 @@
 """Tests for weight functions and the control-point estimator."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from wqisa.splines import KnotVector, TensorSplineSpace, knot_averages
+from wqisa import weights
+from wqisa.splines import KnotVector, TensorSplineSpace, knot_average_grid, knot_averages
 from wqisa.weights import (
+    NeighbourTable,
     WeightSpec,
     ZeroWeightError,
     estimate_control_point,
@@ -294,3 +299,99 @@ class TestEstimateAllCoefficients:
             for i, u in enumerate(knot_averages(space.knots_x)):
                 for j, v in enumerate(knot_averages(space.knots_y)):
                     assert grid[i, j] == brute_estimate(cloud, u, v, spec)
+
+
+def _mesh(cloud, nx, ny):
+    """Degree-2 space over the cloud's box with nx x ny uniform elements."""
+    return TensorSplineSpace(
+        KnotVector.piecewise_bezier(2, np.linspace(cloud[:, 0].min(), cloud[:, 0].max(), nx + 1)),
+        KnotVector.piecewise_bezier(2, np.linspace(cloud[:, 1].min(), cloud[:, 1].max(), ny + 1)),
+    )
+
+
+class TestSharedNeighbourTable:
+    """One table serves a whole weight grid; each entry's coefficients must
+    be the ones a full scan gives for that entry alone."""
+
+    GRIDS = {
+        # 1000 exceeds the cloud: a knn entry to skip, a truncation to clip
+        "knn": [WeightSpec.knn(k) for k in (1, 4, 9, 30, 1000)],
+        "idw_truncated": [WeightSpec.truncated_idw(t) for t in (1, 7, 50, 1000)],
+        # 1e-4 leaves some balls without a point
+        "indicator": [WeightSpec.indicator(r) for r in (1e-4, 0.15, 0.4, 0.9)],
+        "gaussian": [WeightSpec.gaussian(s) for s in (0.05, 0.3)],
+        "idw": [WeightSpec.idw()],
+    }
+
+    @pytest.mark.parametrize("budget", [None, 50, 2000])
+    @pytest.mark.parametrize("outlier_filter", [False, True])
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_every_coefficient_matches_brute_force(self, monkeypatch, kind, outlier_filter, budget):
+        # a small budget keeps no rows: the centres are queried again for
+        # each entry, one (50) or several (2000) to a batch
+        if budget is not None:
+            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+        cloud = random_cloud(np.random.default_rng(14), 300, dupes=True)
+        space = _mesh(cloud, 4, 3)
+        centres = knot_average_grid(space)
+        grid = [dataclasses.replace(spec, outlier_filter=outlier_filter) for spec in self.GRIDS[kind]]
+        table = NeighbourTable(cloud, centres, grid)
+        fitted = 0
+        for spec in grid:
+            expected = []
+            for u, v in centres:
+                try:
+                    expected.append(brute_estimate(cloud, u, v, spec))
+                except ValueError:
+                    expected.append(None)
+            if None in expected:
+                i, j = divmod(expected.index(None), space.shape[1])
+                with pytest.raises(ZeroWeightError, match=rf"^coefficient \(i={i}, j={j}\): "):
+                    fit_surface(cloud, space, spec, table)
+            else:
+                got = fit_surface(cloud, space, spec, table).coefficients
+                assert got.ravel().tolist() == expected
+                fitted += 1
+        assert fitted > 0
+
+    def test_fallback_warns_once_per_falling_back_coefficient(self):
+        # fence 0 rejects both heights of a two-point window unless they are
+        # equal; heights from {0, 1} make some windows fall back, not all
+        rng = np.random.default_rng(15)
+        cloud = random_cloud(rng, 200)
+        cloud[:, 2] = rng.integers(0, 2, size=200)
+        space = _mesh(cloud, 5, 5)
+        centres = knot_average_grid(space)
+        grid = [WeightSpec.knn(k, outlier_filter=True, fence=0.0) for k in (2, 3)]
+        spec = grid[0]
+        expected = sum(
+            np.ptp(cloud[brute_knn_ids(cloud, u, v, 2), 2]) > 0 for u, v in centres
+        )
+        assert 0 < expected < len(centres)
+        table = NeighbourTable(cloud, centres, grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_surface(cloud, space, spec, table)
+        assert [str(w.message) for w in caught] == [
+            "outlier filter rejected every contributing point; "
+            "falling back to the unfiltered estimate"
+        ] * expected
+        assert {w.category for w in caught} == {RuntimeWarning}
+
+    def test_table_must_match_cloud_mesh_and_grid(self):
+        cloud = random_cloud(np.random.default_rng(16), 100)
+        space = _mesh(cloud, 2, 2)
+        table = NeighbourTable(cloud, knot_average_grid(space), [WeightSpec.knn(3), WeightSpec.knn(5)])
+        fit_surface(cloud, space, WeightSpec.knn(5), table)
+        for other_cloud, other_space, spec in (
+            (cloud, space, WeightSpec.knn(6)),
+            (cloud, space, WeightSpec.truncated_idw(3)),
+            (cloud, space, WeightSpec.idw()),
+            (cloud, _mesh(cloud, 3, 2), WeightSpec.knn(3)),
+            (cloud[::-1], space, WeightSpec.knn(3)),
+        ):
+            with pytest.raises(ValueError, match="neighbour table was built for another"):
+                fit_surface(other_cloud, other_space, spec, table)
+        with pytest.raises(ValueError, match="one weight kind"):
+            NeighbourTable(cloud, knot_average_grid(space), [WeightSpec.knn(3), WeightSpec.idw()])
+
