@@ -16,10 +16,7 @@ from .splines import (
     OutOfDomainError,
     TensorSplineSpace,
     WqisaSurface,
-    basis_value,
-    element_of,
     insert_knot,
-    insert_knot_surface,
     knot_average_grid,
     knot_averages,
 )
@@ -37,7 +34,6 @@ from .metrics import (
     ErrorStats,
     gmse,
     hausdorff,
-    linf_gridded,
     lmse,
     punctual_errors,
     surface_sample_points,
@@ -80,10 +76,7 @@ __all__ = [
     "OutOfDomainError",
     "TensorSplineSpace",
     "WqisaSurface",
-    "basis_value",
-    "element_of",
     "insert_knot",
-    "insert_knot_surface",
     "knot_average_grid",
     "knot_averages",
     "NeighbourTable",
@@ -100,7 +93,6 @@ __all__ = [
     "ErrorStats",
     "gmse",
     "hausdorff",
-    "linf_gridded",
     "lmse",
     "punctual_errors",
     "surface_sample_points",

@@ -41,6 +41,18 @@ def joint_bounding_box(*clouds: np.ndarray) -> tuple[float, float, float, float]
     return bounding_box(np.concatenate(clouds))
 
 
+def check_planar_extent(domain: tuple[float, float, float, float]) -> None:
+    """Raise ``ValueError`` naming each axis along which *domain*, an
+    ``(xmin, xmax, ymin, ymax)`` box, has no width."""
+    xmin, xmax, ymin, ymax = domain
+    flat = [axis for axis, lo, hi in (("x", xmin, xmax), ("y", ymin, ymax)) if not lo < hi]
+    if flat:
+        raise ValueError(
+            f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} has zero "
+            f"width in {' and '.join(flat)}; a surface needs points spread along both x and y"
+        )
+
+
 def bbox_diagonal(cloud: np.ndarray) -> float:
     """Diagonal length of the planar bounding box (0 for a single point)."""
     xmin, xmax, ymin, ymax = bounding_box(cloud)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from math import inf, isfinite
 from pathlib import Path
 
@@ -225,7 +225,7 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 def _format_value(value) -> str:

@@ -14,6 +14,8 @@ ties at the k-th distance keep the lower point id.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 # most points per leaf: a leaf costs one numpy pass, not a Python step per point
@@ -73,7 +75,7 @@ class PlanarIndex:
         n = self.size
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        u, v = float(query[0]), float(query[1])
+        u, v = _query_point(query)
         # the k-th distance within the smallest subtree on the query's side
         # that holds 2k points bounds the true k-th distance from above; a
         # subtree of only k points would give its farthest point as the bound
@@ -99,9 +101,9 @@ class PlanarIndex:
 
     def within_radius(self, query, r: float) -> np.ndarray:
         """Ids of all points with distance <= *r* (closed ball), ascending id."""
-        if r < 0:
+        if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r}")
-        u, v = float(query[0]), float(query[1])
+        u, v = _query_point(query)
         r2 = r * r
         ids, d2 = self._candidates(self._runs(u, v, r2)[0], u, v)
         return np.sort(ids[d2 <= r2])
@@ -149,6 +151,13 @@ class PlanarIndex:
             x = np.concatenate([self._x[s:e] for s, e in runs])
             y = np.concatenate([self._y[s:e] for s, e in runs])
         return ids, (x - u) ** 2 + (y - v) ** 2
+
+
+def _query_point(query) -> tuple[float, float]:
+    u, v = float(query[0]), float(query[1])
+    if not (isfinite(u) and isfinite(v)):
+        raise ValueError(f"query point must be finite, got ({u}, {v})")
+    return u, v
 
 
 def _nearest(ids: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clouds import as_cloud, joint_bounding_box
+from .clouds import as_cloud, check_planar_extent, joint_bounding_box
 from .splines import KnotVector, TensorSplineSpace, WqisaSurface, basis_rows
 
 
@@ -32,9 +32,6 @@ class MbaSurface:
     def space(self) -> TensorSplineSpace:
         """The finest level's space; every level covers the same domain."""
         return self.levels[-1].space
-
-    def evaluate(self, x: float, y: float) -> float:
-        return float(self.evaluate_many([x], [y])[0])
 
     def evaluate_many(self, xs, ys) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -110,6 +107,7 @@ def fit_mba(
     validation = as_cloud(validation)
     if domain is None:
         domain = joint_bounding_box(cloud, validation)
+    check_planar_extent(domain)
     residual = cloud[:, 2].copy()
     val_pred = np.zeros(validation.shape[0])
     levels: list[WqisaSurface] = []

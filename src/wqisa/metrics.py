@@ -1,8 +1,8 @@
-"""Evaluation measures: punctual error statistics, LMSE maps, Hausdorff, L-inf."""
+"""Evaluation measures: punctual error statistics, LMSE maps, Hausdorff."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +39,7 @@ class ErrorStats:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "mse": self.mse,
-            "max_abs": self.max_abs,
-            "count": self.count,
-        }
+        return asdict(self)
 
 
 def residuals(surface, cloud) -> np.ndarray:
@@ -126,12 +120,3 @@ def surface_sample_points(surface, density: int = 4) -> np.ndarray:
         raise ValueError("density must be >= 1")
     ex, ey = surface.space.element_counts
     return sample_lattice(surface, (density * ex + 1, density * ey + 1))
-
-
-def linf_gridded(values_a, values_b) -> float:
-    """Maximum absolute entrywise difference of two aligned scalar grids."""
-    a = np.asarray(values_a, dtype=float)
-    b = np.asarray(values_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"grid shapes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).max())

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box, joint_bounding_box
+from .clouds import as_cloud, bounding_box, check_planar_extent, joint_bounding_box
 from .metrics import ElementErrorMap, ErrorStats, gmse as surface_gmse, lmse
 from .splines import TensorSplineSpace, WqisaSurface, insert_knot, knot_average_grid
 from .weights import NeighbourTable, WeightSpec, ZeroWeightError, fit_surface
@@ -264,13 +264,7 @@ def fit_split(
     started = time.perf_counter()
     if domain is None:
         domain = joint_bounding_box(data.training, data.validation, data.test)
-    xmin, xmax, ymin, ymax = domain
-    flat = [axis for axis, lo, hi in (("x", xmin, xmax), ("y", ymin, ymax)) if not lo < hi]
-    if flat:
-        raise ValueError(
-            f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} has zero "
-            f"width in {' and '.join(flat)}; a surface needs points spread along both x and y"
-        )
+    check_planar_extent(domain)
     epsilon = config.epsilon
     if epsilon is None:
         epsilon = 0.01 * float(np.var(data.training[:, 2]))

@@ -134,15 +134,6 @@ def locate_spans(knots: np.ndarray, last: int, ts: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(knots, ts, side="right") - 1, last)
 
 
-def find_span(kv: KnotVector, t: float) -> int:
-    """Index ``mu`` of the nonempty knot span with ``knots[mu] <= t < knots[mu+1]``.
-
-    The right end of the domain is mapped to the last nonempty span, so the
-    result is defined for every ``t`` in the closed domain.
-    """
-    return int(locate_spans(kv.knots, kv.num_basis - 1, np.array([t], dtype=float))[0])
-
-
 def basis_rows(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
     """All nonzero basis values at each point of *ts*.
 
@@ -171,25 +162,6 @@ def basis_rows(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
         nxt[:, j] = saved
         values = nxt
     return spans, values
-
-
-def basis_value(kv: KnotVector, i: int, t: float) -> float:
-    """Value of basis function *i* at *t*.
-
-    Zero outside the local support window; points beyond the domain are
-    outside every support and also evaluate to zero.
-    """
-    n = kv.num_basis
-    if not 0 <= i < n:
-        raise IndexError(f"basis index {i} out of range [0, {n})")
-    a, b = kv.domain
-    if not (a <= t <= b):
-        return 0.0
-    spans, values = basis_rows(kv, [t])
-    offset = i - (int(spans[0]) - kv.degree)
-    if 0 <= offset <= kv.degree:
-        return float(values[0, offset])
-    return 0.0
 
 
 def knot_averages(kv: KnotVector) -> np.ndarray:
@@ -239,11 +211,6 @@ class TensorSplineSpace:
         return self.knots_x.num_basis, self.knots_y.num_basis
 
     @property
-    def dimension(self) -> int:
-        nx, ny = self.shape
-        return nx * ny
-
-    @property
     def degrees(self) -> tuple[int, int]:
         return self.knots_x.degree, self.knots_y.degree
 
@@ -273,19 +240,6 @@ class TensorSplineSpace:
             f"TensorSplineSpace(degrees={self.degrees}, shape={self.shape}, "
             f"elements={ex}x{ey})"
         )
-
-
-def element_of(space: TensorSplineSpace, x: float, y: float) -> tuple[int, int]:
-    """Knot-span index pair ``(mu, nu)`` of the element containing ``(x, y)``."""
-    try:
-        mu = find_span(space.knots_x, x)
-    except OutOfDomainError as exc:
-        raise OutOfDomainError(f"x coordinate: {exc}") from None
-    try:
-        nu = find_span(space.knots_y, y)
-    except OutOfDomainError as exc:
-        raise OutOfDomainError(f"y coordinate: {exc}") from None
-    return mu, nu
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,31 +299,3 @@ def sample_lattice(surface, counts: tuple[int, int]) -> np.ndarray:
     gx = gx.ravel()
     gy = gy.ravel()
     return np.column_stack([gx, gy, surface.evaluate_many(gx, gy)])
-
-
-def insert_knot_surface(surface: WqisaSurface, axis: str, t: float) -> WqisaSurface:
-    """Insert a knot along ``axis`` ("x" or "y"), re-deriving coefficients.
-
-    The standard single-knot insertion formula is applied, so the new
-    surface is pointwise identical to the input.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    transpose = axis == "y"
-    kv = surface.space.knots_y if transpose else surface.space.knots_x
-    coeffs = surface.coefficients.T if transpose else surface.coefficients
-    p = kv.degree
-    mu = find_span(kv, t)
-    new_kv = insert_knot(kv, t)
-    n = kv.num_basis
-    out = np.empty((n + 1, coeffs.shape[1]))
-    out[: mu - p + 1] = coeffs[: mu - p + 1]
-    for i in range(mu - p + 1, mu + 1):
-        alpha = (t - kv.knots[i]) / (kv.knots[i + p] - kv.knots[i])
-        out[i] = alpha * coeffs[i] + (1.0 - alpha) * coeffs[i - 1]
-    out[mu + 1 :] = coeffs[mu:]
-    if transpose:
-        space = TensorSplineSpace(surface.space.knots_x, new_kv)
-        return WqisaSurface(space, out.T)
-    space = TensorSplineSpace(new_kv, surface.space.knots_y)
-    return WqisaSurface(space, out)

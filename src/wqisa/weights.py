@@ -184,9 +184,11 @@ class NeighbourTable:
     are read, a batch of centres at a time.
     """
 
-    def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
+    def __init__(self, cloud, centres, grid):
         self.cloud = as_cloud(cloud)
         self.centres = np.array(centres, dtype=float).reshape(-1, 2)
+        if not np.isfinite(self.centres).all():
+            raise ValueError("window centres must be finite")
         kinds = {spec.kind for spec in grid}
         if len(kinds) != 1:
             raise ValueError(f"a neighbour table serves one weight kind, got {sorted(kinds)}")
@@ -196,7 +198,7 @@ class NeighbourTable:
         self._rows: Neighbours | None = None
         if not KERNELS[self.kind].indexed:
             return
-        self._index = PlanarIndex(self.cloud[:, :2]) if index is None else index
+        self._index = PlanarIndex(self.cloud[:, :2])
         if self.kind != "indicator" and len(self.centres) * self.reach > TABLE_BUDGET:
             return
         rows, total = [], 0
@@ -365,17 +367,8 @@ def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
     return out
 
 
-def estimate_control_point(
-    cloud,
-    u: float,
-    v: float,
-    spec: WeightSpec,
-    index: PlanarIndex | None = None,
-) -> float:
+def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float:
     """Weighted mean of cloud heights with the window centered at ``(u, v)``.
-
-    *index* must be a ``PlanarIndex`` over the cloud's planar projection;
-    an indexed kind builds one when it is omitted.
 
     With ``spec.outlier_filter`` the positively weighted points are first
     screened through Tukey fences on their heights (quartiles by linear
@@ -385,7 +378,7 @@ def estimate_control_point(
     Raises ``ZeroWeightError`` when no point receives positive weight, so
     the caller can widen the window instead of silently producing zeros.
     """
-    table = NeighbourTable(cloud, ((float(u), float(v)),), (spec,), index)
+    table = NeighbourTable(cloud, ((float(u), float(v)),), (spec,))
     try:
         return float(_estimates(table, spec)[0])
     except _EmptyWindow as exc:

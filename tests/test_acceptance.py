@@ -21,7 +21,7 @@ from wqisa.splines import (
     KnotVector,
     TensorSplineSpace,
     WqisaSurface,
-    element_of,
+    basis_rows,
     knot_averages,
 )
 from wqisa.synthetic import hemisphere_cloud, hemisphere_height, perturb
@@ -144,7 +144,8 @@ def test_criterion_02_local_bounds():
         for _ in range(20):
             x = float(rng.uniform(bbox[0], bbox[1]))
             y = float(rng.uniform(bbox[2], bbox[3]))
-            mu, nu = element_of(space, x, y)
+            mu = int(basis_rows(space.knots_x, [x])[0][0])
+            nu = int(basis_rows(space.knots_y, [y])[0][0])
             members: set[int] = set()
             for i in range(mu - px, mu + 1):
                 for j in range(nu - py, nu + 1):

@@ -83,6 +83,12 @@ class TestKnn:
         for q in rng.uniform(-0.2, 1.2, size=(8, 2)):
             np.testing.assert_array_equal(idx.knn(q, k), brute_knn_ids(pts, q[0], q[1], k))
 
+    @pytest.mark.parametrize("query", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5)])
+    def test_non_finite_query_rejected(self, query):
+        idx = PlanarIndex(np.random.default_rng(2).uniform(0, 1, size=(200, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            idx.knn(query, 3)
+
     def test_visit_count_returned(self):
         rng = np.random.default_rng(3)
         idx = PlanarIndex(rng.uniform(0, 1, size=(256, 2)))
@@ -116,8 +122,15 @@ class TestWithinRadius:
 
     def test_negative_radius_rejected(self):
         idx = PlanarIndex(np.array([[0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            idx.within_radius((0, 0), -0.1)
+        for r in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="radius"):
+                idx.within_radius((0, 0), r)
+
+    @pytest.mark.parametrize("query", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5)])
+    def test_non_finite_query_rejected(self, query):
+        idx = PlanarIndex(np.random.default_rng(2).uniform(0, 1, size=(200, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            idx.within_radius(query, 0.1)
 
 
 def test_large_random_cloud_agrees_with_brute_force():

@@ -1,0 +1,58 @@
+"""Metamorphic tests: a fit must transform with its cloud.
+
+Rescaling or shifting the heights, or the plane, maps one valid input onto
+another whose fit is known from the first: the same refinement path, the
+same tuned parameter and the same stop reason, with the test MSE scaled by
+the square of the height factor.
+"""
+
+import pytest
+
+from wqisa.pipeline import FitConfig, fit, knn_parameter_grid
+from wqisa.synthetic import hemisphere_cloud, perturb
+from wqisa.weights import WeightSpec
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    return perturb(
+        hemisphere_cloud(3000, seed=41), noise_std=0.05, outlier_fraction=0.02, seed=42
+    )
+
+
+def config(kind: str, scale: float = 1.0) -> FitConfig:
+    """knn is free of the plane's scale; indicator radii scale with it."""
+    if kind == "knn":
+        grid = knn_parameter_grid(10)
+    else:
+        grid = tuple(WeightSpec.indicator(scale * r) for r in (0.03, 0.06, 0.12))
+    return FitConfig(weight_grid=grid, max_iterations=6, seed=43)
+
+
+def path(report):
+    return [(rec.mesh_elements, rec.parameter) for rec in report.iterations]
+
+
+@pytest.fixture(scope="module")
+def base_reports(cloud):
+    return {kind: fit(cloud, config(kind))[1] for kind in ("knn", "indicator")}
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 7.0), (-2.5, 1.0), (1e-6, 0.0), (1e4, -3.0)])
+def test_affine_heights_keep_the_path_and_scale_the_mse(cloud, base_reports, a, b):
+    base = base_reports["knn"]
+    _, report = fit(cloud * [1.0, 1.0, a] + [0.0, 0.0, b], config("knn"))
+    assert path(report) == path(base)
+    assert report.stop_reason == base.stop_reason
+    assert report.test_mse == pytest.approx(a * a * base.test_mse, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["knn", "indicator"])
+@pytest.mark.parametrize("s, t", [(1e-3, 0.0), (1e3, 5.0), (0.5, 0.25)])
+def test_similar_plane_keeps_the_path_and_the_mse(cloud, base_reports, kind, s, t):
+    base = base_reports[kind]
+    _, report = fit(cloud * [s, s, 1.0] + [t, t, 0.0], config(kind, s))
+    # the grid's radii are s * r, so the tuned one must be s times the base's
+    assert path(report) == [(mesh, s * r if kind == "indicator" else r) for mesh, r in path(base)]
+    assert report.stop_reason == base.stop_reason
+    assert report.test_mse == pytest.approx(base.test_mse, rel=1e-9)

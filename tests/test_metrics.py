@@ -8,7 +8,6 @@ from wqisa.metrics import (
     ErrorStats,
     gmse,
     hausdorff,
-    linf_gridded,
     lmse,
     punctual_errors,
     surface_sample_points,
@@ -191,24 +190,3 @@ class TestHausdorff:
         pts = surface_sample_points(surface, density=4)
         assert pts.shape == (25, 3)  # (4*1+1)^2 samples of the single element
         np.testing.assert_array_equal(pts[:, 2], 1.0)
-
-
-class TestLinf:
-    def test_identical_grids(self):
-        grid = np.arange(12.0).reshape(3, 4)
-        assert linf_gridded(grid, grid) == 0.0
-
-    def test_uniform_shift(self):
-        grid = np.arange(12.0).reshape(3, 4)
-        assert linf_gridded(grid, grid + 2.0) == 2.0
-
-    def test_random_grids_against_scan(self):
-        rng = np.random.default_rng(9)
-        a = rng.uniform(-5, 5, size=(6, 7))
-        b = rng.uniform(-5, 5, size=(6, 7))
-        expected = max(abs(a[i, j] - b[i, j]) for i in range(6) for j in range(7))
-        assert linf_gridded(a, b) == expected
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shapes"):
-            linf_gridded(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from wqisa.clouds import bounding_box
+from wqisa.mba import fit_mba
 from wqisa.metrics import gmse, lmse
 from wqisa.pipeline import (
     DataSplit,
@@ -266,8 +268,13 @@ class TestFit:
         config = FitConfig(weight_grid=knn_parameter_grid(3), seed=0)
         with pytest.raises(ValueError, match=f"zero width in {names};"):
             fit(cloud, config)
+        data = split(cloud, seed=0)
         with pytest.raises(ValueError, match=f"zero width in {names};"):
-            fit_split(split(cloud, seed=0), config)
+            fit_split(data, config)
+        # the baseline checks the same box, found or given
+        for domain in (None, bounding_box(cloud)):
+            with pytest.raises(ValueError, match=f"zero width in {names};"):
+                fit_mba(data.training, 3, data.validation, domain=domain)
 
     def test_zero_weight_failure_names_iteration(self):
         cloud = random_cloud(np.random.default_rng(11), 60)

@@ -9,12 +9,9 @@ from wqisa.splines import (
     TensorSplineSpace,
     WqisaSurface,
     basis_rows,
-    basis_value,
-    element_of,
-    find_span,
     insert_knot,
-    insert_knot_surface,
     knot_averages,
+    locate_spans,
 )
 
 from oracles import naive_basis
@@ -73,30 +70,30 @@ class TestKnotVector:
         assert np.count_nonzero(kv.knots == 0.5) == 3
 
 
+def dense_basis(kv: KnotVector, ts) -> np.ndarray:
+    """Every basis value at each point: ``basis_rows`` scattered into a
+    ``(len(ts), num_basis)`` matrix, zero outside each row's active window."""
+    spans, values = basis_rows(kv, ts)
+    dense = np.zeros((spans.size, kv.num_basis))
+    np.put_along_axis(dense, spans[:, None] - kv.degree + np.arange(kv.degree + 1), values, axis=1)
+    return dense
+
+
 class TestBasisValue:
     def test_degree_zero_indicator_inside(self):
         kv = KnotVector(0, [0.0, 1.0])
-        assert basis_value(kv, 0, 0.5) == 1.0
-
-    def test_degree_zero_outside_support(self):
-        kv = KnotVector(0, [0.0, 1.0])
-        assert basis_value(kv, 0, 1.5) == 0.0
+        assert dense_basis(kv, [0.5]).tolist() == [[1.0]]
 
     def test_quadratic_uniform_local_knots(self):
         # basis 2 has local knots [0, 1, 2, 3]; 1.5 is the center of its support
         kv = KnotVector(2, [0, 0, 0, 1, 2, 3, 3, 3])
-        assert basis_value(kv, 2, 1.5) == pytest.approx(0.75, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        kv = KnotVector(1, [0, 0, 1, 1])
-        with pytest.raises(IndexError):
-            basis_value(kv, 2, 0.5)
-        with pytest.raises(IndexError):
-            basis_value(kv, -1, 0.5)
+        assert dense_basis(kv, [1.5])[0, 2] == pytest.approx(0.75, abs=1e-15)
 
     def test_domain_end_folds_into_last_span(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
-        assert basis_value(kv, kv.num_basis - 1, 1.0) == 1.0
+        spans, values = basis_rows(kv, [1.0])
+        assert spans[0] == kv.num_basis - 1
+        assert values[0, -1] == 1.0
 
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(7)
@@ -104,10 +101,12 @@ class TestBasisValue:
             kv = random_knot_vector(rng)
             p = kv.degree
             a, b = kv.domain
-            for t in rng.uniform(a, b - 1e-9, size=10):
+            ts = rng.uniform(a, b - 1e-9, size=10)
+            dense = dense_basis(kv, ts)
+            for m, t in enumerate(ts):
                 for i in range(kv.num_basis):
                     expected = naive_basis(kv.knots[i : i + p + 2], t)
-                    assert basis_value(kv, i, t) == pytest.approx(expected, abs=1e-12)
+                    assert dense[m, i] == pytest.approx(expected, abs=1e-12)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(11)
@@ -115,9 +114,7 @@ class TestBasisValue:
             kv = random_knot_vector(rng)
             a, b = kv.domain
             ts = np.concatenate([rng.uniform(a, b, size=20), [a, b]])
-            for t in ts:
-                total = sum(basis_value(kv, i, t) for i in range(kv.num_basis))
-                assert total == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose(basis_rows(kv, ts)[1].sum(axis=1), 1.0, rtol=0, atol=1e-10)
 
     def test_local_support_and_nonnegativity(self):
         rng = np.random.default_rng(13)
@@ -125,12 +122,13 @@ class TestBasisValue:
             kv = random_knot_vector(rng)
             p = kv.degree
             a, b = kv.domain
-            for t in rng.uniform(a, b - 1e-12, size=10):
+            ts = rng.uniform(a, b - 1e-12, size=10)
+            dense = dense_basis(kv, ts)
+            for m, t in enumerate(ts):
                 for i in range(kv.num_basis):
-                    value = basis_value(kv, i, t)
-                    assert value >= 0.0
+                    assert dense[m, i] >= 0.0
                     if not (kv.knots[i] <= t < kv.knots[i + p + 1]):
-                        assert value == 0.0
+                        assert dense[m, i] == 0.0
 
 
 class TestKnotAverages:
@@ -183,38 +181,52 @@ class TestInsertKnot:
         np.testing.assert_allclose(kv.breakpoints, np.arange(9) / 8.0)
 
 
+def span_of(kv: KnotVector, t: float) -> int:
+    return int(basis_rows(kv, [t])[0][0])
+
+
 class TestElementOf:
+    """The knot span, and the mesh element, that a point falls in."""
+
     def test_single_element_mesh(self):
         space = TensorSplineSpace.single_element((2, 3), (0, 1, 0, 1))
-        assert element_of(space, 0.3, 0.8) == (2, 3)
+        assert (span_of(space.knots_x, 0.3), span_of(space.knots_y, 0.8)) == (2, 3)
 
     def test_uniform_four_span_third_span(self):
         kv = KnotVector.uniform_open(2, 4)
-        space = TensorSplineSpace(kv, kv)
-        mu, _ = element_of(space, 0.6, 0.1)
+        mu = span_of(kv, 0.6)
         assert kv.knots[mu] == 0.5
         assert kv.knots[mu + 1] == 0.75
 
     def test_right_boundary_maps_to_last_span(self):
         kv = KnotVector.uniform_open(1, 3)
-        assert find_span(kv, 1.0) == kv.num_basis - 1
-        space = TensorSplineSpace(kv, kv)
-        mu, nu = element_of(space, 1.0, 1.0)
+        mu = span_of(kv, 1.0)
+        assert mu == kv.num_basis - 1
         assert kv.knots[mu] < 1.0 <= kv.knots[mu + 1]
+        edges = kv.breakpoints
+        assert locate_spans(edges, edges.size - 2, np.array([1.0])).tolist() == [kv.num_elements - 1]
 
     def test_find_span_matches_basis_rows(self):
-        # one span lookup: knot values and the right end land in the same span
+        # lmse's element lookup (locate_spans on the breakpoints) and the knot
+        # span of basis_rows put every point, knot values and the right end
+        # included, in the same element
         kv = KnotVector(3, [0, 0, 0, 0, 0.2, 0.5, 0.5, 0.7, 1, 1, 1, 1])
         ts = np.concatenate([np.linspace(0.0, 1.0, 1001), kv.knots])
         spans, _ = basis_rows(kv, ts)
-        assert [find_span(kv, t) for t in ts] == spans.tolist()
+        edges = kv.breakpoints
+        elements = locate_spans(edges, edges.size - 2, ts)
+        assert np.searchsorted(edges, kv.knots[spans]).tolist() == elements.tolist()
+        assert np.all(kv.knots[spans] < kv.knots[spans + 1])
 
     def test_out_of_domain(self):
         space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
         with pytest.raises(OutOfDomainError):
-            element_of(space, 1.5, 0.5)
+            basis_rows(space.knots_x, [1.5])
         with pytest.raises(OutOfDomainError):
-            element_of(space, 0.5, -0.1)
+            basis_rows(space.knots_y, [-0.1])
+        edges = space.knots_x.breakpoints
+        with pytest.raises(OutOfDomainError):
+            locate_spans(edges, edges.size - 2, np.array([1.5]))
 
 
 def random_surface(rng, lo=0.0, hi=1.0) -> WqisaSurface:
@@ -271,30 +283,5 @@ class TestEvaluateSurface:
         surface = WqisaSurface(space, coeffs)
         assert surface.evaluate(0.5, 0.3) == 2.0
         assert surface.evaluate(0.5 - 1e-12, 0.3) == pytest.approx(1.0, abs=1e-9)
-        mu = find_span(kv, 0.5)
+        mu = span_of(kv, 0.5)
         assert kv.knots[mu] == 0.5 and kv.knots[mu + 1] > 0.5
-
-
-class TestInsertKnotSurface:
-    def test_insertion_preserves_surface(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            surface = random_surface(rng)
-            xs = rng.uniform(0, 1, size=100)
-            ys = rng.uniform(0, 1, size=100)
-            before = surface.evaluate_many(xs, ys)
-            refined = surface
-            for axis in ("x", "y"):
-                kv = refined.space.knots_x if axis == "x" else refined.space.knots_y
-                lo, hi = kv.domain
-                t = rng.uniform(lo + 1e-6, hi - 1e-6)
-                refined = insert_knot_surface(refined, axis, t)
-            after = refined.evaluate_many(xs, ys)
-            np.testing.assert_allclose(after, before, atol=1e-10)
-
-    def test_knot_count_grows_by_one(self):
-        rng = np.random.default_rng(29)
-        surface = random_surface(rng)
-        refined = insert_knot_surface(surface, "x", 0.37)
-        assert refined.space.knots_x.num_basis == surface.space.knots_x.num_basis + 1
-        assert refined.space.knots_y.num_basis == surface.space.knots_y.num_basis

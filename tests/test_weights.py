@@ -239,6 +239,23 @@ class TestEstimateControlPoint:
             got = estimate_control_point(cloud, 0.0, 0.0, spec)
         assert got == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("u, v", [(np.inf, 0.5), (0.5, np.nan)])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WeightSpec.indicator(0.5),
+            WeightSpec.gaussian(0.5),
+            WeightSpec.knn(3),
+            WeightSpec.idw(),
+            WeightSpec.truncated_idw(3),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_non_finite_centre_rejected(self, spec, u, v):
+        cloud = random_cloud(np.random.default_rng(14), 40)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_control_point(cloud, u, v, spec)
+
     def test_knn_matches_brute_force_bit_for_bit(self):
         rng = np.random.default_rng(10)
         for _ in range(60):
