@@ -2,10 +2,12 @@
 
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
 CSV with a header row and a configurable column mapping; the extension picks
-the format unless one is given.  Both are read by one loop over ``(line
-number, fields)`` records and written by one row template, which also writes
-sampled surface grids as ``x,y,z`` CSV.  Surfaces persist as self-describing
-JSON (degrees, knot vectors, coefficient grid).  Run configurations are
+the format unless one is given.  Both are read as a stream of field records
+in blocks of ``_ROWS_PER_BLOCK``: one ``map(float, ...)`` parses a block, and
+only a block that fails is walked record by record, to skip blank records or
+to name the line of the first bad one.  Both are written by one row template,
+which also writes sampled surface grids as ``x,y,z`` CSV.  Surfaces persist
+as self-describing JSON (degrees, knot vectors, coefficient grid).  Run configurations are
 line-oriented ``key = value`` text and round-trip losslessly.  All floats are
 written as ``%.17g``: 17 significant digits reproduce the binary value exactly.
 """
@@ -15,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, islice
 from math import inf, isfinite
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +40,9 @@ class ConfigError(ValueError):
 
 # the one float format: 17 significant digits reproduce every binary value
 _FLOAT = "%.17g"
-# rows formatted and written per block, so a large cloud is never one string
-_ROWS_PER_WRITE = 4096
+# rows parsed or formatted per block: a large cloud is never one string, and
+# a block of field lists (about 350 bytes a row) stays small
+_ROWS_PER_BLOCK = 512
 
 
 def _fmt(value: float) -> str:
@@ -62,15 +67,18 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
     """
     path = Path(path)
     fmt = _cloud_format(path, fmt)
+    if len(columns) != 3:
+        raise ValueError(f"columns must name the x, y and z columns, got {columns!r}")
     lines = path.read_text().splitlines()
-    # records are (line number, fields) pairs; a field count outside [low, high] is width_error
+    # records are field lists, the first on line `first`, read in blocks;
+    # a field count outside [low, high] is width_error
     if fmt == "xyz":
-        records = enumerate(map(str.split, lines), start=1)
-        idx, low, high, width_error = [0, 1, 2], 3, 3, "expected 3 values, got {}"
+        records = map(str.split, lines)
+        first, idx, low, high, width_error = 1, [0, 1, 2], 3, 3, "expected 3 values, got {}"
     else:
-        reader = csv.reader(lines)
+        records = csv.reader(lines)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(records)]
         except StopIteration:
             raise CloudParseError(f"{path}: empty file") from None
         try:
@@ -79,25 +87,51 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
             raise CloudParseError(
                 f"{path}: header {header!r} is missing one of the columns {columns!r}"
             ) from None
-        records = enumerate(reader, start=2)
-        low, high, width_error = max(idx) + 1, inf, "too few fields"
-    rows: list[tuple[float, float, float]] = []
-    for line_no, fields_ in records:
-        if not "".join(fields_).strip():
-            continue
-        if not low <= len(fields_) <= high:
-            raise CloudParseError(f"{path}: line {line_no}: " + width_error.format(len(fields_)))
-        picked = [fields_[i] for i in idx]
-        try:
-            x, y, z = map(float, picked)
-        except ValueError:
-            raise CloudParseError(f"{path}: line {line_no}: cannot parse {picked!r} as numbers") from None
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            raise CloudParseError(f"{path}: line {line_no}: non-finite value")
-        rows.append((x, y, z))
-    if not rows:
+        first, low, high, width_error = 2, max(idx) + 1, inf, "too few fields"
+    pick = itemgetter(*idx)
+    blocks = []
+    for block in iter(lambda: list(islice(records, _ROWS_PER_BLOCK)), []):
+        rows = _parse_block(block, pick, low, high)
+        if rows is None:
+            # walk the block: skip blank records, name the first bad one
+            rows = []
+            for line_no, fields_ in enumerate(block, start=first):
+                if not "".join(fields_).strip():
+                    continue
+                if not low <= len(fields_) <= high:
+                    message = width_error.format(len(fields_))
+                    raise CloudParseError(f"{path}: line {line_no}: {message}")
+                picked = list(pick(fields_))
+                try:
+                    x, y, z = map(float, picked)
+                except ValueError:
+                    raise CloudParseError(
+                        f"{path}: line {line_no}: cannot parse {picked!r} as numbers"
+                    ) from None
+                if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                    raise CloudParseError(f"{path}: line {line_no}: non-finite value")
+                rows.append((x, y, z))
+        blocks.append(np.asarray(rows, dtype=float).reshape(-1, 3))
+        first += len(block)
+        del block  # so that it is freed before the next one is read
+    if not sum(map(len, blocks)):
         raise CloudParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.concatenate(blocks)
+
+
+def _parse_block(block: list, pick, low: int, high: float) -> np.ndarray | None:
+    """The ``(n, 3)`` rows of *block*, parsed by one ``map(float, ...)``, or
+    None when a record is blank, has the wrong width, or holds a field that
+    is no finite number."""
+    widths = set(map(len, block))
+    if not (low <= min(widths) and max(widths) <= high):
+        return None
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(map(pick, block))), float)
+    except ValueError:
+        return None
+    # a field that parses is not blank, so a finite block has no blank record
+    return values.reshape(-1, 3) if np.isfinite(values).all() else None
 
 
 def write_cloud(path, cloud, fmt: str | None = None) -> None:
@@ -108,8 +142,8 @@ def write_cloud(path, cloud, fmt: str | None = None) -> None:
     row = sep.join([_FLOAT] * 3) + "\n"
     with path.open("w") as fh:
         fh.write(header)
-        for start in range(0, cloud.shape[0], _ROWS_PER_WRITE):
-            block = cloud[start : start + _ROWS_PER_WRITE]
+        for start in range(0, cloud.shape[0], _ROWS_PER_BLOCK):
+            block = cloud[start : start + _ROWS_PER_BLOCK]
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 

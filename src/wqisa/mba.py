@@ -96,6 +96,11 @@ def fit_mba(
 ) -> tuple[MbaSurface, list[float]]:
     """Fit levels until validation GMSE rises or *max_levels* is reached.
 
+    A coefficient budget also stops the fit before any level after the
+    first that would have more basis functions than *cloud* has points:
+    such a level cannot be determined by the data, and each level holds
+    four times the coefficients of the one before.
+
     Returns the surface truncated at the best level together with the full
     per-level GMSE history (including the increase that stopped the fit,
     when one occurred).  The default domain is the joint bounding box of
@@ -114,6 +119,8 @@ def fit_mba(
     gmse_history: list[float] = []
     for level in range(max_levels):
         space = dyadic_space(degrees, domain, level)
+        if level > 0 and space.shape[0] * space.shape[1] > cloud.shape[0]:
+            break
         grid = mba_level_coefficients(
             np.column_stack([cloud[:, 0], cloud[:, 1], residual]), space
         )

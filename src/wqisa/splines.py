@@ -10,13 +10,30 @@ Conventions used throughout:
   on the closed domain rectangle.
 * Knot values are compared exactly.  Knot vectors are constructed, not
   measured, so no tolerance is appropriate.
+* Surface evaluation has two halves.  ``tensor_rows`` turns a space and a
+  set of points into rows: each point's spans as flat indices into the
+  coefficient grid, plus its basis values along x and y.
+  ``TensorRows.values`` turns rows and a coefficient grid into values.
+  ``WqisaSurface.evaluate_many`` runs both halves over blocks of at most
+  ``_BLOCK_POINTS`` points; ``pipeline.tune_parameters`` builds the rows of
+  its validation points once per mesh and scores every grid entry on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
+
+# points per evaluation block: a block's rows take about 150 bytes a point at
+# degrees (2, 2).  Blocks are balanced, so none holds a single point unless
+# the input does: einsum sums a one-row block in another order.
+_BLOCK_POINTS = 1 << 14
+# the narrowest knot span allowed, the smallest normal float (about 2.2e-308):
+# its reciprocal is finite, and the basis recurrence divides by span widths
+_NARROWEST_SPAN = float(np.finfo(float).tiny)
 
 
 class OutOfDomainError(ValueError):
@@ -64,6 +81,11 @@ class KnotVector:
         a, b = knots[p], knots[n]
         if a == b:
             raise ValueError("domain is empty: boundary knots coincide")
+        # a subnormal span would overflow the recurrence and make NaN values
+        gaps = np.diff(knots)
+        narrowest = float(gaps[gaps > 0].min())
+        if narrowest < _NARROWEST_SPAN:
+            raise ValueError(f"knot span of width {narrowest!r} is too narrow to evaluate")
         if np.count_nonzero(knots == a) != p + 1 or knots[0] != a:
             raise ValueError(f"left boundary knot must occur exactly {p + 1} times")
         if np.count_nonzero(knots == b) != p + 1 or knots[-1] != b:
@@ -242,6 +264,45 @@ class TensorSplineSpace:
         )
 
 
+class TensorRows(NamedTuple):
+    """The nonzero tensor basis values of a space at a set of points.
+
+    Point ``m`` weighs the ``(p + 1) x (q + 1)`` coefficients at the indices
+    ``flat[m]`` into the raveled coefficient grid, coefficient ``(a, b)``
+    with ``bx[m, a] * by[m, b]``.  Rows depend only on the space and the
+    points, so one set serves every coefficient grid on that space.
+    """
+
+    flat: np.ndarray
+    bx: np.ndarray
+    by: np.ndarray
+
+    def values(self, coefficients: np.ndarray) -> np.ndarray:
+        """Values of the surface with *coefficients*, a grid on the rows'
+        space, at the rows' points, each clamped onto the range of the
+        coefficients it weighs."""
+        active = np.take(coefficients, self.flat)
+        values = np.einsum("mab,ma,mb->m", active, self.bx, self.by)
+        # one pass per coefficient slot: a min over each point's few
+        # contiguous values costs numpy far more
+        m, a, b = active.shape
+        slots = active.reshape(m, a * b).T
+        return np.clip(values, reduce(np.minimum, slots), reduce(np.maximum, slots))
+
+
+def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
+    """Rows of *space* at the paired coordinates ``xs``, ``ys``; raises
+    ``OutOfDomainError`` for a point outside the domain."""
+    px, py = space.degrees
+    spans_x, bx = basis_rows(space.knots_x, xs)
+    spans_y, by = basis_rows(space.knots_y, ys)
+    if spans_x.shape != spans_y.shape:
+        raise ValueError(f"got {spans_x.size} x values but {spans_y.size} y values")
+    ix = (spans_x[:, None] - px + np.arange(px + 1)) * space.shape[1]
+    iy = spans_y[:, None] - py + np.arange(py + 1)
+    return TensorRows(ix[:, :, None] + iy[:, None, :], bx, by)
+
+
 @dataclass(frozen=True, eq=False)
 class WqisaSurface:
     """A tensor-product spline surface in B-form.
@@ -270,17 +331,23 @@ class WqisaSurface:
         return float(self.evaluate_many([x], [y])[0])
 
     def evaluate_many(self, xs, ys) -> np.ndarray:
-        """Evaluate at paired coordinate arrays ``xs``, ``ys``."""
-        px, py = self.space.degrees
-        spans_x, bx = basis_rows(self.space.knots_x, xs)
-        spans_y, by = basis_rows(self.space.knots_y, ys)
-        ix = spans_x[:, None] - px + np.arange(px + 1)[None, :]
-        iy = spans_y[:, None] - py + np.arange(py + 1)[None, :]
-        active = self.coefficients[ix[:, :, None], iy[:, None, :]]
-        values = np.einsum("mab,ma,mb->m", active, bx, by)
-        lo = active.min(axis=(1, 2))
-        hi = active.max(axis=(1, 2))
-        return np.clip(values, lo, hi)
+        """Evaluate at paired coordinate arrays ``xs``, ``ys``.
+
+        Both halves of the kernel, ``tensor_rows`` and ``TensorRows.values``,
+        run over balanced blocks of at most ``_BLOCK_POINTS`` points, so the
+        rows of a large lattice are never all held at once.
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        if xs.shape != ys.shape:
+            raise ValueError(f"got {xs.size} x values but {ys.size} y values")
+        parts = max(1, -(-xs.shape[0] // _BLOCK_POINTS))
+        return np.concatenate(
+            [
+                tensor_rows(self.space, x, y).values(self.coefficients)
+                for x, y in zip(np.array_split(xs, parts), np.array_split(ys, parts))
+            ]
+        )
 
     def __repr__(self) -> str:
         return f"WqisaSurface(space={self.space!r})"

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +266,38 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "wqisa" in capsys.readouterr().out
+
+
+# run in a fresh interpreter, so that nothing the test session imported counts
+DEPENDENCY_PROBE = """
+import sys
+from wqisa.cli import cli_main
+
+open("run.cfg", "w").write("k_grid = 1,2,3\\nmax_iterations = 4\\n")
+for argv in (
+    "synth --n 400 --seed 3 --noise-std 0.05 --outlier-fraction 0.02 --out cloud.xyz",
+    "fit --cloud cloud.xyz --config run.cfg --surface-out s.json --report-out r.json",
+    "eval --surface s.json --cloud cloud.xyz --out e.json",
+    "compare --cloud cloud.xyz --config run.cfg --out c.json",
+):
+    assert cli_main(argv.split()) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    # scipy is installed in some environments but is no dependency: no CLI
+    # path may import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", DEPENDENCY_PROBE],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "c.json").is_file()

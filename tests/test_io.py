@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wqisa.io import (
+    _ROWS_PER_BLOCK,
     CloudParseError,
     ConfigError,
     RunConfig,
@@ -115,6 +116,68 @@ class TestReadCloud:
         path = tmp_path / "c.csv"
         write_cloud(path, cloud)
         np.testing.assert_array_equal(read_cloud(path), cloud)
+
+
+class TestBlockParse:
+    """``read_cloud`` parses blocks of ``_ROWS_PER_BLOCK`` records at once and
+    walks a block record by record only when it fails."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_roundtrip_is_bit_exact(self, tmp_path, fmt):
+        cloud = random_cloud(np.random.default_rng(5), 10_000)
+        cloud[7] = (-0.0, 5e-324, 1e22)
+        cloud[_ROWS_PER_BLOCK + 1] = (1e22, -0.0, -5e-324)
+        cloud[-1] = (5e-324, 1e22, -0.0)
+        path = tmp_path / f"c.{fmt}"
+        write_cloud(path, cloud)
+        got = read_cloud(path)
+        assert got.shape == cloud.shape and got.dtype == np.float64
+        assert got.tobytes() == cloud.tobytes()  # -0.0 keeps its sign bit
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_blank_records_in_a_later_block_are_skipped(self, tmp_path, fmt):
+        cloud = random_cloud(np.random.default_rng(6), _ROWS_PER_BLOCK + 50)
+        path = tmp_path / f"c.{fmt}"
+        write_cloud(path, cloud)
+        lines = path.read_text().splitlines()
+        blank = "" if fmt == "xyz" else " , ,"
+        lines[_ROWS_PER_BLOCK + 10 : _ROWS_PER_BLOCK + 10] = [blank, "   "]
+        path.write_text("\n".join(lines) + "\n")
+        assert read_cloud(path).tobytes() == cloud.tobytes()
+
+    @pytest.mark.parametrize(
+        "fmt, row, message",
+        [
+            ("xyz", "1 b 2", r"cannot parse \['1', 'b', '2'\]"),
+            ("xyz", "1 2", "expected 3 values, got 2"),
+            ("xyz", "1 2 3 4", "expected 3 values, got 4"),
+            ("xyz", "1 inf 2", "non-finite value"),
+            ("csv", "1,b,2", r"cannot parse \['1', 'b', '2'\]"),
+            ("csv", "1,2", "too few fields"),
+            ("csv", "1,2,nan", "non-finite value"),
+        ],
+    )
+    @pytest.mark.parametrize("offset", [0, 17, _ROWS_PER_BLOCK - 1])
+    def test_bad_row_past_the_first_block_names_its_line(self, tmp_path, fmt, row, message, offset):
+        cloud = random_cloud(np.random.default_rng(7), 2 * _ROWS_PER_BLOCK + 30)
+        path = tmp_path / f"c.{fmt}"
+        write_cloud(path, cloud)
+        lines = path.read_text().splitlines()
+        # a row in the second block of records, the header being no record
+        header = 1 if fmt == "csv" else 0
+        at = header + _ROWS_PER_BLOCK + offset
+        lines[at] = row
+        # a second bad row later on: the first one is reported
+        lines[at + 5] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CloudParseError, match=rf"line {at + 1}: {message}"):
+            read_cloud(path)
+
+    def test_columns_must_be_three(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x,y,z,w\n1,2,3,4\n")
+        with pytest.raises(ValueError, match="x, y and z"):
+            read_cloud(path, columns=("x", "y", "z", "w"))
 
 
 # 17 significant digits, the exponent and sign rules of %.17g, and -0 kept

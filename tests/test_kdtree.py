@@ -89,6 +89,29 @@ class TestKnn:
         with pytest.raises(ValueError, match="finite"):
             idx.knn(query, 3)
 
+    @pytest.mark.parametrize("query", [(1e200, 0.5), (0.5, -1e160), (-1e155, 1e155)])
+    def test_far_query_rejected(self, query):
+        # squared distances would overflow to inf and tie: without the check,
+        # (1e200, 0.5) returns ids 0, 1, 2 instead of the largest x
+        idx = PlanarIndex(np.random.default_rng(2).uniform(0, 1, size=(200, 2)))
+        with pytest.raises(ValueError, match=r"query point \(.*\) is too far"):
+            idx.knn(query, 3)
+
+    def test_query_inside_an_overflowing_box_rejected(self):
+        # the bound is the box's far corner, so a near query is refused too
+        # when distances to the far side of the box would overflow
+        idx = PlanarIndex(np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="too far"):
+            idx.knn((0.0, 0.5), 1)
+
+    def test_far_but_representable_query_matches_brute_force(self):
+        pts = np.random.default_rng(2).uniform(0, 1, size=(200, 2))
+        idx = PlanarIndex(pts)
+        for query in [(1e6, 0.5), (0.5, -1e9), (3e150, 3e150)]:
+            np.testing.assert_array_equal(
+                idx.knn(query, 3), brute_knn_ids(pts, query[0], query[1], 3)
+            )
+
     def test_visit_count_returned(self):
         rng = np.random.default_rng(3)
         idx = PlanarIndex(rng.uniform(0, 1, size=(256, 2)))
@@ -131,6 +154,12 @@ class TestWithinRadius:
         idx = PlanarIndex(np.random.default_rng(2).uniform(0, 1, size=(200, 2)))
         with pytest.raises(ValueError, match="finite"):
             idx.within_radius(query, 0.1)
+
+    @pytest.mark.parametrize("query", [(1e200, 0.5), (0.5, -1e160)])
+    def test_far_query_rejected(self, query):
+        idx = PlanarIndex(np.random.default_rng(2).uniform(0, 1, size=(200, 2)))
+        with pytest.raises(ValueError, match=r"query point \(.*\) is too far"):
+            idx.within_radius(query, 1e300)
 
 
 def test_large_random_cloud_agrees_with_brute_force():

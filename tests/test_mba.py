@@ -1,5 +1,7 @@
 """Tests for the multilevel B-spline baseline."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,30 @@ class TestFitMba:
             pred += level.evaluate_many(cloud[:, 0], cloud[:, 1])
             norms.append(float(np.mean((cloud[:, 2] - pred) ** 2)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+    def test_coefficient_budget_stops_a_noise_free_fit(self):
+        # without noise the validation error keeps falling, so only the
+        # budget stops the levels short of a 16384 x 16384 mesh at level 14
+        cloud = hemisphere_cloud(2000, seed=6)
+        validation = hemisphere_cloud(500, seed=7)
+        started = time.perf_counter()
+        surface, history = fit_mba(cloud, 15, validation)
+        assert time.perf_counter() - started < 1.0
+        assert all(b < a for a, b in zip(history, history[1:]))
+        kept = len(surface.levels)
+        assert kept == len(history) < 15
+        for level in surface.levels:
+            nx, ny = level.space.shape
+            assert nx * ny <= cloud.shape[0]
+        nx, ny = dyadic_space((2, 2), (0, 1, 0, 1), kept).shape
+        assert nx * ny > cloud.shape[0]
+
+    def test_budget_keeps_the_first_level(self):
+        # four points cannot determine the nine level-0 coefficients, but a
+        # surface needs a level
+        cloud = hemisphere_cloud(4, seed=1)
+        surface, history = fit_mba(cloud, 5, cloud)
+        assert len(surface.levels) == len(history) == 1
 
     def test_invalid_max_levels(self):
         cloud = hemisphere_cloud(10, seed=0)

@@ -1,11 +1,13 @@
 """Tests for splitting, tuning, refinement, and the full fitting loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from wqisa.clouds import bounding_box
 from wqisa.mba import fit_mba
-from wqisa.metrics import gmse, lmse
+from wqisa.metrics import ElementErrorMap, gmse, lmse
 from wqisa.pipeline import (
     DataSplit,
     FitConfig,
@@ -175,6 +177,50 @@ class TestTuneParameters:
         np.testing.assert_array_equal(
             result.surface.coefficients, fit_surface(self.training, space, grid[best]).coefficients
         )
+
+
+def refined_space(degrees, domain) -> TensorSplineSpace:
+    """A non-uniform 4 x 4 mesh over *domain*: three refinement steps that
+    each split one element."""
+    space = TensorSplineSpace.single_element(degrees, domain)
+    for flagged in ((0, 0), (1, 0), (2, 2)):
+        values = np.zeros(space.element_counts)
+        values[flagged] = 1.0
+        space = refine_mesh(space, ElementErrorMap(values, np.ones(values.shape, int)), 0.5)
+    return space
+
+
+# a small grid of each kind, every entry of which can be fitted
+GRIDS = {
+    "knn": lambda **common: [WeightSpec.knn(k, **common) for k in (1, 4, 9)],
+    "indicator": lambda **common: [WeightSpec.indicator(r, **common) for r in (0.6, 0.9, 1.5)],
+    "gaussian": lambda **common: [WeightSpec.gaussian(s, **common) for s in (0.1, 0.3)],
+    "idw": lambda **common: [WeightSpec.idw(**common)],
+    "idw_truncated": lambda **common: [WeightSpec.truncated_idw(t, **common) for t in (2, 7)],
+}
+
+
+class TestScoring:
+    """``tune_parameters`` scores every entry against validation basis rows
+    built once per mesh; each score must equal ``metrics.gmse``."""
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (1, 3), (0, 1)])
+    @pytest.mark.parametrize("outlier_filter", [False, True], ids=["plain", "filtered"])
+    @pytest.mark.parametrize("kind", sorted(GRIDS))
+    def test_every_score_is_the_gmse(self, kind, outlier_filter, degrees):
+        cloud = random_cloud(np.random.default_rng(31), 180)
+        training, validation = cloud[:120], cloud[120:]
+        space = refined_space(degrees, bounding_box(cloud))
+        grid = GRIDS[kind](outlier_filter=outlier_filter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # filter fallbacks
+            scores = [gmse(fit_surface(training, space, spec), validation) for spec in grid]
+            for spec, score in zip(grid, scores):
+                assert tune_parameters(training, validation, space, [spec]).gmse == score
+            result = tune_parameters(training, validation, space, grid)
+        best = int(np.argmin(scores))
+        assert result.spec is grid[best]
+        assert result.gmse == scores[best]
 
 
 class TestRefineMesh:

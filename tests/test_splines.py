@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wqisa import splines
 from wqisa.splines import (
     KnotVector,
     OutOfDomainError,
@@ -12,6 +13,7 @@ from wqisa.splines import (
     insert_knot,
     knot_averages,
     locate_spans,
+    tensor_rows,
 )
 
 from oracles import naive_basis
@@ -53,6 +55,14 @@ class TestKnotVector:
     def test_negative_degree(self):
         with pytest.raises(ValueError, match="degree"):
             KnotVector(-1, [0, 1])
+
+    def test_subnormal_span_rejected(self):
+        # 1 / width overflows below the smallest normal float, and the basis
+        # recurrence would then give NaN values
+        with pytest.raises(ValueError, match="too narrow"):
+            KnotVector.uniform_open(2, 1, 0.0, 1e-310)
+        kv = KnotVector.uniform_open(2, 1, 0.0, np.finfo(float).tiny)
+        np.testing.assert_allclose(basis_rows(kv, [kv.knots[-1] / 3])[1].sum(axis=1), 1.0)
 
     def test_knots_are_immutable(self):
         kv = KnotVector(1, [0, 0, 1, 1])
@@ -285,3 +295,83 @@ class TestEvaluateSurface:
         assert surface.evaluate(0.5 - 1e-12, 0.3) == pytest.approx(1.0, abs=1e-9)
         mu = span_of(kv, 0.5)
         assert kv.knots[mu] == 0.5 and kv.knots[mu + 1] > 0.5
+
+
+def refined_space(degrees) -> TensorSplineSpace:
+    """A non-uniform mesh on the unit square refined by knot insertion, with
+    a knot inserted twice wherever the degree allows it."""
+    axes = []
+    for p, cuts in zip(degrees, ([0.13, 0.5, 0.71, 0.5], [0.3, 0.62, 0.3, 0.9])):
+        kv = KnotVector.piecewise_bezier(p, [0.0, 1.0])
+        for t in cuts:
+            if np.count_nonzero(kv.knots == t) <= p:
+                kv = insert_knot(kv, t)
+        axes.append(kv)
+    return TensorSplineSpace(*axes)
+
+
+DEGREES = [(2, 2), (1, 3), (0, 1)]
+
+
+class TestBlockedEvaluation:
+    """``evaluate_many`` builds rows and takes values one block at a time."""
+
+    def points(self, rng, space, n):
+        xs, ys = rng.uniform(0, 1, size=(2, n))
+        # knot values, repeated ones included, and the right end of the domain
+        xs[: space.knots_x.knots.size] = space.knots_x.knots
+        ys[: space.knots_y.knots.size] = space.knots_y.knots[::-1]
+        return xs, ys
+
+    @pytest.mark.parametrize("degrees", DEGREES)
+    def test_more_points_than_a_block_match_small_pieces(self, degrees):
+        rng = np.random.default_rng(21)
+        space = refined_space(degrees)
+        surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
+        n = 2 * splines._BLOCK_POINTS + 3
+        xs, ys = self.points(rng, space, n)
+        whole = surface.evaluate_many(xs, ys)
+        pieces = [surface.evaluate_many(xs[i : i + 100], ys[i : i + 100]) for i in range(0, n, 100)]
+        assert whole.tobytes() == np.concatenate(pieces).tobytes()
+        # and the rows of every point at once, with no blocks
+        assert whole.tobytes() == tensor_rows(space, xs, ys).values(surface.coefficients).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 3 * 64 + 1])
+    def test_blocks_are_balanced(self, n, monkeypatch):
+        # einsum sums a one-point block in another order, so no block may
+        # hold a lone point that the input did not
+        sizes = []
+
+        def recording(space, xs, ys):
+            sizes.append(len(xs))
+            return tensor_rows(space, xs, ys)
+
+        monkeypatch.setattr(splines, "_BLOCK_POINTS", 64)
+        monkeypatch.setattr(splines, "tensor_rows", recording)
+        rng = np.random.default_rng(22)
+        space = refined_space((1, 3))
+        surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
+        xs, ys = rng.uniform(0, 1, size=(2, n))
+        values = surface.evaluate_many(xs, ys)
+        assert sum(sizes) == n and max(sizes) <= 64 and max(sizes) - min(sizes) <= 1
+        assert values.tobytes() == tensor_rows(space, xs, ys).values(surface.coefficients).tobytes()
+
+    def test_rows_serve_any_coefficient_grid(self):
+        rng = np.random.default_rng(23)
+        space = refined_space((2, 2))
+        xs, ys = self.points(rng, space, 500)
+        rows = tensor_rows(space, xs, ys)
+        assert rows.flat.shape == (500, 3, 3) and rows.flat.max() < space.shape[0] * space.shape[1]
+        for _ in range(3):
+            surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
+            values = rows.values(surface.coefficients)
+            assert values.tobytes() == surface.evaluate_many(xs, ys).tobytes()
+
+    def test_unpaired_coordinates_rejected(self):
+        space = refined_space((2, 2))
+        with pytest.raises(ValueError, match="3 x values but 2 y values"):
+            tensor_rows(space, [0.1, 0.2, 0.3], [0.1, 0.2])
+        surface = WqisaSurface(space, np.zeros(space.shape))
+        n = 2 * splines._BLOCK_POINTS
+        with pytest.raises(ValueError, match=f"{n + 1} x values but {n} y values"):
+            surface.evaluate_many(np.zeros(n + 1), np.zeros(n))

@@ -256,6 +256,15 @@ class TestEstimateControlPoint:
         with pytest.raises(ValueError, match="finite"):
             estimate_control_point(cloud, u, v, spec)
 
+    @pytest.mark.parametrize(
+        "spec", [WeightSpec.indicator(0.5), WeightSpec.knn(3), WeightSpec.truncated_idw(3)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_far_centre_rejected_by_the_table(self, spec):
+        cloud = random_cloud(np.random.default_rng(14), 40)
+        with pytest.raises(ValueError, match=r"query point \(1e\+200, 0\.5\) is too far"):
+            NeighbourTable(cloud, [(0.0, 0.0), (1e200, 0.5)], [spec])
+
     def test_knn_matches_brute_force_bit_for_bit(self):
         rng = np.random.default_rng(10)
         for _ in range(60):
