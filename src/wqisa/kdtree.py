@@ -9,9 +9,9 @@ the split value and ``m:e`` at or above it.  Leaves are scanned by numpy.
 Built once, then immutable, so an index can be shared across threads.
 Squared distances are computed as a full scan computes them and only cells
 strictly beyond the search bound are skipped, so results equal a full scan's;
-ties at the k-th distance keep the lower point id.  A query is rejected when
-its squared distance to the far corner of the points' bounding box is not
-finite, since a distance that overflows would rank as a tie.
+ties at the k-th distance keep the lower point id.  ``query_point`` rejects a
+query whose squared distance to the far corner of the points' bounding box
+overflows, since a distance that overflows would rank as a tie.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class PlanarIndex:
         n = self.size
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        u, v = self._query_point(query)
+        u, v = query_point(query, self._box)
         # the k-th distance within the smallest subtree on the query's side
         # that holds 2k points bounds the true k-th distance from above; a
         # subtree of only k points would give its farthest point as the bound
@@ -107,26 +107,10 @@ class PlanarIndex:
         """Ids of all points with distance <= *r* (closed ball), ascending id."""
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r}")
-        u, v = self._query_point(query)
+        u, v = query_point(query, self._box)
         r2 = r * r
         ids, d2 = self._candidates(self._runs(u, v, r2)[0], u, v)
         return np.sort(ids[d2 <= r2])
-
-    def _query_point(self, query) -> tuple[float, float]:
-        """The query's coordinates, checked so that every squared distance
-        the index computes from it is finite: none exceeds the squared
-        offset to the farthest corner of the points' box."""
-        u, v = float(query[0]), float(query[1])
-        if not (isfinite(u) and isfinite(v)):
-            raise ValueError(f"query point must be finite, got ({u}, {v})")
-        xmin, xmax, ymin, ymax = self._box
-        du, dv = max(u - xmin, xmax - u), max(v - ymin, ymax - v)
-        if not isfinite(du * du + dv * dv):
-            raise ValueError(
-                f"query point ({u}, {v}) is too far from the indexed points: "
-                "its squared distance to the far corner of their bounding box is not finite"
-            )
-        return u, v
 
     def _runs(self, u: float, v: float, bound: float) -> tuple[list[tuple[int, int]], int]:
         """Leaf runs ``(s, e)`` whose cell lies within squared distance
@@ -171,6 +155,23 @@ class PlanarIndex:
             x = np.concatenate([self._x[s:e] for s, e in runs])
             y = np.concatenate([self._y[s:e] for s, e in runs])
         return ids, (x - u) ** 2 + (y - v) ** 2
+
+
+def query_point(query, box: tuple[float, float, float, float]) -> tuple[float, float]:
+    """The coordinates of *query*, checked so that every squared distance from
+    it to a point in *box*, ``(xmin, xmax, ymin, ymax)``, is finite: none
+    exceeds the squared offset to the box's farthest corner."""
+    u, v = float(query[0]), float(query[1])
+    if not (isfinite(u) and isfinite(v)):
+        raise ValueError(f"query point must be finite, got ({u}, {v})")
+    xmin, xmax, ymin, ymax = box
+    du, dv = max(u - xmin, xmax - u), max(v - ymin, ymax - v)
+    if not isfinite(du * du + dv * dv):
+        raise ValueError(
+            f"query point ({u}, {v}) is too far from the points: "
+            "its squared distance to the far corner of their bounding box is not finite"
+        )
+    return u, v
 
 
 def _nearest(ids: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import as_cloud, check_planar_extent, joint_bounding_box
-from .splines import KnotVector, TensorSplineSpace, WqisaSurface, basis_rows
+from .splines import KnotVector, TensorSplineSpace, WqisaSurface, tensor_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,23 +64,17 @@ def mba_level_coefficients(cloud, space: TensorSplineSpace) -> np.ndarray:
     which keeps the operation total.
     """
     cloud = as_cloud(cloud)
-    z = cloud[:, 2]
-    px, py = space.degrees
-    nx, ny = space.shape
-    spans_x, bx = basis_rows(space.knots_x, cloud[:, 0])
-    spans_y, by = basis_rows(space.knots_y, cloud[:, 1])
+    rows = tensor_rows(space, cloud[:, 0], cloud[:, 1])
+    bx, by = rows.bx.T.copy(), rows.by.T.copy()  # one contiguous row per slot
     # sum of squared active basis values factorizes over the tensor product
-    ssq = (bx**2).sum(axis=1) * (by**2).sum(axis=1)
-    numerator = np.zeros(nx * ny)
-    denominator = np.zeros(nx * ny)
-    for a in range(px + 1):
-        gi = spans_x - px + a
-        for b in range(py + 1):
-            gj = spans_y - py + b
-            w = bx[:, a] * by[:, b]
-            flat = gi * ny + gj
-            np.add.at(numerator, flat, w**3 * z / ssq)
-            np.add.at(denominator, flat, w**2)
+    ssq = (bx**2).sum(axis=0) * (by**2).sum(axis=0)
+    # slot-major (a, b, point) order: each coefficient adds its terms slot
+    # by slot, and within a slot point by point
+    w = bx[:, None, :] * by[None, :, :]
+    flat = rows.flat.transpose(1, 2, 0).ravel()
+    nx, ny = space.shape
+    numerator = np.bincount(flat, (w**3 * cloud[:, 2] / ssq).ravel(), minlength=nx * ny)
+    denominator = np.bincount(flat, (w**2).ravel(), minlength=nx * ny)
     grid = np.zeros(nx * ny)
     touched = denominator > 0.0
     grid[touched] = numerator[touched] / denominator[touched]

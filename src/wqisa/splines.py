@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 # points per evaluation block: a block's rows take about 150 bytes a point at
-# degrees (2, 2).  Blocks are balanced, so none holds a single point unless
-# the input does: einsum sums a one-row block in another order.
+# degrees (2, 2)
 _BLOCK_POINTS = 1 << 14
 # the narrowest knot span allowed, the smallest normal float (about 2.2e-308):
 # its reciprocal is finite, and the basis recurrence divides by span widths
@@ -282,7 +281,11 @@ class TensorRows(NamedTuple):
         space, at the rows' points, each clamped onto the range of the
         coefficients it weighs."""
         active = np.take(coefficients, self.flat)
-        values = np.einsum("mab,ma,mb->m", active, self.bx, self.by)
+        operands = (active, self.bx, self.by)
+        if len(active) == 1:
+            # einsum sums a one-row operand in another order than a longer one
+            operands = [np.repeat(operand, 2, axis=0) for operand in operands]
+        values = np.einsum("mab,ma,mb->m", *operands)[: len(active)]
         # one pass per coefficient slot: a min over each point's few
         # contiguous values costs numpy far more
         m, a, b = active.shape

@@ -16,11 +16,13 @@ kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 Coefficients are estimated in batches.  A ``NeighbourTable`` runs one
 neighbor query per knot average, and that query serves every entry of a
 weight grid of one kind; ``pipeline.tune_parameters`` builds one table per
-mesh and hands it to ``fit_surface`` for each grid entry.  The kernels, the
-Tukey fences and the clamp act on all rows at once, but each quotient is
-still ``dot(z, w) / sum(w)`` over one row in ascending id order, so a
-coefficient does not depend on the batch it was estimated in;
-``estimate_control_point`` is a batch of one.
+mesh and hands it to ``fit_surface`` for each grid entry.  The table makes
+its rows in one place, a batch of at most ``TABLE_BUDGET`` candidates at a
+time, and keeps the first batch.  The kernels, the Tukey fences and the
+clamp act on all rows of a batch at once, but each quotient is still
+``dot(z, w) / sum(w)`` over one row in ascending id order, so a coefficient
+does not depend on the batch it was estimated in; ``estimate_control_point``
+is a batch of one.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -34,15 +36,15 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .clouds import as_cloud, bbox_diagonal
-from .kdtree import PlanarIndex
+from .clouds import as_cloud, bbox_diagonal, bounding_box
+from .kdtree import PlanarIndex, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 
 # default coincidence tolerance: this fraction of the bounding-box diagonal
 COINCIDENCE_SCALE = 1e-12
-# most candidates a NeighbourTable holds at once (an id and a squared
-# distance, 16 bytes each); a larger table queries again for each spec,
-# one batch of centres at a time
+# most candidates in one batch of NeighbourTable rows (an id and a squared
+# distance, 16 bytes each), unless a single row holds more; a table keeps
+# its first batch and makes the rows after it again on each read
 TABLE_BUDGET = 1 << 20
 
 
@@ -178,10 +180,11 @@ class NeighbourTable:
     (distance, id) order the k nearest points are a prefix of the K nearest,
     so knn and idw_truncated rows hold the ``K = min(largest size, n)``
     nearest; a closed ball holds every smaller ball about its centre, so
-    indicator rows hold the ball of the largest radius.  Kinds that weigh the
-    whole cloud keep no rows, and neither does a table that would pass
-    ``TABLE_BUDGET`` candidates: those make the rows for each spec as they
-    are read, a batch of centres at a time.
+    indicator rows hold the ball of the largest radius; Gaussian and plain
+    IDW rows hold every point.  ``_rows`` makes the rows in batches of at
+    most ``TABLE_BUDGET`` candidates, and the table keeps the first: when
+    every row fits, that is every row, and otherwise each read of the table
+    makes the rows after it again.
     """
 
     def __init__(self, cloud, centres, grid):
@@ -194,20 +197,11 @@ class NeighbourTable:
             raise ValueError(f"a neighbour table serves one weight kind, got {sorted(kinds)}")
         self.kind = kinds.pop()
         self.reach = self._reach_for(grid)
-        self._index = None
-        self._rows: Neighbours | None = None
-        if not KERNELS[self.kind].indexed:
-            return
-        self._index = PlanarIndex(self.cloud[:, :2])
-        if self.kind != "indicator" and len(self.centres) * self.reach > TABLE_BUDGET:
-            return
-        rows, total = [], 0
-        for centre in self.centres:
-            rows.append(self._query(centre, self.reach))
-            total += rows[-1].size
-            if total > TABLE_BUDGET:
-                return
-        self._rows = _neighbours(self.cloud, self.centres, rows)
+        if KERNELS[self.kind].indexed:
+            self._index = PlanarIndex(self.cloud[:, :2])
+        else:
+            self._box = bounding_box(self.cloud)
+        self._kept = next(self._rows(0))[1]
 
     def _reach_for(self, grid) -> float | int | None:
         """How far one query must reach to serve every spec of *grid*."""
@@ -217,10 +211,28 @@ class NeighbourTable:
             return min(max(spec.parameter for spec in grid), self.cloud.shape[0])
         return None
 
-    def _query(self, centre, reach) -> np.ndarray:
+    def _query(self, centre) -> np.ndarray:
+        """The ids of one row: every point the grid can weigh about *centre*."""
         if self.kind == "indicator":
-            return self._index.within_radius(centre, reach)
-        return self._index.knn(centre, reach)
+            return self._index.within_radius(centre, self.reach)
+        if self.reach is not None:
+            return self._index.knn(centre, self.reach)
+        query_point(centre, self._box)  # as PlanarIndex checks its queries
+        return np.arange(self.cloud.shape[0])
+
+    def _rows(self, first: int) -> Iterator[tuple[int, Neighbours]]:
+        """``(first row, rows)`` pairs from centre *first* on, in order; a
+        batch closes before it would pass ``TABLE_BUDGET`` candidates, so
+        only a single larger row makes a larger batch."""
+        rows, total = [], 0
+        for r in range(first, len(self.centres)):
+            row = self._query(self.centres[r])
+            if rows and total + row.size > TABLE_BUDGET:
+                yield first, _neighbours(self.cloud, self.centres[first:r], rows)
+                first, rows, total = r, [], 0
+            rows.append(row)
+            total += row.size
+        yield first, _neighbours(self.cloud, self.centres[first:], rows)
 
     def _serves(self, spec: WeightSpec) -> bool:
         """Whether the rows hold every point that *spec* can weigh."""
@@ -228,26 +240,13 @@ class NeighbourTable:
             self.reach is None or self._reach_for((spec,)) <= self.reach
         )
 
-    def _batches(self, spec: WeightSpec) -> Iterator[tuple[int, Neighbours]]:
-        """``(first row, rows)`` pairs that cover every centre in order, each
-        batch within ``TABLE_BUDGET`` candidates unless a single row is not."""
-        if self._rows is not None:
-            yield 0, self._rows
-            return
-        n = self.cloud.shape[0]
-        if self._index is None:
-            # every point, in id order, one centre at a time
-            x, y = self.cloud[:, 0], self.cloud[:, 1]
-            everyone, starts = np.arange(n), np.array([0, n])
-            for r, (u, v) in enumerate(self.centres):
-                yield r, Neighbours(everyone, (x - u) ** 2 + (y - v) ** 2, starts)
-            return
-        reach = self._reach_for((spec,))
-        # a knn-like row holds `reach` points at most, a ball up to n
-        step = max(1, TABLE_BUDGET // (n if self.kind == "indicator" else reach))
-        for first in range(0, len(self.centres), step):
-            centres = self.centres[first : first + step]
-            yield first, _neighbours(self.cloud, centres, [self._query(c, reach) for c in centres])
+    def _batches(self) -> Iterator[tuple[int, Neighbours]]:
+        """``(first row, rows)`` pairs that cover every centre in order: the
+        kept batch, then the rest made again."""
+        yield 0, self._kept
+        kept = self._kept.starts.size - 1
+        if kept < len(self.centres):
+            yield from self._rows(kept)
 
 
 def _subset(keep: np.ndarray, starts: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -337,7 +336,7 @@ def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
     if spec.kind == "knn" and spec.k > cloud.shape[0]:
         raise _EmptyWindow(0, f"k={spec.k} exceeds cloud size {cloud.shape[0]}")
     out = np.empty(len(table.centres))
-    for first, rows in table._batches(spec):
+    for first, rows in table._batches():
         ids, w, starts = _window(rows, spec, cloud)
         z = cloud[ids, 2]
         rejected = np.zeros(starts.size - 1, dtype=bool)

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +226,27 @@ class TestExitCodes:
             argv += ["--out", str(tmp_path / "c.json")]
         assert cli_main(argv) == 2
         assert "zero width in x;" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "width, config",
+        [
+            (1e300, RunConfig(weight="idw")),
+            (1e170, RunConfig(weight="gaussian", sigma_grid=(0.3e170,))),
+        ],
+        ids=["idw", "gaussian"],
+    )
+    def test_overflowing_cloud_is_two(self, tmp_path, capsys, width, config):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "wide.xyz"
+        cloud = np.column_stack([rng.uniform(0, width, 50), rng.uniform(0, 1, size=(50, 2))])
+        write_cloud(path, cloud)
+        write_config(dataclasses.replace(config, max_iterations=3), tmp_path / "run.cfg")
+        argv = [
+            "fit", "--cloud", str(path), "--config", str(tmp_path / "run.cfg"),
+            "--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json"),
+        ]
+        assert cli_main(argv) == 2
+        assert re.search(r"query point \(.*\) is too far", capsys.readouterr().err)
 
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"

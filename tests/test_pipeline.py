@@ -279,6 +279,19 @@ class TestFit:
         assert report.stop_reason in ("threshold_met", "stagnated")
         assert surface.evaluate(1.0, 1.0) == 6.5
 
+    @pytest.mark.parametrize(
+        "width, spec",
+        [(1e300, WeightSpec.idw()), (1e170, WeightSpec.gaussian(0.3e170))],
+        ids=["idw", "gaussian"],
+    )
+    def test_overflowing_distances_name_the_query_point(self, width, spec):
+        # squared distances across the cloud overflow: unchecked, idw weighs
+        # the far points 0 and gaussian finds no point with positive weight
+        rng = np.random.default_rng(11)
+        cloud = np.column_stack([rng.uniform(0, width, 50), rng.uniform(0, 1, size=(50, 2))])
+        with pytest.raises(ValueError, match=r"query point \(.*\) is too far"):
+            fit(cloud, FitConfig(weight_grid=(spec,), max_iterations=3))
+
     def test_iteration_budget_respected(self):
         cloud = perturb(hemisphere_cloud(150, seed=2), noise_std=0.1, seed=3)
         config = FitConfig(weight_grid=knn_parameter_grid(3), max_iterations=15, seed=4)

@@ -255,6 +255,19 @@ class TestEvaluateSurface:
         for x, y in rng.uniform(0, 1, size=(20, 2)):
             assert surface.evaluate(x, y) == 7.3
 
+    @pytest.mark.parametrize("degrees", [(1, 1), (1, 3)])
+    def test_one_point_matches_the_same_point_among_others(self, degrees):
+        # einsum sums a one-row operand in another order than a longer one
+        rng = np.random.default_rng(24)
+        space = TensorSplineSpace(
+            KnotVector.uniform_open(degrees[0], 4, 0.0, 1.0),
+            KnotVector.uniform_open(degrees[1], 4, 0.0, 1.0),
+        )
+        surface = WqisaSurface(space, rng.normal(size=space.shape))
+        xs, ys = rng.uniform(0, 1, size=(2, 1000))
+        together = surface.evaluate_many(xs, ys).tolist()
+        assert [surface.evaluate(x, y) for x, y in zip(xs, ys)] == together
+
     def test_bilinear_interpolation(self):
         space = TensorSplineSpace(KnotVector(1, [0, 0, 1, 1]), KnotVector(1, [0, 0, 1, 1]))
         surface = WqisaSurface(space, [[0.0, 0.0], [1.0, 1.0]])

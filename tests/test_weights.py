@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wqisa import weights
+from wqisa.kdtree import PlanarIndex
 from wqisa.splines import KnotVector, TensorSplineSpace, knot_average_grid, knot_averages
 from wqisa.weights import (
     NeighbourTable,
@@ -257,7 +258,14 @@ class TestEstimateControlPoint:
             estimate_control_point(cloud, u, v, spec)
 
     @pytest.mark.parametrize(
-        "spec", [WeightSpec.indicator(0.5), WeightSpec.knn(3), WeightSpec.truncated_idw(3)],
+        "spec",
+        [
+            WeightSpec.indicator(0.5),
+            WeightSpec.gaussian(0.5),
+            WeightSpec.knn(3),
+            WeightSpec.idw(),
+            WeightSpec.truncated_idw(3),
+        ],
         ids=lambda spec: spec.kind,
     )
     def test_far_centre_rejected_by_the_table(self, spec):
@@ -379,6 +387,56 @@ class TestSharedNeighbourTable:
                 assert got.ravel().tolist() == expected
                 fitted += 1
         assert fitted > 0
+
+    def test_reads_remake_only_the_rows_after_the_kept_batch(self, monkeypatch):
+        cloud = random_cloud(np.random.default_rng(14), 300)
+        space = _mesh(cloud, 4, 3)
+        centres = knot_average_grid(space)
+        grid = [WeightSpec.knn(k) for k in (2, 5, 8)]
+        # every row holds the 8 nearest: the first batch takes half the centres
+        kept = len(centres) // 2
+        monkeypatch.setattr(weights, "TABLE_BUDGET", 8 * kept)
+        queries = []
+        knn = PlanarIndex.knn
+        monkeypatch.setattr(PlanarIndex, "knn", lambda *args: queries.append(0) or knn(*args))
+        table = NeighbourTable(cloud, centres, grid)
+        for spec in grid:
+            fit_surface(cloud, space, spec, table)
+        # building queries the kept rows and the row that closes their batch;
+        # each read queries the rows after the kept batch again
+        assert len(queries) == kept + 1 + len(grid) * (len(centres) - kept)
+
+    # index queries of the grids above when a table kept every row or none:
+    # one per centre to build, or one per centre for each entry read
+    # (indicator reads stop at the batch that holds an empty ball)
+    PARENT_QUERIES = {
+        "knn": {None: 108, 50: 432, 2000: 432},
+        "idw_truncated": {None: 108, 50: 432, 2000: 432},
+        "indicator": {None: 108, 50: 272, 2000: 293},
+        "gaussian": {None: 0, 50: 0, 2000: 0},
+        "idw": {None: 0, 50: 0, 2000: 0},
+    }
+
+    @pytest.mark.parametrize("budget", [None, 50, 2000])
+    @pytest.mark.parametrize("kind", GRIDS)
+    def test_no_more_queries_than_a_table_without_a_kept_batch(self, monkeypatch, kind, budget):
+        if budget is not None:
+            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+        cloud = random_cloud(np.random.default_rng(14), 300, dupes=True)
+        space = _mesh(cloud, 4, 3)
+        queries = []
+        for name in ("knn", "within_radius"):
+            query = getattr(PlanarIndex, name)
+            monkeypatch.setattr(
+                PlanarIndex, name, lambda *args, query=query: queries.append(0) or query(*args)
+            )
+        table = NeighbourTable(cloud, knot_average_grid(space), self.GRIDS[kind])
+        for spec in self.GRIDS[kind]:
+            try:
+                fit_surface(cloud, space, spec, table)
+            except ZeroWeightError:
+                pass
+        assert len(queries) <= self.PARENT_QUERIES[kind][budget]
 
     def test_fallback_warns_once_per_falling_back_coefficient(self):
         # fence 0 rejects both heights of a two-point window unless they are
