@@ -29,7 +29,7 @@ from .io import (
 )
 from .mba import fit_mba
 from .metrics import hausdorff, punctual_errors, surface_sample_points
-from .pipeline import fit_split, split
+from .pipeline import DEFAULT_FRACTIONS, fit_split, split
 from .splines import OutOfDomainError
 from .synthetic import hemisphere_cloud, perturb
 from .weights import ZeroWeightError
@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("split", help="split a cloud into train/validation/test files")
     p.add_argument("--cloud", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--fractions", type=_fractions, default=(0.5, 0.25, 0.25))
+    p.add_argument("--fractions", type=_fractions, default=DEFAULT_FRACTIONS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("xyz", "csv"), default="xyz")
     p.set_defaults(func=_cmd_split)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .clouds import as_cloud
-from .pipeline import FitConfig
+from .pipeline import DEFAULT_FRACTIONS, FitConfig
 from .splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
 from .weights import KERNELS, WEIGHT_KINDS, WeightSpec
 
@@ -224,9 +224,9 @@ class RunConfig:
     fence: float = 1.5
     epsilon: float | None = None
     max_iterations: int = 15
-    train_fraction: float = 0.5
-    validation_fraction: float = 0.25
-    test_fraction: float = 0.25
+    train_fraction: float = DEFAULT_FRACTIONS[0]
+    validation_fraction: float = DEFAULT_FRACTIONS[1]
+    test_fraction: float = DEFAULT_FRACTIONS[2]
     seed: int = 0
 
     def __post_init__(self) -> None:

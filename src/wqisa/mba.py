@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import as_cloud, check_planar_extent, joint_bounding_box
+from .pipeline import STAGNATION_TOL
 from .splines import KnotVector, TensorSplineSpace, WqisaSurface, tensor_rows
 
 
@@ -65,13 +66,13 @@ def mba_level_coefficients(cloud, space: TensorSplineSpace) -> np.ndarray:
     """
     cloud = as_cloud(cloud)
     rows = tensor_rows(space, cloud[:, 0], cloud[:, 1])
-    bx, by = rows.bx.T.copy(), rows.by.T.copy()  # one contiguous row per slot
+    bx, by = rows.bx, rows.by
     # sum of squared active basis values factorizes over the tensor product
     ssq = (bx**2).sum(axis=0) * (by**2).sum(axis=0)
     # slot-major (a, b, point) order: each coefficient adds its terms slot
     # by slot, and within a slot point by point
     w = bx[:, None, :] * by[None, :, :]
-    flat = rows.flat.transpose(1, 2, 0).ravel()
+    flat = (rows.offsets[:, :, None] + rows.base).ravel()
     nx, ny = space.shape
     numerator = np.bincount(flat, (w**3 * cloud[:, 2] / ssq).ravel(), minlength=nx * ny)
     denominator = np.bincount(flat, (w**2).ravel(), minlength=nx * ny)
@@ -88,7 +89,12 @@ def fit_mba(
     degrees: tuple[int, int] = (2, 2),
     domain: tuple[float, float, float, float] | None = None,
 ) -> tuple[MbaSurface, list[float]]:
-    """Fit levels until validation GMSE rises or *max_levels* is reached.
+    """Fit levels until validation GMSE rises or stagnates, or *max_levels*
+    is reached.
+
+    A level that lowers the GMSE by at most ``STAGNATION_TOL`` of the
+    previous level's, as the WQISA loop measures stagnation, is kept and
+    ends the fit.
 
     A coefficient budget also stops the fit before any level after the
     first that would have more basis functions than *cloud* has points:
@@ -122,9 +128,12 @@ def fit_mba(
         candidate_val = val_pred + surface.evaluate_many(validation[:, 0], validation[:, 1])
         gmse = float(np.mean((validation[:, 2] - candidate_val) ** 2))
         gmse_history.append(gmse)
-        if level > 0 and gmse > gmse_history[level - 1]:
+        previous = gmse_history[level - 1] if level > 0 else None
+        if previous is not None and gmse > previous:
             break
         levels.append(surface)
+        if previous is not None and previous - gmse <= STAGNATION_TOL * previous:
+            break
         val_pred = candidate_val
         residual = residual - surface.evaluate_many(cloud[:, 0], cloud[:, 1])
     return MbaSurface(tuple(levels)), gmse_history

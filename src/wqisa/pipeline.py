@@ -41,7 +41,6 @@ class DataSplit:
     validation: np.ndarray
     test: np.ndarray
     seed: int
-    scheme: str
 
     def __post_init__(self) -> None:
         for name in ("training", "validation", "test"):
@@ -82,7 +81,6 @@ def split(cloud, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS, seed
         validation=cloud[val_ids],
         test=cloud[test_ids],
         seed=seed,
-        scheme=f"random({ft:g}/{fv:g}/{fu:g})",
     )
 
 
@@ -108,7 +106,6 @@ def kfold_splits(cloud, k: int, seed: int = 0) -> list[DataSplit]:
                 validation=cloud[holdout_ids],
                 test=cloud[holdout_ids],
                 seed=seed,
-                scheme=f"kfold({k})#{i}",
             )
         )
     return out

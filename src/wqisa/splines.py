@@ -11,9 +11,9 @@ Conventions used throughout:
 * Knot values are compared exactly.  Knot vectors are constructed, not
   measured, so no tolerance is appropriate.
 * Surface evaluation has two halves.  ``tensor_rows`` turns a space and a
-  set of points into rows: each point's spans as flat indices into the
-  coefficient grid, plus its basis values along x and y.
-  ``TensorRows.values`` turns rows and a coefficient grid into values.
+  set of points into rows: each point's first active coefficient in the
+  raveled grid, plus its basis values along x and y.  ``TensorRows.values``
+  sums a coefficient grid over rows slot by slot, in one fixed order.
   ``WqisaSurface.evaluate_many`` runs both halves over blocks of at most
   ``_BLOCK_POINTS`` points; ``pipeline.tune_parameters`` builds the rows of
   its validation points once per mesh and scores every grid entry on them.
@@ -22,12 +22,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-# points per evaluation block: a block's rows take about 150 bytes a point at
+# points per evaluation block: a block's rows take 56 bytes a point at
 # degrees (2, 2)
 _BLOCK_POINTS = 1 << 14
 # the narrowest knot span allowed, the smallest normal float (about 2.2e-308):
@@ -264,33 +263,38 @@ class TensorSplineSpace:
 
 
 class TensorRows(NamedTuple):
-    """The nonzero tensor basis values of a space at a set of points.
+    """The nonzero tensor basis values of a space at a set of points, which
+    serve every coefficient grid on that space.  Slot ``(a, b)`` of point
+    ``m`` weighs the coefficient at ``base[m] + offsets[a, b]`` of the
+    raveled grid of shape ``shape`` with ``bx[a, m] * by[b, m]``."""
 
-    Point ``m`` weighs the ``(p + 1) x (q + 1)`` coefficients at the indices
-    ``flat[m]`` into the raveled coefficient grid, coefficient ``(a, b)``
-    with ``bx[m, a] * by[m, b]``.  Rows depend only on the space and the
-    points, so one set serves every coefficient grid on that space.
-    """
-
-    flat: np.ndarray
+    base: np.ndarray
+    shape: tuple[int, int]
     bx: np.ndarray
     by: np.ndarray
 
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.arange(len(self.bx))[:, None] * self.shape[1] + np.arange(len(self.by))
+
     def values(self, coefficients: np.ndarray) -> np.ndarray:
-        """Values of the surface with *coefficients*, a grid on the rows'
-        space, at the rows' points, each clamped onto the range of the
-        coefficients it weighs."""
-        active = np.take(coefficients, self.flat)
-        operands = (active, self.bx, self.by)
-        if len(active) == 1:
-            # einsum sums a one-row operand in another order than a longer one
-            operands = [np.repeat(operand, 2, axis=0) for operand in operands]
-        values = np.einsum("mab,ma,mb->m", *operands)[: len(active)]
-        # one pass per coefficient slot: a min over each point's few
-        # contiguous values costs numpy far more
-        m, a, b = active.shape
-        slots = active.reshape(m, a * b).T
-        return np.clip(values, reduce(np.minimum, slots), reduce(np.maximum, slots))
+        """Values of the surface with *coefficients* at the rows' points: each
+        a sum from 0.0 of ``c * bx[a] * by[b]`` over the slots in ``(a, b)``
+        order, whatever the number of points, clamped onto the slots' range."""
+        shape = np.shape(coefficients)
+        if shape != self.shape:
+            raise ValueError(f"coefficient grid {shape} does not match space {self.shape}")
+        flat = np.ravel(coefficients)
+        total = np.zeros(self.base.shape)
+        lo, hi = np.full(self.base.shape, np.inf), np.full(self.base.shape, -np.inf)
+        for (a, b), offset in np.ndenumerate(self.offsets):
+            slot = flat[self.base + offset]
+            np.minimum(lo, slot, out=lo)
+            np.maximum(hi, slot, out=hi)
+            slot *= self.bx[a]
+            slot *= self.by[b]
+            total += slot
+        return np.clip(total, lo, hi)
 
 
 def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
@@ -301,9 +305,8 @@ def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
     spans_y, by = basis_rows(space.knots_y, ys)
     if spans_x.shape != spans_y.shape:
         raise ValueError(f"got {spans_x.size} x values but {spans_y.size} y values")
-    ix = (spans_x[:, None] - px + np.arange(px + 1)) * space.shape[1]
-    iy = spans_y[:, None] - py + np.arange(py + 1)
-    return TensorRows(ix[:, :, None] + iy[:, None, :], bx, by)
+    base = (spans_x - px) * space.shape[1] + (spans_y - py)
+    return TensorRows(base, space.shape, bx.T.copy(), by.T.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,20 +340,17 @@ class WqisaSurface:
         """Evaluate at paired coordinate arrays ``xs``, ``ys``.
 
         Both halves of the kernel, ``tensor_rows`` and ``TensorRows.values``,
-        run over balanced blocks of at most ``_BLOCK_POINTS`` points, so the
-        rows of a large lattice are never all held at once.
+        run over balanced blocks of at most ``_BLOCK_POINTS`` points.  The
+        blocks only bound memory: no value depends on them.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if xs.shape != ys.shape:
             raise ValueError(f"got {xs.size} x values but {ys.size} y values")
         parts = max(1, -(-xs.shape[0] // _BLOCK_POINTS))
-        return np.concatenate(
-            [
-                tensor_rows(self.space, x, y).values(self.coefficients)
-                for x, y in zip(np.array_split(xs, parts), np.array_split(ys, parts))
-            ]
-        )
+        blocks = zip(np.array_split(xs, parts), np.array_split(ys, parts))
+        rows = (tensor_rows(self.space, x, y) for x, y in blocks)
+        return np.concatenate([block.values(self.coefficients) for block in rows])
 
     def __repr__(self) -> str:
         return f"WqisaSurface(space={self.space!r})"

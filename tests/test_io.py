@@ -16,6 +16,7 @@ from wqisa.io import (
     write_cloud,
     write_surface_grid,
 )
+from wqisa.pipeline import FitConfig
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
@@ -282,6 +283,10 @@ class TestRunConfig:
     def test_default_roundtrip(self):
         config = RunConfig()
         assert parse_config(format_config(config)) == config
+
+    def test_default_run_is_the_library_default(self):
+        # the CLI's default run and the library's default run cannot drift
+        assert RunConfig().to_fit_config() == FitConfig()
 
     def test_comments_and_blanks_ignored(self):
         text = "# a comment\n\nseed = 9\nweight = idw\n"

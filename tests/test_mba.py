@@ -130,6 +130,15 @@ class TestFitMba:
             norms.append(float(np.mean((cloud[:, 2] - pred) ** 2)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
+    def test_stagnation_keeps_the_level_and_stops(self):
+        # on a flat cloud every level scores 0, which is no improvement on 0
+        rng = np.random.default_rng(8)
+        cloud = np.column_stack([rng.uniform(0, 1, size=(200, 2)), np.zeros(200)])
+        validation = np.column_stack([rng.uniform(0, 1, size=(50, 2)), np.zeros(50)])
+        surface, history = fit_mba(cloud, 8, validation)
+        assert len(surface.levels) == len(history) == 2
+        assert history == [0.0, 0.0]
+
     def test_coefficient_budget_stops_a_noise_free_fit(self):
         # without noise the validation error keeps falling, so only the
         # budget stops the levels short of a 16384 x 16384 mesh at level 14

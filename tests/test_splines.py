@@ -1,5 +1,7 @@
 """Tests for the tensor-product spline core."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -257,7 +259,7 @@ class TestEvaluateSurface:
 
     @pytest.mark.parametrize("degrees", [(1, 1), (1, 3)])
     def test_one_point_matches_the_same_point_among_others(self, degrees):
-        # einsum sums a one-row operand in another order than a longer one
+        # the slot sum runs in (a, b) order whatever the number of points
         rng = np.random.default_rng(24)
         space = TensorSplineSpace(
             KnotVector.uniform_open(degrees[0], 4, 0.0, 1.0),
@@ -351,8 +353,8 @@ class TestBlockedEvaluation:
 
     @pytest.mark.parametrize("n", [1, 64, 65, 3 * 64 + 1])
     def test_blocks_are_balanced(self, n, monkeypatch):
-        # einsum sums a one-point block in another order, so no block may
-        # hold a lone point that the input did not
+        # blocks only bound the memory of the rows, and balanced ones never
+        # split off a lone point that the input did not hold
         sizes = []
 
         def recording(space, xs, ys):
@@ -374,11 +376,42 @@ class TestBlockedEvaluation:
         space = refined_space((2, 2))
         xs, ys = self.points(rng, space, 500)
         rows = tensor_rows(space, xs, ys)
-        assert rows.flat.shape == (500, 3, 3) and rows.flat.max() < space.shape[0] * space.shape[1]
+        slots = rows.offsets[:, :, None] + rows.base
+        assert slots.shape == (3, 3, 500)
+        assert slots.min() >= 0 and slots.max() < space.shape[0] * space.shape[1]
         for _ in range(3):
             surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
             values = rows.values(surface.coefficients)
             assert values.tobytes() == surface.evaluate_many(xs, ys).tobytes()
+
+    @pytest.mark.parametrize("degrees", [(0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_values_are_a_stated_fold_over_the_slots(self, degrees, n):
+        rng = np.random.default_rng(25)
+        space = refined_space(degrees)
+        coefficients = rng.uniform(-4, 4, size=space.shape)
+        xs, ys = rng.uniform(0, 1, size=(2, n))
+        if n > 1:  # the right end of the domain and a repeated knot
+            xs[-1], ys[-1] = 1.0, 0.3
+        (px, py), expected = degrees, []
+        for x, y in zip(xs, ys):
+            (mu,), (bx,) = basis_rows(space.knots_x, [x])
+            (nu,), (by,) = basis_rows(space.knots_y, [y])
+            total, slots = 0.0, []
+            for a in range(px + 1):
+                for b in range(py + 1):
+                    c = float(coefficients[mu - px + a, nu - py + b])
+                    total += c * float(bx[a]) * float(by[b])
+                    slots.append(c)
+            expected.append(min(max(total, min(slots)), max(slots)))
+        assert tensor_rows(space, xs, ys).values(coefficients).tolist() == expected
+
+    def test_coefficient_grid_of_another_shape_rejected(self):
+        space = TensorSplineSpace(KnotVector.uniform_open(2, 3), KnotVector.uniform_open(2, 3))
+        rows = tensor_rows(space, [0.1, 0.9], [0.2, 0.95])
+        for shape in [(5, 6), (4, 4)]:
+            with pytest.raises(ValueError, match=re.escape(f"grid {shape} does not match space (5, 5)")):
+                rows.values(np.zeros(shape))
 
     def test_unpaired_coordinates_rejected(self):
         space = refined_space((2, 2))
