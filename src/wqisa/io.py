@@ -5,11 +5,11 @@ CSV with a header row and a configurable column mapping; the extension picks
 the format unless one is given.  Both are read as a stream of field records
 in blocks of ``_ROWS_PER_BLOCK``: one ``map(float, ...)`` parses a block, and
 only a block that fails is walked record by record, to skip blank records or
-to name the line of the first bad one.  Both are written by one row template,
-which also writes sampled surface grids as ``x,y,z`` CSV.  Surfaces persist
-as self-describing JSON (degrees, knot vectors, coefficient grid).  Run configurations are
-line-oriented ``key = value`` text and round-trip losslessly.  All floats are
-written as ``%.17g``: 17 significant digits reproduce the binary value exactly.
+to name the line of the first bad one.  Both are written by one row template;
+a sampled surface grid, ``x,y,z`` CSV, formats each lattice x and y once.
+Surfaces and reports are JSON, reports without NaN or infinity.  Run configs
+are ``key = value`` lines with finite floats and round-trip losslessly.  All
+floats are written as ``%.17g``: 17 significant digits reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import inf, isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -188,12 +188,25 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
     rx, ry = resolution
     if rx < 2 or ry < 2:
         raise ValueError(f"resolution must be at least 2 per axis, got {resolution}")
-    write_cloud(path, sample_lattice(surface, (rx, ry)), fmt="csv")
+    lattice = as_cloud(sample_lattice(surface, (rx, ry)))  # refuses a non-finite sample
+    # each lattice x and y is formatted once; a chunk of y strings is a row template
+    y_text = [f"%s,{_fmt(y)},{_FLOAT}\n" for y in lattice[:ry, 1].tolist()]
+    templates = ["".join(y_text[i : i + _ROWS_PER_BLOCK]) for i in range(0, ry, _ROWS_PER_BLOCK)]
+    with Path(path).open("w") as fh:
+        fh.write("x,y,z\n")
+        for x, z_row in zip(lattice[::ry, 0].tolist(), lattice[:, 2].reshape(rx, ry)):
+            x_z = zip(repeat(_fmt(x)), z_row.tolist())
+            for template in templates:
+                fh.write(template % tuple(chain.from_iterable(islice(x_z, _ROWS_PER_BLOCK))))
 
 
 def write_report(payload: dict, path) -> None:
-    """Serialize a report deterministically (sorted keys, no timestamps)."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Serialize a report deterministically (sorted keys, no timestamps, no NaN)."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: report not written: {exc}") from None
+    Path(path).write_text(text + "\n")
 
 
 # the RunConfig field that carries each WeightSpec field (a grid for a tunable one)
@@ -232,6 +245,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.weight not in WEIGHT_KINDS:
             raise ConfigError(f"weight must be one of {WEIGHT_KINDS}, got {self.weight!r}")
+        for name, value in asdict(self).items():  # reports carry it, and hold no NaN
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(isfinite(v) for v in values if isinstance(v, float)):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
     def to_fit_config(self) -> FitConfig:
         kernel = KERNELS[self.weight]

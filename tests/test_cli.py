@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from wqisa.cli import cli_main
-from wqisa.io import RunConfig, read_cloud, write_cloud, write_config
+from wqisa.io import RunConfig, read_cloud, save_surface, write_cloud, write_config
+from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 from wqisa.synthetic import hemisphere_cloud, perturb
 
 
@@ -247,6 +248,22 @@ class TestExitCodes:
         ]
         assert cli_main(argv) == 2
         assert re.search(r"query point \(.*\) is too far", capsys.readouterr().err)
+
+    def test_overflowing_hausdorff_is_two(self, tmp_path, capsys):
+        # heights and stats are finite, but the surface spans 1e200 in x, so
+        # a squared distance to its samples would overflow
+        space = TensorSplineSpace(
+            KnotVector(1, [0.0, 0.0, 1e200, 1e200]), KnotVector(1, [0.0, 0.0, 1.0, 1.0])
+        )
+        save_surface(WqisaSurface(space, np.zeros(space.shape)), tmp_path / "s.json")
+        cloud = np.array([[0.0, 0.0, 0.0], [5e199, 0.5, 0.0], [1e200, 1.0, 0.0]])
+        write_cloud(tmp_path / "c.xyz", cloud)
+        out = tmp_path / "e.json"
+        argv = ["eval", "--surface", str(tmp_path / "s.json"), "--cloud", str(tmp_path / "c.xyz"),
+                "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert "non-finite squared diagonal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"

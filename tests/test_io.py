@@ -1,5 +1,7 @@
 """Tests for cloud files, surface persistence, and run configurations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ from wqisa.io import (
     read_cloud,
     save_surface,
     write_cloud,
+    write_report,
     write_surface_grid,
 )
 from wqisa.pipeline import FitConfig
-from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
+from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
 from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
 from oracles import random_cloud
@@ -203,14 +206,8 @@ class TestWrittenText:
         assert path.read_text() == "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in cloud)
 
     def test_surface_grid_rows(self, tmp_path):
-        # degree 1, so the lattice corners reproduce the coefficients exactly
-        space = TensorSplineSpace(
-            KnotVector(1, [0.1, 0.1, 1.0 / 3.0, 1.0 / 3.0]),
-            KnotVector(1, [-0.0, -0.0, 1e22, 1e22]),
-        )
-        surface = WqisaSurface(space, np.array([[0.1, 5e-324], [1e22, -0.0]]))
         path = tmp_path / "grid.csv"
-        write_surface_grid(surface, (3, 2), path)
+        write_surface_grid(tricky_surface(), (3, 2), path)
         assert path.read_text() == (
             "x,y,z\n"
             "0.10000000000000001,0,0.10000000000000001\n"
@@ -220,6 +217,51 @@ class TestWrittenText:
             "0.33333333333333331,0,1e+22\n"
             "0.33333333333333331,1e+22,-0\n"
         )
+
+
+    @pytest.mark.parametrize("resolution", [(2, 2), (3, 2), (7, 5), (3, 1100), (1100, 3)])
+    @pytest.mark.parametrize("make_surface", ["tricky", "negative"])
+    def test_surface_grid_is_the_lattice_cloud(self, tmp_path, resolution, make_surface):
+        # the grid formats each lattice x and y once; its bytes are those of
+        # the sampled lattice written as a cloud, also when y spans chunks
+        if make_surface == "tricky":
+            surface = tricky_surface()
+        else:
+            space = TensorSplineSpace(
+                KnotVector.uniform_open(2, 3, -7.25, -1.0 / 3.0),
+                KnotVector.uniform_open(3, 4, -1e-3, 2.0 / 7.0),
+            )
+            surface = WqisaSurface(space, np.random.default_rng(6).normal(size=space.shape))
+        write_surface_grid(surface, resolution, tmp_path / "grid.csv")
+        write_cloud(tmp_path / "lattice.csv", sample_lattice(surface, resolution), fmt="csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "lattice.csv").read_bytes()
+
+
+def tricky_surface() -> WqisaSurface:
+    """Degree 1, so the lattice corners reproduce the coefficients exactly:
+    -0.0, a subnormal and a large power of ten among coordinates and values."""
+    space = TensorSplineSpace(
+        KnotVector(1, [0.1, 0.1, 1.0 / 3.0, 1.0 / 3.0]),
+        KnotVector(1, [-0.0, -0.0, 1e22, 1e22]),
+    )
+    return WqisaSurface(space, np.array([[0.1, 5e-324], [1e22, -0.0]]))
+
+
+class TestWriteReport:
+    def test_sorted_and_indented(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report({"b": [1, 0.1], "a": {"d": None, "c": -0.0}}, path)
+        assert path.read_text() == (
+            '{\n  "a": {\n    "c": -0.0,\n    "d": null\n  },\n'
+            '  "b": [\n    1,\n    0.1\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_refused(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: report not written"):
+            write_report({"stats": {"mse": 0.5, "max_abs": np.float64(value)}}, path)
+        assert not path.exists()
 
 
 class TestSurfacePersistence:
@@ -305,6 +347,20 @@ class TestRunConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("seed = banana\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["epsilon = inf", "fence = nan", "sigma_grid = 0.1,-inf", "coincidence_tolerance = inf"],
+    )
+    def test_non_finite_value_rejected(self, line):
+        # every report carries its config, and a report holds no NaN or infinity
+        name = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            parse_config(line + "\n")
+
+    def test_non_finite_value_rejected_in_library_config(self):
+        with pytest.raises(ConfigError, match="^radius_grid must be finite"):
+            RunConfig(weight="indicator", radius_grid=(0.1, float("inf")))
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):

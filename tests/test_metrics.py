@@ -13,6 +13,7 @@ from wqisa.metrics import (
     surface_sample_points,
 )
 from wqisa.splines import KnotVector, OutOfDomainError, TensorSplineSpace, WqisaSurface
+from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import WeightSpec, fit_surface
 
 from oracles import brute_hausdorff, random_cloud
@@ -21,6 +22,62 @@ from oracles import brute_hausdorff, random_cloud
 def constant_surface(value: float, bbox=(0.0, 1.0, 0.0, 1.0)) -> WqisaSurface:
     space = TensorSplineSpace.single_element((2, 2), bbox)
     return WqisaSurface(space, np.full(space.shape, value))
+
+
+def hemisphere_and_samples(n: int, elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """A noisy hemisphere cloud with outliers, and the lattice samples of a
+    knn surface fitted to it on a fixed mesh."""
+    cloud = perturb(hemisphere_cloud(n, seed=1), noise_std=0.05, outlier_fraction=0.02, seed=2)
+    knots = KnotVector.uniform_open(2, elements)
+    surface = fit_surface(cloud, TensorSplineSpace(knots, knots), WeightSpec.knn(10))
+    return cloud, surface_sample_points(surface)
+
+
+def rings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two concentric rings at the same angles: radius 1 at height 0 and
+    radius 2 at height 1, so every point is about sqrt(2) from the other ring."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    inner = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+    return inner, inner * (2.0, 2.0, 1.0) + (0.0, 0.0, 1.0)
+
+
+def hausdorff_cases():
+    """Named ``(a, b)`` pairs: pruning at work, pruning defeated, degenerate cells."""
+    rng = np.random.default_rng(12)
+    cloud, samples = hemisphere_and_samples(3000, 4)
+    yield "hemisphere", cloud, samples
+    yield "lifted", cloud + (0.0, 0.0, 50.0), samples
+    yield "rings", *rings(1500)
+    distinct = rng.uniform(-1, 1, size=(40, 3))
+    yield "duplicates", distinct[rng.integers(0, 40, 2000)], distinct[rng.integers(0, 8, 900)]
+    line = np.column_stack([np.full(1200, 0.5), rng.uniform(0, 1, size=(1200, 2))])
+    yield "collinear-x", line, line[::3, [0, 2, 1]] + (0.0, 0.0, 0.25)
+    yield "collinear-y", line[:, [1, 0, 2]], rng.uniform(0, 1, size=(700, 3)) * (1.0, 0.0, 1.0)
+    point = np.array([[0.25, -1.5, 3.0]])
+    yield "singletons", point, point + (0.0, 0.0, 2.0)
+    yield "coincident", np.repeat(point, 900, axis=0), point
+    yield "one-point-each", np.repeat(point, 700, axis=0), np.repeat(point + 1.0, 800, axis=0)
+    tiny = np.column_stack([rng.uniform(0, 1e-310, size=(1600, 2)), rng.uniform(-1, 1, 1600)])
+    yield "xy-spread-1e-310", tiny[:1000], tiny[1000:]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Pairs compared in full by each directed distance, in call order."""
+    pairs = []
+    directed, pair_squared = metrics._directed, metrics._pair_squared
+
+    def counting_directed(a, b, *args):
+        pairs.append(0)
+        return directed(a, b, *args)
+
+    def counting_pair_squared(rows, *columns):
+        pairs[-1] += len(rows) * len(columns[0])
+        return pair_squared(rows, *columns)
+
+    monkeypatch.setattr(metrics, "_directed", counting_directed)
+    monkeypatch.setattr(metrics, "_pair_squared", counting_pair_squared)
+    return pairs
 
 
 class TestPunctualErrors:
@@ -168,6 +225,56 @@ class TestHausdorff:
         assert expected > 3.0
         assert hausdorff(a, b) == expected
         assert hausdorff(b, a) == expected
+
+    @pytest.mark.parametrize("case", list(hausdorff_cases()), ids=lambda case: case[0])
+    def test_pruned_matches_brute_force(self, case, scanned):
+        # exact where bounds prune, where they fail (rings, sets apart in xy)
+        # and where cells degenerate (a line, one point, an xy spread of
+        # 1e-310); the sizes span many scan batches
+        _, a, b = case
+        expected = brute_hausdorff(a, b)
+        assert hausdorff(a, b) == expected
+        assert hausdorff(b, a) == expected
+        # a -> b, b -> a, then the swapped call's two directions
+        assert len(scanned) == 4
+        assert max(scanned) <= a.shape[0] * b.shape[0]
+
+    @pytest.mark.parametrize(
+        "n, elements, xy_scale, share",
+        [(20_000, 8, 1.0, 0.01), (3000, 4, 1e-310, 0.05)],
+        ids=["20k", "3k-xy-1e-310"],
+    )
+    def test_hemisphere_against_its_samples_scans_little(
+        self, scanned, n, elements, xy_scale, share
+    ):
+        # the benchmark's shape, and the same cloud shrunk to a subnormal xy
+        # spread, where the cell side must not underflow
+        cloud, samples = (
+            points * (xy_scale, xy_scale, 1.0) for points in hemisphere_and_samples(n, elements)
+        )
+        assert samples.shape == ((4 * elements + 1) ** 2, 3)
+        assert hausdorff(cloud, samples) == brute_hausdorff(cloud, samples)
+        assert len(scanned) == 2
+        assert max(scanned) < share * cloud.shape[0] * samples.shape[0]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]], [[0.0, 0.0, 1.0]]),
+            # each set is one point; only the joint box overflows
+            ([[0.0, 0.0, -1e154]], [[0.0, 0.0, 1e154]]),
+            ([[0.0, -1e154, 0.0]], [[1e154, 1e154, 0.0]]),
+        ],
+    )
+    def test_non_finite_diagonal_rejected(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="non-finite squared diagonal"):
+                hausdorff(np.array(x), np.array(y))
+
+    def test_large_finite_diagonal_accepted(self):
+        # the squared diagonal, 1.69e308, is just below the largest double
+        a, b = np.array([[0.0, 0.0, -1e154]]), np.array([[0.0, 0.0, 3e153], [0.0, 0.0, 1e153]])
+        assert hausdorff(a, b) == brute_hausdorff(a, b) > 1.2e154
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
