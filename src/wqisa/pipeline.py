@@ -9,9 +9,9 @@ iterate fitted just before the error rose.  Everything is deterministic
 given the seed.
 
 On each mesh the grid entries share the work that does not depend on the
-weight parameter: one neighbour query per knot average, and the basis rows
-of the validation points, against which each entry's coefficients are
-scored.
+weight parameter: one neighbour query per knot average, in one planar index
+that serves every mesh of the fit, and the validation points' basis rows,
+against which each entry's coefficients are scored.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from .clouds import as_cloud, bounding_box, check_planar_extent, joint_bounding_box
 from .metrics import ElementErrorMap, ErrorStats, gmse as surface_gmse, lmse
 from .splines import TensorSplineSpace, WqisaSurface, insert_knot, knot_average_grid, tensor_rows
-from .weights import NeighbourTable, WeightSpec, ZeroWeightError, fit_surface
+from . import weights
+from .weights import KERNELS, NeighbourTable, WeightSpec, ZeroWeightError, fit_surface
 
 DEFAULT_FRACTIONS = (0.5, 0.25, 0.25)
 
@@ -166,11 +167,13 @@ def tune_parameters(
     validation,
     space: TensorSplineSpace,
     grid: Sequence[WeightSpec],
+    index: weights.PlanarIndex | None = None,
 ) -> TuneResult:
     """Exhaustive search of *grid*: fit on training, score GMSE on validation.
 
     One neighbour table per kind and one set of validation basis rows serve
-    every entry of the grid on this mesh.
+    every entry of the grid on this mesh; *index*, a ``PlanarIndex`` over
+    the training points, spares each table of an indexed kind its own.
 
     Ties keep the earliest grid entry, so an ascending grid prefers the
     smallest parameter.  Grid entries that cannot be fitted (zero-weight
@@ -186,7 +189,7 @@ def tune_parameters(
     centres = knot_average_grid(space)
     # one neighbor query per knot average serves every entry of a kind
     tables = {
-        kind: NeighbourTable(training, centres, [spec for spec in grid if spec.kind == kind])
+        kind: NeighbourTable(training, centres, [spec for spec in grid if spec.kind == kind], index)
         for kind in dict.fromkeys(spec.kind for spec in grid)
     }
     best: TuneResult | None = None
@@ -278,13 +281,15 @@ def fit_split(
     if epsilon is None:
         epsilon = 0.01 * float(np.var(data.training[:, 2]))
     space = TensorSplineSpace.single_element(config.degrees, domain)
+    # the training cloud never changes, so one index serves every mesh
+    index = weights.PlanarIndex(data.training) if KERNELS[config.weight_kind].indexed else None
     records: list[IterationRecord] = []
     best: TuneResult | None = None
     best_iteration = 0
     stop_reason = "max_iterations"
     for iteration in range(1, config.max_iterations + 1):
         try:
-            tuned = tune_parameters(data.training, data.validation, space, config.weight_grid)
+            tuned = tune_parameters(data.training, data.validation, space, config.weight_grid, index)
         except ZeroWeightError as exc:
             raise ZeroWeightError(f"iteration {iteration}: {exc}") from None
         records.append(

@@ -7,7 +7,7 @@ with weights centered at a parametric location ``(u, v)``:
 
 The window kinds are listed in ``KERNELS``: indicator (closed ball of radius
 ``r``), Gaussian (``exp(-d / (2 sigma^2))``, with a squared-distance variant
-behind a switch), k-nearest-neighbor (uniform ``1/k`` on the k closest planar
+behind a switch), k-nearest-neighbor (uniform weight on the k closest planar
 projections), inverse-distance, and inverse-distance truncated to the K
 closest points.  ``_window`` is the one definition of each kernel.  The
 kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
@@ -18,10 +18,11 @@ neighbor query per knot average, and that query serves every entry of a
 weight grid of one kind; ``pipeline.tune_parameters`` builds one table per
 mesh and hands it to ``fit_surface`` for each grid entry.  The table makes
 its rows in one place, a batch of at most ``TABLE_BUDGET`` candidates at a
-time, and keeps the first batch.  The kernels, the Tukey fences and the
-clamp act on all rows of a batch at once, but each quotient is still
-``dot(z, w) / sum(w)`` over one row in ascending id order, so a coefficient
-does not depend on the batch it was estimated in; ``estimate_control_point``
+time, and keeps the first batch.  The kernels, the Tukey fences, the sums
+and the clamp act on all rows of a batch at once.  Each quotient's
+numerator ``z * w`` and denominator ``w`` are summed by ``np.add.reduceat``
+over one row in ascending id order, so a coefficient depends neither on the
+batch it was estimated in nor on the machine's BLAS; ``estimate_control_point``
 is a batch of one.
 
 The estimate is a convex combination of the contributing heights, so it is
@@ -184,10 +185,11 @@ class NeighbourTable:
     IDW rows hold every point.  ``_rows`` makes the rows in batches of at
     most ``TABLE_BUDGET`` candidates, and the table keeps the first: when
     every row fits, that is every row, and otherwise each read of the table
-    makes the rows after it again.
+    makes the rows after it again.  An *index* over the cloud's planar
+    points, when given, serves the queries of an indexed kind.
     """
 
-    def __init__(self, cloud, centres, grid):
+    def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
         self.cloud = as_cloud(cloud)
         self.centres = np.array(centres, dtype=float).reshape(-1, 2)
         if not np.isfinite(self.centres).all():
@@ -198,7 +200,11 @@ class NeighbourTable:
         self.kind = kinds.pop()
         self.reach = self._reach_for(grid)
         if KERNELS[self.kind].indexed:
-            self._index = PlanarIndex(self.cloud[:, :2])
+            if index is None:
+                index = PlanarIndex(self.cloud[:, :2])
+            elif not np.array_equal(index.points, self.cloud[:, :2]):
+                raise ValueError("the planar index was built over other points than the cloud's")
+            self._index = index
         else:
             self._box = bounding_box(self.cloud)
         self._kept = next(self._rows(0))[1]
@@ -277,7 +283,7 @@ def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.n
         ids = np.take_along_axis(nearest, order, axis=1).ravel()
         starts = np.arange(count + 1) * size
         if spec.kind == "knn":
-            return ids, np.full(ids.size, 1.0 / size), starts
+            return ids, np.ones(ids.size), starts
         d2 = np.take_along_axis(d2.reshape(count, -1)[:, :size], order, axis=1).ravel()
     # the two inverse-distance kinds share the coincidence case split: a row
     # with coincident points gives them equal weight and the others none
@@ -329,8 +335,10 @@ class _EmptyWindow(Exception):
 def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
     """Clamped weighted mean at every centre of *table*, in row order.
 
-    Each quotient is ``dot(z, w) / sum(w)`` over one row, in ascending id
-    order, so it does not depend on how many rows share a batch.
+    Each quotient is ``add.reduceat(z * w) / add.reduceat(w)`` over one
+    row in ascending id order, so it does not depend on how many rows share
+    a batch.  The first row without positive weight raises, after the
+    fallback warnings of the filter's rejected rows before it.
     """
     cloud = table.cloud
     if spec.kind == "knn" and spec.k > cloud.shape[0]:
@@ -343,26 +351,28 @@ def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
         if spec.outlier_filter:
             keep, rejected = _tukey_fences(z, starts, spec.fence)
             z, w, starts = _subset(keep, starts, z, w)
-        bounds = starts.tolist()
-        for r, fell_back in enumerate(rejected.tolist()):
-            s, e = bounds[r], bounds[r + 1]
-            if s == e:
-                raise _EmptyWindow(first + r, "no point has positive weight", table.centres)
-            if fell_back:
-                warnings.warn(
-                    "outlier filter rejected every contributing point; "
-                    "falling back to the unfiltered estimate",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            total = float(w[s:e].sum())
-            if not total > 0.0:
-                raise _EmptyWindow(first + r, "total weight underflowed to zero", table.centres)
-            out[first + r] = float(np.dot(z[s:e], w[s:e])) / total
-        batch = out[first : first + starts.size - 1]
-        lo = np.minimum.reduceat(z, starts[:-1])
-        hi = np.maximum.reduceat(z, starts[:-1])
-        batch[:] = np.minimum(np.maximum(batch, lo), hi)
+        heads, full = starts[:-1], starts[:-1] < starts[1:]
+        # an empty row has no sum; the full rows' heads delimit exactly them
+        total = np.zeros(heads.size)
+        total[full] = np.add.reduceat(w, heads[full])
+        bad = np.flatnonzero(~(total > 0.0))
+        stop = bad[0] if bad.size else heads.size
+        for _ in range(np.count_nonzero(rejected[: stop + 1])):
+            warnings.warn(
+                "outlier filter rejected every contributing point; "
+                "falling back to the unfiltered estimate",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        if bad.size:
+            raise _EmptyWindow(
+                first + stop,
+                "total weight underflowed to zero" if full[stop] else "no point has positive weight",
+                table.centres,
+            )
+        lo, hi = np.minimum.reduceat(z, heads), np.maximum.reduceat(z, heads)
+        quotient = np.add.reduceat(z * w, heads) / total
+        out[first : first + heads.size] = np.minimum(np.maximum(quotient, lo), hi)
     return out
 
 

@@ -56,7 +56,7 @@ def brute_estimate(cloud: np.ndarray, u: float, v: float, spec) -> float:
             raise ValueError("k exceeds cloud size")
         sel = brute_knn_ids(cloud, u, v, spec.k)
         w = np.zeros(n)
-        w[sel] = 1.0 / spec.k
+        w[sel] = 1.0
     elif spec.kind in ("idw", "idw_truncated"):
         tol = spec.coincidence_tol
         if tol is None:
@@ -87,7 +87,7 @@ def brute_estimate(cloud: np.ndarray, u: float, v: float, spec) -> float:
         if keep.any():
             zs = zs[keep]
             ws = ws[keep]
-    value = float(np.dot(zs, ws)) / float(np.sum(ws))
+    value = float(np.add.reduceat(zs * ws, [0])[0] / np.add.reduceat(ws, [0])[0])
     return float(min(max(value, zs.min()), zs.max()))
 
 

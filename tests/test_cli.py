@@ -341,3 +341,66 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "c.json").is_file()
+
+
+# fixed-seed fits whose rows are long enough for a BLAS dot product to
+# reorder their sums: knn, knn with the outlier filter, and inverse
+# distance truncated to 40 points
+KERNEL_PROBE = """
+import sys
+from wqisa.cli import cli_main
+
+for name, config in (
+    ("knn", "k_grid = 1,2,3,4,5,6,7,8,9,10\\n"),
+    ("knn-filtered", "k_grid = 1,2,3,4,5,6,7,8,9,10\\noutlier_filter = true\\n"),
+    ("idw-truncated", "weight = idw_truncated\\ntruncation = 40\\n"),
+):
+    open(name + ".cfg", "w").write(config + "max_iterations = 5\\n")
+    argv = ["fit", "--cloud", sys.argv[1], "--config", name + ".cfg",
+            "--surface-out", name + "-surface.json", "--report-out", name + "-report.json"]
+    assert cli_main(argv) == 0, name
+"""
+
+
+def _dynamic_openblas_on_avx2() -> bool:
+    """Whether numpy links an OpenBLAS that picks its kernel at load time,
+    on a CPU that runs both the Haswell and the Prescott kernel."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except (TypeError, KeyError, OSError):  # numpy < 1.26, no BLAS entry, no cpuinfo
+        return False
+    return (
+        "openblas" in str(blas.get("name", "")).lower()
+        and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+        and "avx2" in flags
+    )
+
+
+@pytest.mark.skipif(
+    not _dynamic_openblas_on_avx2(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU"
+)
+def test_fits_are_byte_identical_under_two_blas_kernels(tmp_path):
+    # forcing OpenBLAS's kernel in each child's environment stands in for
+    # two machines; nothing in this process changes
+    cloud = tmp_path / "cloud.xyz"
+    synth = "synth --n 2000 --seed 7 --noise-std 0.05 --outlier-fraction 0.02 --out"
+    assert cli_main([*synth.split(), str(cloud)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for core in ("Haswell", "Prescott"):
+        work = tmp_path / core
+        work.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE, str(cloud)],
+            cwd=work,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[core] = {p.name: p.read_bytes() for p in sorted(work.glob("*.json"))}
+    assert len(outputs["Haswell"]) == 6
+    assert outputs["Haswell"] == outputs["Prescott"]

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wqisa import weights
 from wqisa.clouds import bounding_box
 from wqisa.mba import fit_mba
 from wqisa.metrics import ElementErrorMap, gmse, lmse
@@ -368,6 +369,32 @@ class TestFit:
             path = [(rec.mesh_elements, rec.parameter) for rec in base.iterations]
             assert [(rec.mesh_elements, rec.parameter) for rec in small.iterations] == path
             assert small.stop_reason == base.stop_reason
+
+
+class TestOneIndexPerFit:
+    """The training cloud never changes, so every mesh of a fit queries one
+    index of it, and a kind that scans the whole cloud builds none."""
+
+    @pytest.mark.parametrize(
+        "grid, builds",
+        [
+            (knn_parameter_grid(4), 1),
+            ((WeightSpec.indicator(0.3), WeightSpec.indicator(0.6)), 1),
+            ((WeightSpec.truncated_idw(6), WeightSpec.truncated_idw(12)), 1),
+            ((WeightSpec.gaussian(0.1), WeightSpec.gaussian(0.3)), 0),
+            ((WeightSpec.idw(),), 0),
+        ],
+        ids=["knn", "indicator", "idw_truncated", "gaussian", "idw"],
+    )
+    def test_index_builds(self, monkeypatch, grid, builds):
+        built = []
+        index = weights.PlanarIndex
+        monkeypatch.setattr(weights, "PlanarIndex", lambda *args: built.append(0) or index(*args))
+        cloud = perturb(hemisphere_cloud(400, seed=23), noise_std=0.02, seed=24)
+        config = FitConfig(weight_grid=grid, epsilon=0.0, max_iterations=4, seed=25)
+        _, report = fit(cloud, config)
+        assert len(report.iterations) == 4
+        assert len(built) == builds
 
 
 class TestCrossValidate:

@@ -1,6 +1,7 @@
 """Tests for weight functions and the control-point estimator."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -144,7 +145,7 @@ class TestWeightFunctions:
         assert estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(2)) == 0.5
 
     def test_knn_weights_sum_to_one(self):
-        # uniform 1/k weights: the estimate is the plain mean of the k nearest
+        # equal weights, 1/k once normalised: the estimate is the plain mean of the k nearest
         rng = np.random.default_rng(3)
         cloud = random_cloud(rng, 40)
         for k in (1, 5, 17, 40):
@@ -479,3 +480,66 @@ class TestSharedNeighbourTable:
         with pytest.raises(ValueError, match="one weight kind"):
             NeighbourTable(cloud, knot_average_grid(space), [WeightSpec.knn(3), WeightSpec.idw()])
 
+    def test_a_given_index_must_index_the_cloud(self):
+        cloud = random_cloud(np.random.default_rng(17), 100)
+        space = _mesh(cloud, 2, 2)
+        centres = knot_average_grid(space)
+        grid = [WeightSpec.knn(3), WeightSpec.knn(5)]
+        own = fit_surface(cloud, space, grid[1]).coefficients
+        # an index sees only x and y, so other heights share it
+        for points in (cloud, cloud * [1.0, 1.0, -2.0]):
+            table = NeighbourTable(cloud, centres, grid, PlanarIndex(points))
+            assert np.array_equal(fit_surface(cloud, space, grid[1], table).coefficients, own)
+        for points in (cloud[::-1], cloud[:-1], cloud + [1e-9, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="planar index was built over other points"):
+                NeighbourTable(cloud, centres, grid, PlanarIndex(points))
+
+
+class TestSummationAccuracy:
+    """Each estimate against exact arithmetic, not against the oracle (which
+    sums in the library's order).  Pairwise summation keeps the error of a
+    sum of n terms within a multiple of log2(n) roundings (Higham, SIAM J.
+    Sci. Comput. 1993), so the quotient must lie within
+    ``8 ceil(log2 n) eps sum|z w| / sum w`` of ``fsum(z w) / fsum(w)``."""
+
+    SIZES = (1, 2, 3, 8, 9, 100, 129, 1000, 5000)
+
+    @staticmethod
+    def _heights(rng, n):
+        # mixed signs over six decades, plus pairs of large opposite heights
+        z = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        pairs = n // 2
+        z[: 2 * pairs] += np.repeat(10.0 ** rng.uniform(6, 9, pairs), 2) * np.tile([1.0, -1.0], pairs)
+        rng.shuffle(z)
+        return z
+
+    @pytest.mark.parametrize("outlier_filter", [False, True])
+    @pytest.mark.parametrize("kind", weights.WEIGHT_KINDS)
+    def test_estimate_is_within_the_pairwise_bound(self, kind, outlier_filter):
+        rng = np.random.default_rng(18)
+        for n in self.SIZES:
+            xy = rng.uniform(0.0, 1.0, size=(n, 2))
+            cloud = np.column_stack([xy, self._heights(rng, n)])
+            u, v = rng.uniform(0.3, 0.7, size=2)
+            # every window holds all n points
+            spec = {
+                "indicator": WeightSpec.indicator(2.0),
+                "gaussian": WeightSpec.gaussian(0.5),
+                "knn": WeightSpec.knn(n),
+                "idw": WeightSpec.idw(),
+                "idw_truncated": WeightSpec.truncated_idw(n),
+            }[kind]
+            spec = dataclasses.replace(spec, outlier_filter=outlier_filter)
+            d = np.sqrt((cloud[:, 0] - u) ** 2 + (cloud[:, 1] - v) ** 2)
+            w = {"indicator": np.ones(n), "knn": np.ones(n), "gaussian": np.exp(-d / 0.5)}.get(kind, 1.0 / d)
+            z = cloud[:, 2]
+            if outlier_filter and n > 1:
+                q1, q3 = np.percentile(z, (25.0, 75.0))
+                inside = (z >= q1 - 1.5 * (q3 - q1)) & (z <= q3 + 1.5 * (q3 - q1))
+                z, w = z[inside], w[inside]
+            zw = (z * w).tolist()
+            den = math.fsum(w.tolist())
+            exact = min(max(math.fsum(zw) / den, z.min()), z.max())
+            bound = 8 * math.ceil(math.log2(z.size)) * np.finfo(float).eps * math.fsum(map(abs, zw)) / den
+            got = estimate_control_point(cloud, u, v, spec)
+            assert abs(got - exact) <= bound, (n, got, exact, bound)
