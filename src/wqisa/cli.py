@@ -45,17 +45,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fractions(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated fractions")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    try:
+        train, validation, test = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected three comma-separated fractions") from None
+    return train, validation, test
 
 
 def _resolution(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected RESxRES, e.g. 50x40")
-    return int(parts[0]), int(parts[1])
+    try:
+        rx, ry = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected RESxRES, e.g. 50x40") from None
+    return rx, ry
 
 
 def _build_parser() -> _Parser:

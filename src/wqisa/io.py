@@ -2,10 +2,11 @@
 
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
 CSV with a header row and a configurable column mapping; the extension picks
-the format unless one is given.  Both are read as a stream of field records
-in blocks of ``_ROWS_PER_BLOCK``: one ``map(float, ...)`` parses a block, and
-only a block that fails is walked record by record, to skip blank records or
-to name the line of the first bad one.  Both are written by one row template;
+the format unless one is given.  Cloud and config files are UTF-8, with or
+without a byte-order mark.  A cloud is read by one ``np.loadtxt`` call; a
+file it refuses is walked record by record, which skips blank records and
+names the line of the first bad one.  The walk defines a valid cloud: numpy's
+reader accepts no file the walk refuses.  Both are written by one row template;
 a sampled surface grid, ``x,y,z`` CSV, formats each lattice x and y once.
 Surfaces and reports are JSON, reports without NaN or infinity.  Run configs
 are ``key = value`` lines with finite floats and round-trip losslessly.  All
@@ -40,8 +41,7 @@ class ConfigError(ValueError):
 
 # the one float format: 17 significant digits reproduce every binary value
 _FLOAT = "%.17g"
-# rows parsed or formatted per block: a large cloud is never one string, and
-# a block of field lists (about 350 bytes a row) stays small
+# rows formatted per block: a large cloud or grid is never written as one string
 _ROWS_PER_BLOCK = 512
 
 
@@ -63,18 +63,25 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
 
     *fmt* is ``"xyz"`` or ``"csv"``; by default it is inferred from the file
     extension (``.csv`` means CSV, anything else means XYZ ascii).  For CSV,
-    *columns* names the header columns holding x, y and z.
+    *columns* names the header columns holding x, y and z.  The file is
+    UTF-8, with or without a byte-order mark.
     """
     path = Path(path)
     fmt = _cloud_format(path, fmt)
     if len(columns) != 3:
         raise ValueError(f"columns must name the x, y and z columns, got {columns!r}")
-    lines = path.read_text().splitlines()
-    # records are field lists, the first on line `first`, read in blocks;
-    # a field count outside [low, high] is width_error
+    text = path.read_text(encoding="utf-8-sig")
+    # numpy's reader strips the unit separator U+001F from a field's ends,
+    # where float() refuses it, so a file that holds one is walked
+    numpy_agrees = "\x1f" not in text
+    lines = text.splitlines()
+    del text  # so that only the lines are held while they are parsed
+    # records are field lists, the first on line `first`; a field count
+    # outside [low, high] is width_error
     if fmt == "xyz":
         records = map(str.split, lines)
         first, idx, low, high, width_error = 1, [0, 1, 2], 3, 3, "expected 3 values, got {}"
+        options = {}
     else:
         records = csv.reader(lines)
         try:
@@ -87,51 +94,41 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
             raise CloudParseError(
                 f"{path}: header {header!r} is missing one of the columns {columns!r}"
             ) from None
-        first, low, high, width_error = 2, max(idx) + 1, inf, "too few fields"
+        first, low, high, width_error = records.line_num + 1, max(idx) + 1, inf, "too few fields"
+        options = {"delimiter": ",", "quotechar": '"', "usecols": idx}
+    # numpy's reader takes the rows of a well-formed file; it warns on a file
+    # without data rows, which is left to the walk below
+    data = lines[first - 1 :]
+    if numpy_agrees and any(map(str.strip, data)):
+        try:
+            cloud = np.loadtxt(data, ndmin=2, comments=None, **options)
+        except ValueError:
+            pass
+        else:
+            if cloud.shape[1] == 3 and np.isfinite(cloud).all():
+                return cloud
+    # the walk skips blank records and names the first bad one
     pick = itemgetter(*idx)
-    blocks = []
-    for block in iter(lambda: list(islice(records, _ROWS_PER_BLOCK)), []):
-        rows = _parse_block(block, pick, low, high)
-        if rows is None:
-            # walk the block: skip blank records, name the first bad one
-            rows = []
-            for line_no, fields_ in enumerate(block, start=first):
-                if not "".join(fields_).strip():
-                    continue
-                if not low <= len(fields_) <= high:
-                    message = width_error.format(len(fields_))
-                    raise CloudParseError(f"{path}: line {line_no}: {message}")
-                picked = list(pick(fields_))
-                try:
-                    x, y, z = map(float, picked)
-                except ValueError:
-                    raise CloudParseError(
-                        f"{path}: line {line_no}: cannot parse {picked!r} as numbers"
-                    ) from None
-                if not (isfinite(x) and isfinite(y) and isfinite(z)):
-                    raise CloudParseError(f"{path}: line {line_no}: non-finite value")
-                rows.append((x, y, z))
-        blocks.append(np.asarray(rows, dtype=float).reshape(-1, 3))
-        first += len(block)
-        del block  # so that it is freed before the next one is read
-    if not sum(map(len, blocks)):
+    rows = []
+    for line_no, fields_ in enumerate(records, start=first):
+        if not "".join(fields_).strip():
+            continue
+        if not low <= len(fields_) <= high:
+            message = width_error.format(len(fields_))
+            raise CloudParseError(f"{path}: line {line_no}: {message}")
+        picked = list(pick(fields_))
+        try:
+            x, y, z = map(float, picked)
+        except ValueError:
+            raise CloudParseError(
+                f"{path}: line {line_no}: cannot parse {picked!r} as numbers"
+            ) from None
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            raise CloudParseError(f"{path}: line {line_no}: non-finite value")
+        rows.append((x, y, z))
+    if not rows:
         raise CloudParseError(f"{path}: no data rows")
-    return np.concatenate(blocks)
-
-
-def _parse_block(block: list, pick, low: int, high: float) -> np.ndarray | None:
-    """The ``(n, 3)`` rows of *block*, parsed by one ``map(float, ...)``, or
-    None when a record is blank, has the wrong width, or holds a field that
-    is no finite number."""
-    widths = set(map(len, block))
-    if not (low <= min(widths) and max(widths) <= high):
-        return None
-    try:
-        values = np.fromiter(map(float, chain.from_iterable(map(pick, block))), float)
-    except ValueError:
-        return None
-    # a field that parses is not blank, so a finite block has no blank record
-    return values.reshape(-1, 3) if np.isfinite(values).all() else None
+    return np.array(rows, dtype=float)
 
 
 def write_cloud(path, cloud, fmt: str | None = None) -> None:
@@ -342,7 +339,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def read_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_config(config: RunConfig, path) -> None:

@@ -7,6 +7,9 @@ span-based evaluation paths.
 
 from __future__ import annotations
 
+import csv
+from math import isfinite
+
 import numpy as np
 
 
@@ -89,6 +92,48 @@ def brute_estimate(cloud: np.ndarray, u: float, v: float, spec) -> float:
             ws = ws[keep]
     value = float(np.add.reduceat(zs * ws, [0])[0] / np.add.reduceat(ws, [0])[0])
     return float(min(max(value, zs.min()), zs.max()))
+
+
+def reference_cloud_rows(text: str, fmt: str, columns=("x", "y", "z")) -> list[list[float]]:
+    """The rows of a cloud file's *text*, walked one record at a time.
+
+    The documented rules: XYZ records are whitespace-split lines, CSV records
+    follow a header row naming *columns*; a blank record is skipped but
+    counted; every other record holds the three picked fields, each a finite
+    ``float``.  A refusal raises ``ValueError`` with the message that follows
+    the path in ``read_cloud``'s ``CloudParseError``.
+    """
+    lines = text.splitlines()
+    if fmt == "xyz":
+        records, idx, first = (line.split() for line in lines), [0, 1, 2], 1
+    else:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file")
+        header = [h.strip() for h in header]
+        if not all(c in header for c in columns):
+            raise ValueError(f"header {header!r} is missing one of the columns {columns!r}")
+        records, idx, first = reader, [header.index(c) for c in columns], reader.line_num + 1
+    rows = []
+    for line_no, record in enumerate(records, start=first):
+        if all(not f.strip() for f in record):
+            continue
+        if fmt == "xyz" and len(record) != 3:
+            raise ValueError(f"line {line_no}: expected 3 values, got {len(record)}")
+        if fmt == "csv" and len(record) <= max(idx):
+            raise ValueError(f"line {line_no}: too few fields")
+        picked = [record[i] for i in idx]
+        try:
+            row = [float(f) for f in picked]
+        except ValueError:
+            raise ValueError(f"line {line_no}: cannot parse {picked!r} as numbers") from None
+        if not all(isfinite(v) for v in row):
+            raise ValueError(f"line {line_no}: non-finite value")
+        rows.append(row)
+    if not rows:
+        raise ValueError("no data rows")
+    return rows
 
 
 def brute_directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -45,6 +45,19 @@ class TestSplitCommand:
         ]
         assert sizes == [150, 75, 75]
 
+    def test_fractions_option(self, tmp_path):
+        cloud = tmp_path / "cloud.xyz"
+        write_cloud(cloud, hemisphere_cloud(2000, seed=4))
+        prefix = tmp_path / "parts"
+        argv = ["split", "--cloud", str(cloud), "--out-prefix", str(prefix),
+                "--fractions", "0.6,0.2,0.2"]
+        assert cli_main(argv) == 0
+        sizes = [
+            read_cloud(f"{prefix}_{name}.xyz").shape[0]
+            for name in ("train", "validation", "test")
+        ]
+        assert sizes == [1200, 400, 400]
+
 
 class TestFitCommand:
     def test_fit_produces_surface_and_report(self, tmp_path, cloud_file, config_file):
@@ -195,6 +208,31 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         assert cli_main(["frobnicate"]) == 1
         assert cli_main(["fit", "--cloud", "x.xyz"]) == 1
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--fractions", "a,b,c"),
+            ("--fractions", "0.5,0.5"),
+            ("--fractions", "0.5,0.3,0.1,0.1"),
+            ("--resolution", "axb"),
+            ("--resolution", "50"),
+            ("--resolution", "5x5x5"),
+        ],
+    )
+    def test_malformed_option_value_is_one(self, capsys, option, value):
+        argv, hint = {
+            "--fractions": (
+                ["split", "--cloud", "c.xyz", "--out-prefix", "p"],
+                "expected three comma-separated fractions",
+            ),
+            "--resolution": (
+                ["sample", "--surface", "s.json", "--out", "g.csv"],
+                "expected RESxRES, e.g. 50x40",
+            ),
+        }[option]
+        assert cli_main([*argv, option, value]) == 1
+        assert f"error: argument {option}: {hint}\n" in capsys.readouterr().err
 
     def test_data_error_is_two(self, tmp_path, capsys):
         # a missing file, and a directory where a file is read or written

@@ -1,9 +1,12 @@
 """Tests for cloud files, surface persistence, and run configurations."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wqisa.io import (
     _ROWS_PER_BLOCK,
@@ -14,6 +17,7 @@ from wqisa.io import (
     load_surface,
     parse_config,
     read_cloud,
+    read_config,
     save_surface,
     write_cloud,
     write_report,
@@ -23,7 +27,7 @@ from wqisa.pipeline import FitConfig
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
 from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
-from oracles import random_cloud
+from oracles import random_cloud, reference_cloud_rows
 
 
 FORMATS = ["xyz", "csv"]
@@ -94,6 +98,15 @@ class TestReadCloud:
         # blank records are skipped but still counted
         assert_rejected(tmp_path / name, text, message)
 
+    @pytest.mark.parametrize(
+        "name, text", [("c.xyz", "0 0 1\n1 0 3\n"), ("c.csv", "x,y,z\n0,0,1\n1,0,3\n")], ids=FORMATS
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, name, text):
+        # Excel and Notepad start a UTF-8 file with one
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        np.testing.assert_array_equal(read_cloud(path), [[0, 0, 1], [1, 0, 3]])
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "c.xyz"
         path.write_text("")
@@ -123,8 +136,9 @@ class TestReadCloud:
 
 
 class TestBlockParse:
-    """``read_cloud`` parses blocks of ``_ROWS_PER_BLOCK`` records at once and
-    walks a block record by record only when it fails."""
+    """``read_cloud`` parses a whole file with numpy's reader and walks it
+    record by record only when that fails; the clouds here are longer than
+    one ``_ROWS_PER_BLOCK`` write block."""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_roundtrip_is_bit_exact(self, tmp_path, fmt):
@@ -182,6 +196,61 @@ class TestBlockParse:
         path.write_text("x,y,z,w\n1,2,3,4\n")
         with pytest.raises(ValueError, match="x, y and z"):
             read_cloud(path, columns=("x", "y", "z", "w"))
+
+
+# what Python's float() and numpy's reader could disagree on: underscores,
+# non-ASCII digits, quotes, blanks, tabs and the unit separator U+001F beside
+# digits, signs and exponents
+_PIECES = st.sampled_from(
+    [*"0123456789+-.eE_\" \t\x1f", "nan", "inf", "\u0661", "\u0969", "\uff11"]
+)
+_NUMBERS = st.builds(
+    lambda value, spec: spec % value, st.floats(), st.sampled_from(["%r", "%.17g", "%.5e", "%.3f"])
+)
+_FIELDS = st.one_of(_NUMBERS, st.lists(_PIECES, max_size=5).map("".join))
+# three numbers make files that are accepted; any 0-5 fields, ones that are not
+_RECORDS = st.one_of(st.lists(_NUMBERS, min_size=3, max_size=3), st.lists(_FIELDS, max_size=5))
+
+
+@settings(
+    derandomize=True,
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    fmt=st.sampled_from(FORMATS),
+    header=st.sampled_from(["x,y,z", "z,x,y", "w,y,x,z", "x,y", "x, y ,z,"]),
+    records=st.lists(_RECORDS, max_size=6),
+    end=st.sampled_from(["", "\n"]),
+)
+# numpy strips U+001F from a field's ends, float() does not
+@example(fmt="csv", header="x,y,z", records=[["0", "0", "1\x1f"]], end="\n")
+@example(fmt="csv", header="x,y,z", records=[["0", "\x1f0", "1"]], end="")
+# a quoted header field spans two lines, and the data start after both
+@example(fmt="csv", header='x,y,z,"\n0,0,0,"', records=[], end="")
+def test_reader_agrees_with_the_reference_walk(tmp_path, fmt, header, records, end):
+    """``read_cloud`` accepts exactly the files the one-record-at-a-time
+    reference accepts, with the same bits, and refuses the others with the
+    same message."""
+    lines = [(" " if fmt == "xyz" else ",").join(record) for record in records]
+    if fmt == "csv":
+        lines.insert(0, header)
+    text = "\n".join(lines) + end
+    path = tmp_path / f"c.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no reader warning reaches the user
+        try:
+            expected = reference_cloud_rows(text, fmt)
+        except ValueError as exc:
+            with pytest.raises(CloudParseError) as refused:
+                read_cloud(path)
+            assert str(refused.value) == f"{path}: {exc}"
+        else:
+            got = read_cloud(path)
+            assert got.shape == (len(expected), 3)
+            assert got.tobytes() == np.array(expected).tobytes()
 
 
 # 17 significant digits, the exponent and sign rules of %.17g, and -0 kept
@@ -335,6 +404,11 @@ class TestRunConfig:
         config = parse_config(text)
         assert config.seed == 9
         assert config.weight == "idw"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfweight = idw\n")
+        assert read_config(path) == RunConfig(weight="idw")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
