@@ -3,14 +3,21 @@
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
 CSV with a header row and a configurable column mapping; the extension picks
 the format unless one is given.  Cloud and config files are UTF-8, with or
-without a byte-order mark.  A cloud is read by one ``np.loadtxt`` call; a
-file it refuses is walked record by record, which skips blank records and
-names the line of the first bad one.  The walk defines a valid cloud: numpy's
-reader accepts no file the walk refuses.  Both are written by one row template;
-a sampled surface grid, ``x,y,z`` CSV, formats each lattice x and y once.
-Surfaces and reports are JSON, reports without NaN or infinity.  Run configs
-are ``key = value`` lines with finite floats and round-trip losslessly.  All
-floats are written as ``%.17g``: 17 significant digits reproduce them exactly.
+without a byte-order mark; a byte that is not UTF-8 is refused with its
+line.  A cloud is read by one ``np.loadtxt`` call; a file it refuses is
+walked record by record, which skips blank records and names the line the
+first bad one starts on.  The walk defines a valid cloud: numpy's reader
+accepts no file the walk refuses.
+
+Clouds and sampled surface grids (``x,y,z`` CSV) are written by one row
+writer, in blocks of ``_ROWS_PER_BLOCK`` rows.  Each value is written as the
+bytes of ``'%.17g' % v``, whose 17 significant digits reproduce it exactly.
+numpy formats every value with ``1e-4 <= |v| < 1e16``; Python's ``%``
+formats the others (zeros, subnormals, smaller and larger magnitudes), in
+one call per block.  A grid formats each lattice x and y once, and takes its
+z values from basis rows built once per lattice axis.  Surfaces and reports
+are JSON, reports without NaN or infinity.  Run configs are ``key = value``
+lines with finite floats, written as ``%.17g``, and round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, islice, repeat
 from math import inf, isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -27,7 +33,7 @@ import numpy as np
 
 from .clouds import as_cloud
 from .pipeline import DEFAULT_FRACTIONS, FitConfig
-from .splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
+from .splines import KnotVector, TensorSplineSpace, WqisaSurface
 from .weights import KERNELS, WEIGHT_KINDS, WeightSpec
 
 
@@ -41,12 +47,156 @@ class ConfigError(ValueError):
 
 # the one float format: 17 significant digits reproduce every binary value
 _FLOAT = "%.17g"
-# rows formatted per block: a large cloud or grid is never written as one string
-_ROWS_PER_BLOCK = 512
+# rows formatted per block: a large cloud or grid is never held as one string
+_ROWS_PER_BLOCK = 8192
+# bytes per formatted field: the longest %.17g text is "-4.9406564584124654e-324"
+_WIDTH = 24
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT % value
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Halves of at most 26 significant bits that sum to *a* exactly."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+# 10**k for k = 0..22, each an exact double, and its Veltkamp halves
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH, _POW10_LOW = _veltkamp(_POW10)
+# the decimal exponents %.17g writes positionally for 1e-4 <= |v| < 1e16
+_EXPONENTS = range(-4, 16)
+# 0..9999 as four ASCII digits in one word, the first in the low byte, and
+# the trailing zeros of each (the powers 10**j, j = 1..4, that divide it)
+_QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_QUADS = _QUADS.view("<u4").ravel().astype(np.uint32)
+_TRAILING = sum(np.arange(10000) % 10**j == 0 for j in range(1, 5)).astype(np.int8)
+# the byte of the digit words that holds the first of the 17 digits
+_FIRST = 7
+
+
+def _field(chars: dict[int, str]) -> bytes:
+    """A ``_WIDTH``-byte field holding *chars*, a position -> char mapping,
+    and NUL elsewhere."""
+    field = bytearray(_WIDTH)
+    for at, char in chars.items():
+        field[at] = ord(char)
+    return bytes(field)
+
+
+def _layout(e: int, negative: bool, kept: int) -> tuple[int, bytes, bytes, bytes]:
+    """How ``%.17g`` lays out 17 digits with decimal exponent *e* when the
+    digits through the *kept*-th are kept: the byte the first digit goes
+    to, the constant chars, and which bytes to keep (0xff) of the digits so
+    placed and of the digits one byte further up."""
+    s = int(negative)
+    chars = {0: "-"} if negative else {}
+    if e < 0:  # '0.', -e - 1 zeros, the digits
+        at = s + 1 - e
+        chars.update({j: "0" for j in range(s, at)})
+        chars[s + 1] = "."
+        there, further = range(at, at + kept), ()
+    else:  # the first e + 1 digits, and a '.' only before a kept fraction digit
+        at, dot = s, s + e + 1
+        if kept > e + 1:
+            chars[dot] = "."
+        there, further = range(at, dot), range(dot + 1, at + 1 + kept)
+    keep = [_field(dict.fromkeys(span, "\xff")) for span in (there, further)]
+    return at, _field(chars), *keep
+
+
+def _words(fields) -> np.ndarray:
+    """``_WIDTH``-byte *fields* as three little-endian words each, word-major."""
+    return np.ascontiguousarray(np.frombuffer(b"".join(fields), "<u8").reshape(-1, 3).T, np.uint64)
+
+
+def _layout_tables():
+    """Per plan ``18 * (2 * (e + 4) + negative) + kept``: the shift that
+    moves the first digit from byte ``_FIRST`` to its byte, and the words of
+    the constant chars and of the two keep masks.  The word tables are
+    word-major, so a lookup gives one contiguous row per word."""
+    plans = [
+        _layout(e, negative, kept)
+        for e in _EXPONENTS
+        for negative in (False, True)
+        for kept in range(18)
+    ]
+    shifts = np.array([8 * (_FIRST - at) for at, _, _, _ in plans], np.uint64)
+    columns = list(zip(*plans))
+    return shifts, _words(columns[1]), np.array([_words(columns[2]), _words(columns[3])])
+
+
+_SHIFTS, _CONSTANTS, _MASKS = _layout_tables()
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each float64 in *values*, as ``_WIDTH`` ASCII
+    codes a value, NUL after the text.
+
+    A value with ``1e-4 <= |v| < 1e16`` is rounded in numpy.  For
+    ``e = floor(log10 |v|)``, Dekker's exact product gives
+    ``|v| * 10**(16 - e)`` as ``p + err``, and its 17 digits are
+    ``p + rint(err)``: ``p`` lies above 2**53, so it is an even integer, and
+    rounding ``err`` half to even rounds ``p + err`` half to even, as
+    ``%.17g`` does.  A value is taken only if ``p + err`` lies in
+    ``[1e16, 1e17)`` and its digits stay below ``1e17``.  Every other value,
+    one whose ``log10`` came out wrong included, is formatted by ``%``.
+    """
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-4) & (magnitude < 1e16)
+    a = np.where(fast, magnitude, 1.0)
+    e = np.clip(np.floor(np.log10(a)), _EXPONENTS[0], _EXPONENTS[-1]).astype(np.intp)
+    k = 16 - e
+    p = a * np.take(_POW10, k)
+    (a_high, a_low), s_high, s_low = _veltkamp(a), np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
+    err = ((a_high * s_high - p) + a_high * s_low + a_low * s_high) + a_low * s_low
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= (p > 1e16) | ((p == 1e16) & (err >= 0))
+    fast &= ((p < 1e17) | ((p == 1e17) & (err < 0))) & (digits < 10**17)
+    digits[~fast] = 10**16
+    # the 17 digits: a lead one, then four groups of four
+    high = digits // 10**8
+    low = digits - high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    q1, q3 = high // 10**4, low // 10**4
+    q2, q4 = high - q1 * 10**4, low - q3 * 10**4
+    # as ASCII in three little-endian words, the lead digit at byte _FIRST
+    packed = np.zeros((values.size, 6), "<u4")
+    packed[:, 1] = (lead + ord("0")) << 24
+    for j, q in enumerate((q1, q2, q3, q4), 2):
+        packed[:, j] = np.take(_QUADS, q)
+    w0, w1, w2 = packed.view("<u8").T
+    # the digits kept run through the last nonzero one
+    low_zeros = np.where(q4 == 0, 4 + np.take(_TRAILING, q3), np.take(_TRAILING, q4))
+    high_zeros = np.where(q2 == 0, 4 + np.take(_TRAILING, q1), np.take(_TRAILING, q2))
+    trailing = np.where(low == 0, 8 + high_zeros, low_zeros)
+    plan = 18 * (2 * (e - _EXPONENTS[0]) + (values < 0)) + 17 - trailing
+    # the digits moved down to the plan's first byte, and one byte further up
+    shift = np.take(_SHIFTS, plan)
+    up = 64 - shift
+    there = (w0 >> shift) | (w1 << up), (w1 >> shift) | (w2 << up), w2 >> shift
+    further = there[0] << 8, (there[1] << 8) | (there[0] >> 56), (there[2] << 8) | (there[1] >> 56)
+    text = np.take(_CONSTANTS, plan, axis=1)
+    masks = np.take(_MASKS, plan, axis=2)
+    for j in range(3):
+        text[j] |= (there[j] & masks[0, j]) | (further[j] & masks[1, j])
+    chars = np.ascontiguousarray(text.T, "<u8").view(np.uint8)
+    # zeros, subnormals, the two ends and any value refused above
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        text = ",".join([_FLOAT] * rest.size) % tuple(values[rest].tolist())
+        chars[rest] = np.array(text.split(","), f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return chars
+
+
+def _rows(columns, sep: bytes) -> bytes:
+    """Rows of three *columns* of ``_fields`` text, each value followed by
+    *sep* and the last by a newline."""
+    chars = np.zeros((columns[0].shape[0], 3, _WIDTH + 1), np.uint8)
+    for j, column in enumerate(columns):
+        chars[:, j, :_WIDTH] = column
+    chars[:, :, _WIDTH] = np.frombuffer(sep * 2 + b"\n", np.uint8)
+    return chars[chars != 0].tobytes()
 
 
 def _cloud_format(path: Path, fmt: str | None) -> str:
@@ -56,6 +206,32 @@ def _cloud_format(path: Path, fmt: str | None) -> str:
     if fmt not in ("xyz", "csv"):
         raise ValueError(f"unknown cloud format {fmt!r}")
     return fmt
+
+
+def _read_text(path: Path, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file *path*, with or without a byte-order mark;
+    a byte that is not UTF-8 raises *error*, naming the file and the line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8-sig") + "|").splitlines())
+        raise error(
+            f"{path}: line {line}: not UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _csv_records(path: Path, reader):
+    """``(line, fields)`` of each record *reader* reads, the line being the
+    one the record starts on; a record the ``csv`` module refuses raises
+    ``CloudParseError``."""
+    line = reader.line_num + 1
+    try:
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise CloudParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x", "y", "z")) -> np.ndarray:
@@ -70,22 +246,23 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
     fmt = _cloud_format(path, fmt)
     if len(columns) != 3:
         raise ValueError(f"columns must name the x, y and z columns, got {columns!r}")
-    text = path.read_text(encoding="utf-8-sig")
+    text = _read_text(path, CloudParseError)
     # numpy's reader strips the unit separator U+001F from a field's ends,
     # where float() refuses it, so a file that holds one is walked
     numpy_agrees = "\x1f" not in text
     lines = text.splitlines()
     del text  # so that only the lines are held while they are parsed
-    # records are field lists, the first on line `first`; a field count
-    # outside [low, high] is width_error
+    # records are (line, fields) pairs, the data starting on line `first`; a
+    # field count outside [low, high] is width_error
     if fmt == "xyz":
-        records = map(str.split, lines)
+        records = enumerate(map(str.split, lines), start=1)
         first, idx, low, high, width_error = 1, [0, 1, 2], 3, 3, "expected 3 values, got {}"
         options = {}
     else:
-        records = csv.reader(lines)
+        reader = csv.reader(lines)
+        records = _csv_records(path, reader)
         try:
-            header = [h.strip() for h in next(records)]
+            header = [h.strip() for h in next(records)[1]]
         except StopIteration:
             raise CloudParseError(f"{path}: empty file") from None
         try:
@@ -94,7 +271,7 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
             raise CloudParseError(
                 f"{path}: header {header!r} is missing one of the columns {columns!r}"
             ) from None
-        first, low, high, width_error = records.line_num + 1, max(idx) + 1, inf, "too few fields"
+        first, low, high, width_error = reader.line_num + 1, max(idx) + 1, inf, "too few fields"
         options = {"delimiter": ",", "quotechar": '"', "usecols": idx}
     # numpy's reader takes the rows of a well-formed file; it warns on a file
     # without data rows, which is left to the walk below
@@ -110,7 +287,7 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
     # the walk skips blank records and names the first bad one
     pick = itemgetter(*idx)
     rows = []
-    for line_no, fields_ in enumerate(records, start=first):
+    for line_no, fields_ in records:
         if not "".join(fields_).strip():
             continue
         if not low <= len(fields_) <= high:
@@ -135,13 +312,12 @@ def write_cloud(path, cloud, fmt: str | None = None) -> None:
     """Write a cloud as XYZ ascii or CSV (inferred from the extension)."""
     path = Path(path)
     cloud = as_cloud(cloud)
-    header, sep = ("x,y,z\n", ",") if _cloud_format(path, fmt) == "csv" else ("", " ")
-    row = sep.join([_FLOAT] * 3) + "\n"
-    with path.open("w") as fh:
+    header, sep = (b"x,y,z\n", b",") if _cloud_format(path, fmt) == "csv" else (b"", b" ")
+    with path.open("wb") as fh:
         fh.write(header)
         for start in range(0, cloud.shape[0], _ROWS_PER_BLOCK):
             block = cloud[start : start + _ROWS_PER_BLOCK]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            fh.write(_rows([_fields(column) for column in block.T], sep))
 
 
 def save_surface(surface: WqisaSurface, path) -> None:
@@ -185,16 +361,19 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
     rx, ry = resolution
     if rx < 2 or ry < 2:
         raise ValueError(f"resolution must be at least 2 per axis, got {resolution}")
-    lattice = as_cloud(sample_lattice(surface, (rx, ry)))  # refuses a non-finite sample
-    # each lattice x and y is formatted once; a chunk of y strings is a row template
-    y_text = [f"%s,{_fmt(y)},{_FLOAT}\n" for y in lattice[:ry, 1].tolist()]
-    templates = ["".join(y_text[i : i + _ROWS_PER_BLOCK]) for i in range(0, ry, _ROWS_PER_BLOCK)]
-    with Path(path).open("w") as fh:
-        fh.write("x,y,z\n")
-        for x, z_row in zip(lattice[::ry, 0].tolist(), lattice[:, 2].reshape(rx, ry)):
-            x_z = zip(repeat(_fmt(x)), z_row.tolist())
-            for template in templates:
-                fh.write(template % tuple(chain.from_iterable(islice(x_z, _ROWS_PER_BLOCK))))
+    xmin, xmax, ymin, ymax = surface.space.domain
+    xs, ys = np.linspace(xmin, xmax, rx), np.linspace(ymin, ymax, ry)
+    z = surface.evaluate_lattice(xs, ys)
+    if not np.isfinite(z).all():
+        raise ValueError("the sampled surface holds non-finite values")
+    # each lattice x and y is formatted once, and its text gathered per row
+    x_text, y_text = _fields(xs), _fields(ys)
+    with Path(path).open("wb") as fh:
+        fh.write(b"x,y,z\n")
+        for start in range(0, z.size, _ROWS_PER_BLOCK):
+            i, j = np.divmod(np.arange(start, min(start + _ROWS_PER_BLOCK, z.size)), ry)
+            z_text = _fields(z[start : start + i.size])
+            fh.write(_rows([np.take(x_text, i, axis=0), np.take(y_text, j, axis=0), z_text], b","))
 
 
 def write_report(payload: dict, path) -> None:
@@ -282,7 +461,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return _FLOAT % value
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)
@@ -339,7 +518,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def read_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8-sig"))
+    """Read a run config from a UTF-8 file, with or without a byte-order mark."""
+    return parse_config(_read_text(Path(path), ConfigError))
 
 
 def write_config(config: RunConfig, path) -> None:

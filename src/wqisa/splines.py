@@ -17,6 +17,8 @@ Conventions used throughout:
   ``WqisaSurface.evaluate_many`` runs both halves over blocks of at most
   ``_BLOCK_POINTS`` points; ``pipeline.tune_parameters`` builds the rows of
   its validation points once per mesh and scores every grid entry on them.
+  ``WqisaSurface.evaluate_lattice`` builds the basis rows of a lattice once
+  per axis and gathers each point's rows from them.
 """
 
 from __future__ import annotations
@@ -351,6 +353,25 @@ class WqisaSurface:
         blocks = zip(np.array_split(xs, parts), np.array_split(ys, parts))
         rows = (tensor_rows(self.space, x, y) for x, y in blocks)
         return np.concatenate([block.values(self.coefficients) for block in rows])
+
+    def evaluate_lattice(self, xs, ys) -> np.ndarray:
+        """Values at every ``(x, y)`` of the lattice *xs* by *ys*, x varying
+        slowest: the bits ``evaluate_many`` gives those points, from one
+        ``basis_rows`` call per axis gathered over blocks of at most
+        ``_BLOCK_POINTS`` lattice points."""
+        space = self.space
+        (px, py), ny = space.degrees, space.shape[1]
+        spans_x, bx = basis_rows(space.knots_x, xs)
+        spans_y, by = basis_rows(space.knots_y, ys)
+        base_x, base_y = (spans_x - px) * ny, spans_y - py
+        bx, by = bx.T.copy(), by.T.copy()
+        values = np.empty(spans_x.size * spans_y.size)
+        for start in range(0, values.size, _BLOCK_POINTS):
+            stop = min(start + _BLOCK_POINTS, values.size)
+            i, j = np.divmod(np.arange(start, stop), spans_y.size)
+            rows = TensorRows(base_x[i] + base_y[j], space.shape, bx[:, i], by[:, j])
+            values[start:stop] = rows.values(self.coefficients)
+        return values
 
     def __repr__(self) -> str:
         return f"WqisaSurface(space={self.space!r})"

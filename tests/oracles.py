@@ -8,6 +8,7 @@ span-based evaluation paths.
 from __future__ import annotations
 
 import csv
+from itertools import chain, islice, repeat
 from math import isfinite
 
 import numpy as np
@@ -98,25 +99,40 @@ def reference_cloud_rows(text: str, fmt: str, columns=("x", "y", "z")) -> list[l
     """The rows of a cloud file's *text*, walked one record at a time.
 
     The documented rules: XYZ records are whitespace-split lines, CSV records
-    follow a header row naming *columns*; a blank record is skipped but
-    counted; every other record holds the three picked fields, each a finite
-    ``float``.  A refusal raises ``ValueError`` with the message that follows
-    the path in ``read_cloud``'s ``CloudParseError``.
+    follow a header row naming *columns*; a blank record is skipped; every
+    other record holds the three picked fields, each a finite ``float``.  A
+    record is named by the line it starts on, which after a quoted CSV field
+    spanning lines is past the record count.  A refusal raises
+    ``ValueError`` with the message that follows the path in
+    ``read_cloud``'s ``CloudParseError``.
     """
     lines = text.splitlines()
     if fmt == "xyz":
-        records, idx, first = (line.split() for line in lines), [0, 1, 2], 1
+        records, idx = enumerate((line.split() for line in lines), start=1), [0, 1, 2]
     else:
         reader = csv.reader(lines)
-        header = next(reader, None)
+
+        def csv_records():
+            while True:
+                start = reader.line_num + 1
+                try:
+                    record = next(reader)
+                except StopIteration:
+                    return
+                except csv.Error as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+                yield start, record
+
+        records = csv_records()
+        header = next(records, None)
         if header is None:
             raise ValueError("empty file")
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in header[1]]
         if not all(c in header for c in columns):
             raise ValueError(f"header {header!r} is missing one of the columns {columns!r}")
-        records, idx, first = reader, [header.index(c) for c in columns], reader.line_num + 1
+        idx = [header.index(c) for c in columns]
     rows = []
-    for line_no, record in enumerate(records, start=first):
+    for line_no, record in records:
         if all(not f.strip() for f in record):
             continue
         if fmt == "xyz" and len(record) != 3:
@@ -134,6 +150,32 @@ def reference_cloud_rows(text: str, fmt: str, columns=("x", "y", "z")) -> list[l
     if not rows:
         raise ValueError("no data rows")
     return rows
+
+
+# rows formatted per block by the reference writer
+_TEMPLATE_ROWS = 512
+
+
+def reference_cloud_text(cloud: np.ndarray, sep: str = " ") -> str:
+    """Rows of ``%.17g`` values joined by *sep*, formatted by Python's ``%``
+    through one row template per block of rows."""
+    row = sep.join(["%.17g"] * 3) + "\n"
+    blocks = (cloud[s : s + _TEMPLATE_ROWS] for s in range(0, len(cloud), _TEMPLATE_ROWS))
+    return "".join(row * block.shape[0] % tuple(block.ravel().tolist()) for block in blocks)
+
+
+def reference_grid_text(xs: np.ndarray, ys: np.ndarray, z: np.ndarray) -> str:
+    """The ``x,y,z`` rows of a lattice, x varying slowest, formatted by
+    Python's ``%``: each x and y once, and a chunk of y strings as a row
+    template."""
+    y_text = ["%s," + "%.17g" % y + ",%.17g\n" for y in ys.tolist()]
+    templates = ["".join(y_text[i : i + _TEMPLATE_ROWS]) for i in range(0, len(ys), _TEMPLATE_ROWS)]
+    parts = []
+    for x, z_row in zip(xs.tolist(), z.reshape(len(xs), len(ys))):
+        x_z = zip(repeat("%.17g" % x), z_row.tolist())
+        for template in templates:
+            parts.append(template % tuple(chain.from_iterable(islice(x_z, _TEMPLATE_ROWS))))
+    return "".join(parts)
 
 
 def brute_directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -319,6 +319,22 @@ class TestExitCodes:
             == 2
         )
 
+    def test_oversized_csv_field_is_two(self, tmp_path, capsys):
+        # longer than the csv module's field limit
+        path = tmp_path / "big.csv"
+        path.write_text("x,y,z\n0,0," + "1" * 200_000 + "\n")
+        argv = ["split", "--cloud", str(path), "--out-prefix", str(tmp_path / "p")]
+        assert cli_main(argv) == 2
+        expected = f"error: {path}: line 2: field larger than field limit (131072)\n"
+        assert capsys.readouterr().err == expected
+
+    def test_non_utf8_cloud_is_two(self, tmp_path, capsys):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(b"0 0 1\n1 0 3\xe9\n")
+        argv = ["split", "--cloud", str(path), "--out-prefix", str(tmp_path / "p")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2: not UTF-8: byte 0xe9")
+
     def test_malformed_surface_is_two(self, tmp_path, cloud_file, capsys):
         # a JSON array instead of an object, a fractional degree that must
         # not be truncated to an integer, a boolean degree that must not be

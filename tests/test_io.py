@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from wqisa.io import (
     _ROWS_PER_BLOCK,
+    _fields,
     CloudParseError,
     ConfigError,
     RunConfig,
@@ -27,7 +29,7 @@ from wqisa.pipeline import FitConfig
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
 from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
-from oracles import random_cloud, reference_cloud_rows
+from oracles import random_cloud, reference_cloud_rows, reference_cloud_text, reference_grid_text
 
 
 FORMATS = ["xyz", "csv"]
@@ -97,6 +99,42 @@ class TestReadCloud:
     def test_error_after_blank_line_names_file_line(self, tmp_path, name, text, message):
         # blank records are skipped but still counted
         assert_rejected(tmp_path / name, text, message)
+
+    def test_line_after_a_field_spanning_lines_is_the_file_line(self, tmp_path):
+        # the quoted field of record 2 spans lines 2 and 3, so the bad record
+        # is the file's line 4
+        assert_rejected(tmp_path / "c.csv", 'x,y,z\n"1\n",2,3\n1,b,2\n', r"line 4: cannot parse")
+
+    def test_record_spanning_lines_is_named_by_its_first(self, tmp_path):
+        assert_rejected(tmp_path / "c.csv", 'x,y,z\n0,0,1\n"1\n",b,3\n', r"line 3: cannot parse")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("x,y,z\n0,0,1\n0,0,{}\n", 3), ("x,y,{}\n0,0,1\n", 1)],
+        ids=["record", "header"],
+    )
+    def test_oversized_csv_field_names_line(self, tmp_path, text, line):
+        # longer than the csv module's field limit; numpy reads the digits as inf
+        path = tmp_path / "c.csv"
+        path.write_text(text.format("1" * 200_000))
+        message = rf"^{re.escape(str(path))}: line {line}: field larger"
+        with pytest.raises(CloudParseError, match=message):
+            read_cloud(path)
+
+    @pytest.mark.parametrize(
+        "name, data, line",
+        [
+            ("c.xyz", b"0 0 1\n1 0 3\xe9\n", 2),
+            ("c.csv", b"\xef\xbb\xbfx,y,z\n0,0,1\n\n1,0,\xff\n", 4),
+            ("c.xyz", b"\x80", 1),
+        ],
+    )
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, name, data, line):
+        path = tmp_path / name
+        path.write_bytes(data)
+        message = rf"^{re.escape(str(path))}: line {line}: not UTF-8: byte 0x"
+        with pytest.raises(CloudParseError, match=message):
+            read_cloud(path)
 
     @pytest.mark.parametrize(
         "name, text", [("c.xyz", "0 0 1\n1 0 3\n"), ("c.csv", "x,y,z\n0,0,1\n1,0,3\n")], ids=FORMATS
@@ -306,6 +344,118 @@ class TestWrittenText:
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "lattice.csv").read_bytes()
 
 
+def field_text(values) -> list[str]:
+    """The texts ``_fields`` gives *values*: each row's chars up to its first NUL."""
+    return [bytes(row).split(b"\0")[0].decode() for row in _fields(np.asarray(values, dtype=float))]
+
+
+def nudged(values, steps) -> np.ndarray:
+    """*values* moved by each count of ulps in *steps*, toward +inf or -inf."""
+    out = []
+    for value in values:
+        for step in steps:
+            moved = value
+            for _ in range(abs(step)):
+                moved = np.nextafter(moved, np.inf if step > 0 else -np.inf)
+            out.append(moved)
+    return np.array(out)
+
+
+class TestFieldText:
+    """``_fields`` writes the bytes of ``'%.17g' % v`` for every float64."""
+
+    def assert_percent(self, values):
+        values = np.asarray(values, dtype=float)
+        assert field_text(values) == ["%.17g" % v for v in values.tolist()]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        self.assert_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-4, 1e16, exclude_max=True), min_size=1, max_size=40))
+    def test_any_value_of_the_fast_range(self, values):
+        self.assert_percent(values + [-v for v in values])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-6, 18)]
+        values = nudged(powers, [-2, -1, 0, 1, 2])
+        self.assert_percent(np.concatenate([values, -values]))
+
+    def test_ties_round_half_to_even(self):
+        # few-bit doubles whose exact decimal value has 18 significant
+        # digits, the last a 5: %.17g rounds each half to even
+        rng = np.random.default_rng(12)
+        mantissas = rng.integers(1, 2**20, 20_000).astype(float)
+        candidates = np.ldexp(mantissas, rng.integers(-40, 40, 20_000))
+        ties = [v for v in candidates.tolist() if len(Decimal(v).as_tuple().digits) == 18
+                and Decimal(v).as_tuple().digits[-1] == 5]
+        assert len(ties) > 20
+        self.assert_percent(ties + [-v for v in ties])
+
+    def test_slow_path_values(self):
+        # zeros, subnormals, and the two ends of the fast range
+        tiny = np.finfo(float).tiny
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, tiny, -tiny,
+                  *nudged([1e-4, 1e16, -1e-4, -1e16], [-1, 0, 1]), 1.7976931348623157e308,
+                  float("inf"), -float("inf"), float("nan")]
+        self.assert_percent(values)
+
+    def test_text_fits_a_field(self):
+        assert field_text([-4.9406564584124654e-324, -2.2250738585072014e-308]) == [
+            "-4.9406564584124654e-324", "-2.2250738585072014e-308"
+        ]
+
+
+class TestWrittenBytes:
+    """Clouds and grids are byte for byte what Python's ``%`` writes."""
+
+    @pytest.mark.parametrize("fmt, sep", [("xyz", " "), ("csv", ",")])
+    def test_cloud_is_the_reference_text(self, tmp_path, fmt, sep):
+        rng = np.random.default_rng(8)
+        cloud = random_cloud(rng, 2 * _ROWS_PER_BLOCK + 7)
+        cloud[:, 2] *= 10.0 ** rng.integers(-8, 20, cloud.shape[0])  # both paths in one block
+        cloud[5] = (0.0, -0.0, 5e-324)
+        cloud[_ROWS_PER_BLOCK] = (-1e16, -1e-4, -1.5)
+        path = tmp_path / f"c.{fmt}"
+        write_cloud(path, cloud)
+        header = "x,y,z\n" if fmt == "csv" else ""
+        assert path.read_text() == header + reference_cloud_text(cloud, sep)
+
+    @pytest.mark.parametrize("resolution", [(2, 2), (3, 1100), (1100, 3), (500, 500)])
+    def test_grid_is_the_reference_text(self, tmp_path, resolution):
+        space = TensorSplineSpace(
+            KnotVector.uniform_open(2, 3, -7.25, -1.0 / 3.0),
+            KnotVector.uniform_open(3, 4, -1e-3, 2.0 / 7.0),
+        )
+        surface = WqisaSurface(space, np.random.default_rng(9).normal(size=space.shape))
+        self.assert_grid(tmp_path, surface, resolution)
+
+    def test_grid_of_zeros_is_the_reference_text(self, tmp_path):
+        # every z is formatted by %
+        space = TensorSplineSpace(KnotVector.uniform_open(1, 2), KnotVector.uniform_open(2, 2))
+        self.assert_grid(tmp_path, WqisaSurface(space, np.zeros(space.shape)), (40, 30))
+
+    def test_non_finite_grid_refused_before_writing(self, tmp_path, monkeypatch):
+        space = TensorSplineSpace(KnotVector.uniform_open(1, 2), KnotVector.uniform_open(1, 2))
+        monkeypatch.setattr(
+            WqisaSurface, "evaluate_lattice", lambda self, xs, ys: np.full(xs.size * ys.size, np.nan)
+        )
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_surface_grid(WqisaSurface(space, np.zeros(space.shape)), (3, 3), path)
+        assert not path.exists()
+
+    def assert_grid(self, tmp_path, surface, resolution):
+        lattice = sample_lattice(surface, resolution)
+        ry = resolution[1]
+        path = tmp_path / "grid.csv"
+        write_surface_grid(surface, resolution, path)
+        expected = reference_grid_text(lattice[::ry, 0], lattice[:ry, 1], lattice[:, 2])
+        assert path.read_text() == "x,y,z\n" + expected
+
+
 def tricky_surface() -> WqisaSurface:
     """Degree 1, so the lattice corners reproduce the coefficients exactly:
     -0.0, a subnormal and a large power of ten among coordinates and values."""
@@ -409,6 +559,13 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_bytes(b"\xef\xbb\xbfweight = idw\n")
         assert read_config(path) == RunConfig(weight="idw")
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes("seed = 3\n# café\n".encode("latin-1"))
+        message = rf"^{re.escape(str(path))}: line 2: not UTF-8: byte 0xe9"
+        with pytest.raises(ConfigError, match=message):
+            read_config(path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -406,6 +406,28 @@ class TestBlockedEvaluation:
             expected.append(min(max(total, min(slots)), max(slots)))
         assert tensor_rows(space, xs, ys).values(coefficients).tolist() == expected
 
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (3, 3), (1, 3), (0, 1)])
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 50), (50, 3), (20, 23)])
+    def test_lattice_values_are_those_of_its_points(self, degrees, counts, monkeypatch):
+        # a lattice takes its rows from one basis_rows call per axis; the
+        # small block makes a block start and end inside an x row
+        monkeypatch.setattr(splines, "_BLOCK_POINTS", 64)
+        rng = np.random.default_rng(26)
+        space = refined_space(degrees)
+        surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
+        # both ends of the domain and knots, repeated ones included, in any order
+        xs = np.concatenate([[1.0, 0.0, 0.5, 0.13], rng.uniform(0, 1, counts[0])])[: counts[0]]
+        ys = np.linspace(0.0, 1.0, counts[1])
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        expected = surface.evaluate_many(gx.ravel(), gy.ravel())
+        assert surface.evaluate_lattice(xs, ys).tobytes() == expected.tobytes()
+
+    def test_lattice_outside_the_domain_rejected(self):
+        space = refined_space((2, 2))
+        surface = WqisaSurface(space, np.zeros(space.shape))
+        with pytest.raises(OutOfDomainError, match="outside the domain"):
+            surface.evaluate_lattice([0.0, 1.5], [0.0, 1.0])
+
     def test_coefficient_grid_of_another_shape_rejected(self):
         space = TensorSplineSpace(KnotVector.uniform_open(2, 3), KnotVector.uniform_open(2, 3))
         rows = tensor_rows(space, [0.1, 0.9], [0.2, 0.95])
