@@ -247,9 +247,10 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
     if len(columns) != 3:
         raise ValueError(f"columns must name the x, y and z columns, got {columns!r}")
     text = _read_text(path, CloudParseError)
-    # numpy's reader strips the unit separator U+001F from a field's ends,
-    # where float() refuses it, so a file that holds one is walked
-    numpy_agrees = "\x1f" not in text
+    # a file is walked where numpy's reader differs: it strips U+001F from a
+    # field's ends (float() refuses it), joins a quoted CSV field across lines
+    # and reads a CSV field over the csv module's size limit
+    numpy_agrees = "\x1f" not in text and (fmt == "xyz" or '"' not in text)
     lines = text.splitlines()
     del text  # so that only the lines are held while they are parsed
     # records are (line, fields) pairs, the data starting on line `first`; a
@@ -272,7 +273,8 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
                 f"{path}: header {header!r} is missing one of the columns {columns!r}"
             ) from None
         first, low, high, width_error = reader.line_num + 1, max(idx) + 1, inf, "too few fields"
-        options = {"delimiter": ",", "quotechar": '"', "usecols": idx}
+        options = {"delimiter": ",", "usecols": idx}
+        numpy_agrees = numpy_agrees and max(map(len, lines)) <= csv.field_size_limit()
     # numpy's reader takes the rows of a well-formed file; it warns on a file
     # without data rows, which is left to the walk below
     data = lines[first - 1 :]

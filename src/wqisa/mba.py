@@ -41,6 +41,13 @@ class MbaSurface:
             total += level.evaluate_many(xs, ys)
         return total
 
+    def evaluate_lattice(self, xs, ys) -> np.ndarray:
+        """Values on the lattice *xs* by *ys*, summed as ``evaluate_many`` sums them."""
+        total = np.zeros(np.size(xs) * np.size(ys))
+        for level in self.levels:
+            total += level.evaluate_lattice(xs, ys)
+        return total
+
 
 def dyadic_space(
     degrees: tuple[int, int],

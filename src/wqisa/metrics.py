@@ -8,7 +8,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .clouds import as_cloud
-from .splines import TensorSplineSpace, locate_spans, sample_lattice
+from .splines import TensorSplineSpace, locate_spans
 
 # point pairs per distance block: bounds peak memory in either argument
 # order, and a 256 KB block of squared distances stays in cache
@@ -161,5 +161,9 @@ def surface_sample_points(surface, density: int = 4) -> np.ndarray:
     """
     if density < 1:
         raise ValueError("density must be >= 1")
+    xmin, xmax, ymin, ymax = surface.space.domain
     ex, ey = surface.space.element_counts
-    return sample_lattice(surface, (density * ex + 1, density * ey + 1))
+    xs = np.linspace(xmin, xmax, density * ex + 1)
+    ys = np.linspace(ymin, ymax, density * ey + 1)
+    z = surface.evaluate_lattice(xs, ys)  # x varies slowest
+    return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size), z])

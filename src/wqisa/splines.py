@@ -14,11 +14,10 @@ Conventions used throughout:
   set of points into rows: each point's first active coefficient in the
   raveled grid, plus its basis values along x and y.  ``TensorRows.values``
   sums a coefficient grid over rows slot by slot, in one fixed order.
-  ``WqisaSurface.evaluate_many`` runs both halves over blocks of at most
-  ``_BLOCK_POINTS`` points; ``pipeline.tune_parameters`` builds the rows of
-  its validation points once per mesh and scores every grid entry on them.
-  ``WqisaSurface.evaluate_lattice`` builds the basis rows of a lattice once
-  per axis and gathers each point's rows from them.
+  ``WqisaSurface.evaluate_many`` (paired points) and ``evaluate_lattice``
+  (one ``basis_rows`` call per lattice axis) run both halves over fixed
+  slices of at most ``_BLOCK_POINTS`` points; ``pipeline.tune_parameters``
+  builds the rows of its validation points once per mesh.
 """
 
 from __future__ import annotations
@@ -302,13 +301,18 @@ class TensorRows(NamedTuple):
 def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
     """Rows of *space* at the paired coordinates ``xs``, ``ys``; raises
     ``OutOfDomainError`` for a point outside the domain."""
-    px, py = space.degrees
     spans_x, bx = basis_rows(space.knots_x, xs)
     spans_y, by = basis_rows(space.knots_y, ys)
+    return _paired_rows(space, spans_x, bx.T.copy(), spans_y, by.T.copy())
+
+
+def _paired_rows(space: TensorSplineSpace, spans_x, bx, spans_y, by) -> TensorRows:
+    """Rows of points paired from per-axis ``basis_rows`` output, the values
+    transposed to one contiguous row per slot."""
     if spans_x.shape != spans_y.shape:
         raise ValueError(f"got {spans_x.size} x values but {spans_y.size} y values")
-    base = (spans_x - px) * space.shape[1] + (spans_y - py)
-    return TensorRows(base, space.shape, bx.T.copy(), by.T.copy())
+    (px, py), ny = space.degrees, space.shape[1]
+    return TensorRows((spans_x - px) * ny + (spans_y - py), space.shape, bx, by)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,54 +343,36 @@ class WqisaSurface:
         return float(self.evaluate_many([x], [y])[0])
 
     def evaluate_many(self, xs, ys) -> np.ndarray:
-        """Evaluate at paired coordinate arrays ``xs``, ``ys``.
-
-        Both halves of the kernel, ``tensor_rows`` and ``TensorRows.values``,
-        run over balanced blocks of at most ``_BLOCK_POINTS`` points.  The
-        blocks only bound memory: no value depends on them.
-        """
+        """Evaluate at paired coordinate arrays ``xs``, ``ys``."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if xs.shape != ys.shape:
             raise ValueError(f"got {xs.size} x values but {ys.size} y values")
-        parts = max(1, -(-xs.shape[0] // _BLOCK_POINTS))
-        blocks = zip(np.array_split(xs, parts), np.array_split(ys, parts))
-        rows = (tensor_rows(self.space, x, y) for x, y in blocks)
-        return np.concatenate([block.values(self.coefficients) for block in rows])
+        return self._blocks(xs.shape[0], lambda s: tensor_rows(self.space, xs[s], ys[s]))
 
     def evaluate_lattice(self, xs, ys) -> np.ndarray:
         """Values at every ``(x, y)`` of the lattice *xs* by *ys*, x varying
         slowest: the bits ``evaluate_many`` gives those points, from one
-        ``basis_rows`` call per axis gathered over blocks of at most
-        ``_BLOCK_POINTS`` lattice points."""
-        space = self.space
-        (px, py), ny = space.degrees, space.shape[1]
-        spans_x, bx = basis_rows(space.knots_x, xs)
-        spans_y, by = basis_rows(space.knots_y, ys)
-        base_x, base_y = (spans_x - px) * ny, spans_y - py
+        ``basis_rows`` call per axis."""
+        spans_x, bx = basis_rows(self.space.knots_x, xs)
+        spans_y, by = basis_rows(self.space.knots_y, ys)
         bx, by = bx.T.copy(), by.T.copy()
-        values = np.empty(spans_x.size * spans_y.size)
-        for start in range(0, values.size, _BLOCK_POINTS):
-            stop = min(start + _BLOCK_POINTS, values.size)
-            i, j = np.divmod(np.arange(start, stop), spans_y.size)
-            rows = TensorRows(base_x[i] + base_y[j], space.shape, bx[:, i], by[:, j])
-            values[start:stop] = rows.values(self.coefficients)
+
+        def rows(block: slice) -> TensorRows:
+            i, j = np.divmod(np.arange(block.start, block.stop), spans_y.size)
+            return _paired_rows(self.space, spans_x[i], bx[:, i], spans_y[j], by[:, j])
+
+        return self._blocks(spans_x.size * spans_y.size, rows)
+
+    def _blocks(self, n: int, rows) -> np.ndarray:
+        """Values at *n* points from *rows(block)* for each slice of at most
+        ``_BLOCK_POINTS`` points; the slices bound memory and change no value."""
+        values = np.empty(n)
+        for start in range(0, n, _BLOCK_POINTS):
+            block = slice(start, min(start + _BLOCK_POINTS, n))
+            values[block] = rows(block).values(self.coefficients)
         return values
 
     def __repr__(self) -> str:
         return f"WqisaSurface(space={self.space!r})"
 
-
-def sample_lattice(surface, counts: tuple[int, int]) -> np.ndarray:
-    """``(x, y, z)`` rows of *surface* on a uniform lattice over its domain.
-
-    ``counts`` gives the nodes per axis, ends included; x varies slowest.
-    Works for any surface with a ``space`` and ``evaluate_many``.
-    """
-    xmin, xmax, ymin, ymax = surface.space.domain
-    gx, gy = np.meshgrid(
-        np.linspace(xmin, xmax, counts[0]), np.linspace(ymin, ymax, counts[1]), indexing="ij"
-    )
-    gx = gx.ravel()
-    gy = gy.ravel()
-    return np.column_stack([gx, gy, surface.evaluate_many(gx, gy)])

@@ -178,6 +178,22 @@ def reference_grid_text(xs: np.ndarray, ys: np.ndarray, z: np.ndarray) -> str:
     return "".join(parts)
 
 
+def sample_lattice(surface, counts: tuple[int, int]) -> np.ndarray:
+    """``(x, y, z)`` rows of *surface* on a uniform lattice over its domain.
+
+    ``counts`` gives the nodes per axis, ends included; x varies slowest.
+    The points come from a meshgrid and z from one ``evaluate_many`` call on
+    them, so no per-axis basis rows are shared between points.
+    """
+    xmin, xmax, ymin, ymax = surface.space.domain
+    gx, gy = np.meshgrid(
+        np.linspace(xmin, xmax, counts[0]), np.linspace(ymin, ymax, counts[1]), indexing="ij"
+    )
+    gx = gx.ravel()
+    gy = gy.ravel()
+    return np.column_stack([gx, gy, surface.evaluate_many(gx, gy)])
+
+
 def brute_directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     worst = 0.0
     for row in a:

@@ -1,4 +1,5 @@
-"""Fit-level properties on tiny, duplicate-heavy and collinear clouds.
+"""Fit-level properties on tiny, duplicate-heavy, collinear, clustered and
+anisotropic clouds.
 
 On any such cloud a wQISA fit either returns coefficients inside the cloud's
 height range, each being a weighted mean of training heights, or fails with
@@ -16,14 +17,18 @@ from io import StringIO
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqisa.cli import cli_main
 from wqisa.io import RunConfig, load_surface, write_cloud, write_config
 from wqisa.mba import fit_mba
+from wqisa.metrics import surface_sample_points
 from wqisa.pipeline import FitConfig, fit
 from wqisa.weights import WeightSpec
+
+from oracles import sample_lattice
 
 COORD = st.floats(-10.0, 10.0, allow_nan=False)
 HEIGHT = st.floats(-100.0, 100.0, allow_nan=False)
@@ -145,3 +150,26 @@ def test_cli_fit_writes_a_bounded_surface_or_exits_two(cloud, kind, on):
             return
         assert status == 0, stderr.getvalue()
         assert_inside_heights(load_surface(tmp / "s.json").coefficients, cloud)
+
+
+def clustered_cloud(n: int = 40_000) -> np.ndarray:
+    """A smooth noisy height field whose points lie 95% in a 1e-3 square
+    inside the unit square and 5% spread over all of it."""
+    rng = np.random.default_rng(41)
+    m = n * 95 // 100
+    xy = np.vstack([0.4 + rng.uniform(0.0, 1e-3, (m, 2)), rng.uniform(0.0, 1.0, (n - m, 2))])
+    z = np.sin(3.0 * xy[:, 0]) * np.cos(2.0 * xy[:, 1]) + rng.normal(0.0, 0.05, n)
+    return np.column_stack([xy, z])
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1.0), (1e4, 1e-3)], ids=["clustered", "anisotropic"])
+def test_clustered_cloud_fits_inside_its_heights(scale):
+    cloud = clustered_cloud() * (*scale, 1.0)
+    config = FitConfig(weight_grid=[WeightSpec.knn(k) for k in (1, 2, 4, 8)], max_iterations=4, seed=1)
+    with strict_numerics():
+        surface, _ = fit(cloud, config)
+        samples = surface_sample_points(surface)
+    assert_inside_heights(surface.coefficients, cloud)
+    assert np.isfinite(samples).all()
+    ex, ey = surface.space.element_counts
+    assert samples.tobytes() == sample_lattice(surface, (4 * ex + 1, 4 * ey + 1)).tobytes()

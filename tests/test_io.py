@@ -26,10 +26,16 @@ from wqisa.io import (
     write_surface_grid,
 )
 from wqisa.pipeline import FitConfig
-from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface, sample_lattice
+from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 from wqisa.weights import KERNELS, WEIGHT_KINDS, WeightSpec, fit_surface
 
-from oracles import random_cloud, reference_cloud_rows, reference_cloud_text, reference_grid_text
+from oracles import (
+    random_cloud,
+    reference_cloud_rows,
+    reference_cloud_text,
+    reference_grid_text,
+    sample_lattice,
+)
 
 
 FORMATS = ["xyz", "csv"]
@@ -109,14 +115,21 @@ class TestReadCloud:
         assert_rejected(tmp_path / "c.csv", 'x,y,z\n0,0,1\n"1\n",b,3\n', r"line 3: cannot parse")
 
     @pytest.mark.parametrize(
-        "text, line",
-        [("x,y,z\n0,0,1\n0,0,{}\n", 3), ("x,y,{}\n0,0,1\n", 1)],
-        ids=["record", "header"],
+        "text, field, line",
+        [
+            # numpy reads these digits as inf
+            ("x,y,z\n0,0,1\n0,0,{}\n", "1" * 200_000, 3),
+            ("x,y,{}\n0,0,1\n", "1" * 200_000, 1),
+            # and these as 0, a finite value, quoted or not
+            ("x,y,z\n0,0,{}\n", "0." + "0" * 200_000 + "1", 2),
+            ('"x","y","z"\n"0","0","{}"\n', "0." + "0" * 200_000 + "1", 2),
+        ],
+        ids=["record", "header", "finite", "quoted"],
     )
-    def test_oversized_csv_field_names_line(self, tmp_path, text, line):
-        # longer than the csv module's field limit; numpy reads the digits as inf
+    def test_oversized_csv_field_names_line(self, tmp_path, text, field, line):
+        # longer than the csv module's field limit
         path = tmp_path / "c.csv"
-        path.write_text(text.format("1" * 200_000))
+        path.write_text(text.format(field))
         message = rf"^{re.escape(str(path))}: line {line}: field larger"
         with pytest.raises(CloudParseError, match=message):
             read_cloud(path)

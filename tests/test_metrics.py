@@ -12,11 +12,12 @@ from wqisa.metrics import (
     punctual_errors,
     surface_sample_points,
 )
-from wqisa.splines import KnotVector, OutOfDomainError, TensorSplineSpace, WqisaSurface
+from wqisa.mba import MbaSurface, dyadic_space
+from wqisa.splines import KnotVector, OutOfDomainError, TensorSplineSpace, WqisaSurface, insert_knot
 from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import WeightSpec, fit_surface
 
-from oracles import brute_hausdorff, random_cloud
+from oracles import brute_hausdorff, random_cloud, sample_lattice
 
 
 def constant_surface(value: float, bbox=(0.0, 1.0, 0.0, 1.0)) -> WqisaSurface:
@@ -297,3 +298,33 @@ class TestHausdorff:
         pts = surface_sample_points(surface, density=4)
         assert pts.shape == (25, 3)  # (4*1+1)^2 samples of the single element
         np.testing.assert_array_equal(pts[:, 2], 1.0)
+
+
+class TestSurfaceSamples:
+    """Samples are the reference meshgrid lattice, bit for bit."""
+
+    def assert_reference(self, surface, density):
+        ex, ey = surface.space.element_counts
+        expected = sample_lattice(surface, (density * ex + 1, density * ey + 1))
+        assert surface_sample_points(surface, density).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("degrees", [(0, 1), (1, 1), (1, 3), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("density", [1, 4])
+    def test_wqisa_samples_are_the_reference(self, degrees, density):
+        # a non-uniform mesh off the unit square
+        space = TensorSplineSpace(
+            insert_knot(KnotVector.uniform_open(degrees[0], 5, -7.25, -1.0 / 3.0), -5.1),
+            insert_knot(KnotVector.uniform_open(degrees[1], 3, -1e-3, 2.0 / 7.0), 0.01),
+        )
+        coefficients = np.random.default_rng(32).normal(size=space.shape)
+        self.assert_reference(WqisaSurface(space, coefficients), density)
+
+    @pytest.mark.parametrize("density", [1, 4])
+    def test_mba_samples_are_the_reference(self, density):
+        rng = np.random.default_rng(33)
+        bbox = (-2.0, 3.0 / 7.0, 1.0, 1.25)
+        levels = []
+        for level in range(4):
+            space = dyadic_space((2, 2), bbox, level)
+            levels.append(WqisaSurface(space, rng.normal(size=space.shape)))
+        self.assert_reference(MbaSurface(tuple(levels)), density)

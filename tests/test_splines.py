@@ -352,9 +352,9 @@ class TestBlockedEvaluation:
         assert whole.tobytes() == tensor_rows(space, xs, ys).values(surface.coefficients).tobytes()
 
     @pytest.mark.parametrize("n", [1, 64, 65, 3 * 64 + 1])
-    def test_blocks_are_balanced(self, n, monkeypatch):
-        # blocks only bound the memory of the rows, and balanced ones never
-        # split off a lone point that the input did not hold
+    def test_blocks_are_fixed_slices(self, n, monkeypatch):
+        # blocks only bound the memory of the rows: full slices of
+        # _BLOCK_POINTS points in order, then the rest, even a lone point
         sizes = []
 
         def recording(space, xs, ys):
@@ -368,7 +368,7 @@ class TestBlockedEvaluation:
         surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
         xs, ys = rng.uniform(0, 1, size=(2, n))
         values = surface.evaluate_many(xs, ys)
-        assert sum(sizes) == n and max(sizes) <= 64 and max(sizes) - min(sizes) <= 1
+        assert sizes == [64] * (n // 64) + [n % 64] * (n % 64 > 0)
         assert values.tobytes() == tensor_rows(space, xs, ys).values(surface.coefficients).tobytes()
 
     def test_rows_serve_any_coefficient_grid(self):
