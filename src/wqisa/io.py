@@ -15,7 +15,7 @@ bytes of ``'%.17g' % v``, whose 17 significant digits reproduce it exactly.
 numpy formats every value with ``1e-4 <= |v| < 1e16``; Python's ``%``
 formats the others (zeros, subnormals, smaller and larger magnitudes), in
 one call per block.  A grid formats each lattice x and y once, and takes its
-z values from basis rows built once per lattice axis.  Surfaces and reports
+z values from ``evaluate_lattice``'s row tiles.  Surfaces and reports
 are JSON, reports without NaN or infinity.  Run configs are ``key = value``
 lines with finite floats, written as ``%.17g``, and round-trip losslessly.
 """

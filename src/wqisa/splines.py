@@ -10,14 +10,14 @@ Conventions used throughout:
   on the closed domain rectangle.
 * Knot values are compared exactly.  Knot vectors are constructed, not
   measured, so no tolerance is appropriate.
-* Surface evaluation has two halves.  ``tensor_rows`` turns a space and a
-  set of points into rows: each point's first active coefficient in the
-  raveled grid, plus its basis values along x and y.  ``TensorRows.values``
-  sums a coefficient grid over rows slot by slot, in one fixed order.
-  ``WqisaSurface.evaluate_many`` (paired points) and ``evaluate_lattice``
-  (one ``basis_rows`` call per lattice axis) run both halves over fixed
-  slices of at most ``_BLOCK_POINTS`` points; ``pipeline.tune_parameters``
-  builds the rows of its validation points once per mesh.
+* A surface value sums ``c * bx[a] * by[b]`` from 0.0 over the slots in
+  ``(a, b)`` order, then takes ``np.maximum`` with the slots' least
+  coefficient and ``np.minimum`` with their greatest (``np.clip`` may give
+  a zero the other sign).  ``tensor_rows`` gives points' rows (first
+  coefficient, basis values), which ``TensorRows.values`` sums for any grid:
+  ``pipeline.tune_parameters`` builds its validation rows once per mesh, and
+  ``evaluate_many`` works in ``_BLOCK_POINTS`` slices.  ``evaluate_lattice``
+  shares ``c * bx[a]`` along x rows in tiles of at most that many points.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ class TensorRows(NamedTuple):
             slot *= self.bx[a]
             slot *= self.by[b]
             total += slot
-        return np.clip(total, lo, hi)
+        return np.minimum(np.maximum(total, lo), hi)
 
 
 def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
@@ -303,16 +303,10 @@ def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
     ``OutOfDomainError`` for a point outside the domain."""
     spans_x, bx = basis_rows(space.knots_x, xs)
     spans_y, by = basis_rows(space.knots_y, ys)
-    return _paired_rows(space, spans_x, bx.T.copy(), spans_y, by.T.copy())
-
-
-def _paired_rows(space: TensorSplineSpace, spans_x, bx, spans_y, by) -> TensorRows:
-    """Rows of points paired from per-axis ``basis_rows`` output, the values
-    transposed to one contiguous row per slot."""
     if spans_x.shape != spans_y.shape:
         raise ValueError(f"got {spans_x.size} x values but {spans_y.size} y values")
     (px, py), ny = space.degrees, space.shape[1]
-    return TensorRows((spans_x - px) * ny + (spans_y - py), space.shape, bx, by)
+    return TensorRows((spans_x - px) * ny + (spans_y - py), space.shape, bx.T.copy(), by.T.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,17 +346,43 @@ class WqisaSurface:
 
     def evaluate_lattice(self, xs, ys) -> np.ndarray:
         """Values at every ``(x, y)`` of the lattice *xs* by *ys*, x varying
-        slowest: the bits ``evaluate_many`` gives those points, from one
-        ``basis_rows`` call per axis."""
-        spans_x, bx = basis_rows(self.space.knots_x, xs)
-        spans_y, by = basis_rows(self.space.knots_y, ys)
-        bx, by = bx.T.copy(), by.T.copy()
-
-        def rows(block: slice) -> TensorRows:
-            i, j = np.divmod(np.arange(block.start, block.stop), spans_y.size)
-            return _paired_rows(self.space, spans_x[i], bx[:, i], spans_y[j], by[:, j])
-
-        return self._blocks(spans_x.size * spans_y.size, rows)
+        slowest: the bits ``evaluate_many`` gives those points; each axis is
+        checked, even beside an empty one.  A tile is whole x rows, or part
+        of a row past ``_BLOCK_POINTS`` y values; its slots' ``c * bx[a]``
+        and clamp bounds are tables over its rows and the y spans it meets."""
+        xs, ys = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (xs, ys))
+        values = np.empty((xs.size, ys.size))
+        (px, py), width = self.space.degrees, min(ys.size, _BLOCK_POINTS) or 1
+        height = _BLOCK_POINTS // width
+        for j in range(0, max(ys.size, 1), width):
+            cols = slice(j, j + width)
+            spans_y, by = basis_rows(self.space.knots_y, ys[cols])
+            met = np.zeros(self.space.shape[1], dtype=bool)
+            met[spans_y] = True
+            column = np.cumsum(met)[spans_y] - 1  # each y's span, numbered among those met
+            first_y = np.flatnonzero(met) - py + np.arange(py + 1)[:, None]
+            by_rows = np.repeat(by.T[:, None, :], min(height, xs.size), axis=1)
+            for i in range(0, xs.size, height):
+                rows = slice(i, i + height)
+                spans_x, bx = basis_rows(self.space.knots_x, xs[rows])
+                first_x = spans_x - px + np.arange(px + 1)[:, None]
+                # tables[a, b, e, r]: slot (a, b)'s coefficient at met span e, row r
+                tables = self.coefficients[first_x[:, None, None, :], first_y[:, :, None]]
+                lo, hi = np.full(tables.shape[2:], np.inf), np.full(tables.shape[2:], -np.inf)
+                for a, b in np.ndindex(px + 1, py + 1):
+                    np.minimum(lo, tables[a, b], out=lo)
+                    np.maximum(hi, tables[a, b], out=hi)
+                tables *= bx.T[:, None, None, :]
+                # point (r, m) reads entry (column[m], r) of a table
+                index = column * spans_x.size + np.arange(spans_x.size)[:, None]
+                total, term = np.zeros((2, *index.shape))
+                for a, b in np.ndindex(px + 1, py + 1):
+                    np.take(tables[a, b], index, out=term, mode="clip")
+                    term *= by_rows[b, : spans_x.size]
+                    total += term
+                np.maximum(total, np.take(lo, index, out=term, mode="clip"), out=total)
+                np.minimum(total, np.take(hi, index, out=term, mode="clip"), out=values[rows, cols])
+        return values.ravel()
 
     def _blocks(self, n: int, rows) -> np.ndarray:
         """Values at *n* points from *rows(block)* for each slice of at most

@@ -2,7 +2,8 @@
 
 Everything here recomputes results from the defining formulas with plain
 full scans and sorts, deliberately avoiding the library's spatial index and
-span-based evaluation paths.
+span-based evaluation paths.  ``tricky_surface`` is the one edge-case
+surface that several test modules share.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from itertools import chain, islice, repeat
 from math import isfinite
 
 import numpy as np
+
+from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 
 
 def naive_basis(local_knots, t: float) -> float:
@@ -192,6 +195,16 @@ def sample_lattice(surface, counts: tuple[int, int]) -> np.ndarray:
     gx = gx.ravel()
     gy = gy.ravel()
     return np.column_stack([gx, gy, surface.evaluate_many(gx, gy)])
+
+
+def tricky_surface() -> WqisaSurface:
+    """Degree 1, so the lattice corners reproduce the coefficients exactly:
+    -0.0, a subnormal and a large power of ten among coordinates and values."""
+    space = TensorSplineSpace(
+        KnotVector(1, [0.1, 0.1, 1.0 / 3.0, 1.0 / 3.0]),
+        KnotVector(1, [-0.0, -0.0, 1e22, 1e22]),
+    )
+    return WqisaSurface(space, np.array([[0.1, 5e-324], [1e22, -0.0]]))
 
 
 def brute_directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from oracles import (
     reference_cloud_text,
     reference_grid_text,
     sample_lattice,
+    tricky_surface,
 )
 
 
@@ -467,16 +468,6 @@ class TestWrittenBytes:
         write_surface_grid(surface, resolution, path)
         expected = reference_grid_text(lattice[::ry, 0], lattice[:ry, 1], lattice[:, 2])
         assert path.read_text() == "x,y,z\n" + expected
-
-
-def tricky_surface() -> WqisaSurface:
-    """Degree 1, so the lattice corners reproduce the coefficients exactly:
-    -0.0, a subnormal and a large power of ten among coordinates and values."""
-    space = TensorSplineSpace(
-        KnotVector(1, [0.1, 0.1, 1.0 / 3.0, 1.0 / 3.0]),
-        KnotVector(1, [-0.0, -0.0, 1e22, 1e22]),
-    )
-    return WqisaSurface(space, np.array([[0.1, 5e-324], [1e22, -0.0]]))
 
 
 class TestWriteReport:

@@ -1,6 +1,7 @@
 """Tests for the tensor-product spline core."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from wqisa.splines import (
     tensor_rows,
 )
 
-from oracles import naive_basis
+from oracles import naive_basis, tricky_surface
 
 
 def random_knot_vector(rng, max_degree=3, max_interior=4, lo=0.0, hi=1.0) -> KnotVector:
@@ -407,26 +408,93 @@ class TestBlockedEvaluation:
         assert tensor_rows(space, xs, ys).values(coefficients).tolist() == expected
 
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (3, 3), (1, 3), (0, 1)])
-    @pytest.mark.parametrize("counts", [(2, 2), (3, 50), (50, 3), (20, 23)])
-    def test_lattice_values_are_those_of_its_points(self, degrees, counts, monkeypatch):
-        # a lattice takes its rows from one basis_rows call per axis; the
-        # small block makes a block start and end inside an x row
+    @pytest.mark.parametrize(
+        "counts",
+        [(2, 2), (3, 50), (50, 3), (20, 23), (2, 150), (150, 2), (1, 150), (150, 1), (0, 5), (5, 0)],
+    )
+    @pytest.mark.parametrize("y_spread", ["linspace", "knots", "one element"])
+    def test_lattice_values_are_those_of_its_points(self, degrees, counts, y_spread, monkeypatch):
+        # the small block makes tiles of a few x rows, and slices an axis of
+        # more than 64 y values; the mesh repeats interior knots
         monkeypatch.setattr(splines, "_BLOCK_POINTS", 64)
         rng = np.random.default_rng(26)
         space = refined_space(degrees)
         surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
         # both ends of the domain and knots, repeated ones included, in any order
         xs = np.concatenate([[1.0, 0.0, 0.5, 0.13], rng.uniform(0, 1, counts[0])])[: counts[0]]
-        ys = np.linspace(0.0, 1.0, counts[1])
+        if y_spread == "linspace":
+            ys = np.linspace(0.0, 1.0, counts[1])
+        elif y_spread == "knots":
+            ys = np.concatenate([space.knots_y.knots[::-1], rng.uniform(0, 1, counts[1])])
+        else:  # the element [0.3, 0.62), its left knot included
+            ys = np.concatenate([[0.3, 0.5, 0.3], rng.uniform(0.3, 0.62, counts[1])])
+        ys = ys[: counts[1]]
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         expected = surface.evaluate_many(gx.ravel(), gy.ravel())
-        assert surface.evaluate_lattice(xs, ys).tobytes() == expected.tobytes()
+        values = surface.evaluate_lattice(xs, ys)
+        assert values.shape == (counts[0] * counts[1],)
+        assert values.tobytes() == expected.tobytes()
 
-    def test_lattice_outside_the_domain_rejected(self):
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 2)])
+    def test_lattice_keeps_the_sign_of_a_zero_corner(self, shape):
+        # the corner (1/3, 1e22) sums to +0.0 and is clamped onto the
+        # coefficient -0.0, whatever the lattice's layout
+        surface = tricky_surface()
+        xs, ys = np.linspace(0.1, 1.0 / 3.0, shape[0]), np.linspace(-0.0, 1e22, shape[1])
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        values = surface.evaluate_lattice(xs, ys)
+        assert values.tobytes() == surface.evaluate_many(gx.ravel(), gy.ravel()).tobytes()
+        assert np.signbit(values[-1]) and values[-1] == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 2), (40, 40)])
+    def test_lattice_clamps_onto_signed_zeros_as_its_points(self, shape):
+        # at a knot only one slot of degree 1 weighs, so many values sum to
+        # +0.0 and are clamped onto a bound that is a zero of either sign
+        rng = np.random.default_rng(28)
+        kv = KnotVector.uniform_open(1, 4)
+        space = TensorSplineSpace(kv, kv)
+        surface = WqisaSurface(space, rng.choice([0.0, -0.0, 1.0], size=space.shape))
+        xs, ys = (rng.choice(kv.breakpoints, n) for n in shape)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        values = surface.evaluate_lattice(xs, ys)
+        assert values.tobytes() == surface.evaluate_many(gx.ravel(), gy.ravel()).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 200_000), (200_000, 1)])
+    def test_lattice_memory_is_bounded_by_the_block(self, shape, monkeypatch):
+        # past the output, a lattice holds a fixed number of block-sized
+        # temporaries, however long an axis is
+        monkeypatch.setattr(splines, "_BLOCK_POINTS", 1024)
+        rng = np.random.default_rng(27)
+        space = refined_space((2, 2))
+        surface = WqisaSurface(space, rng.uniform(-4, 4, size=space.shape))
+        xs, ys = np.linspace(0.0, 1.0, shape[0]), np.linspace(0.0, 1.0, shape[1])
+        tracemalloc.start()
+        try:
+            surface.evaluate_lattice(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * xs.size * ys.size + 64 * 8 * 1024
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([0.0, 1.5], [0.0, 1.0]),
+            ([0.0, 1.0], [0.5, -0.25]),
+            ([0.0, 1.0], [0.5, np.nan]),
+            (np.linspace(0.0, 1.0, 100).tolist() + [1.0 + 1e-12], [0.0, 1.0]),
+            ([1.5], []),
+            ([], [1.5]),
+        ],
+    )
+    def test_lattice_outside_the_domain_rejected(self, xs, ys, monkeypatch):
+        # also a point in the last tile of a lattice of several, and an axis
+        # beside an empty one
+        monkeypatch.setattr(splines, "_BLOCK_POINTS", 64)
         space = refined_space((2, 2))
         surface = WqisaSurface(space, np.zeros(space.shape))
         with pytest.raises(OutOfDomainError, match="outside the domain"):
-            surface.evaluate_lattice([0.0, 1.5], [0.0, 1.0])
+            surface.evaluate_lattice(xs, ys)
 
     def test_coefficient_grid_of_another_shape_rejected(self):
         space = TensorSplineSpace(KnotVector.uniform_open(2, 3), KnotVector.uniform_open(2, 3))
