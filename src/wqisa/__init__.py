@@ -66,7 +66,6 @@ from .io import (
     write_config,
     write_surface_grid,
 )
-from .cli import cli_main
 
 __all__ = [
     "__version__",
@@ -122,5 +121,4 @@ __all__ = [
     "write_cloud",
     "write_config",
     "write_surface_grid",
-    "cli_main",
 ]

@@ -16,14 +16,14 @@ kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 Coefficients are estimated in batches.  A ``NeighbourTable`` runs one
 neighbor query per knot average, and that query serves every entry of a
 weight grid of one kind; ``pipeline.tune_parameters`` builds one table per
-mesh and hands it to ``fit_surface`` for each grid entry.  The table makes
-its rows in one place, a batch of at most ``TABLE_BUDGET`` candidates at a
-time, and keeps the first batch.  The kernels, the Tukey fences, the sums
-and the clamp act on all rows of a batch at once.  Each quotient's
-numerator ``z * w`` and denominator ``w`` are summed by ``np.add.reduceat``
-over one row in ascending id order, so a coefficient depends neither on the
-batch it was estimated in nor on the machine's BLAS; ``estimate_control_point``
-is a batch of one.
+mesh, and ``fit_surface`` reads each grid entry from it.  The table makes
+its rows once, a batch of at most ``TABLE_BUDGET`` candidates at a time,
+and estimates each of its specs on a batch before it makes the next.  The
+kernels, the Tukey fences, the sums and the clamp act on all rows of a
+batch at once.  Each quotient's numerator ``z * w`` and denominator ``w``
+are summed by ``np.add.reduceat`` over one row in ascending id order, so a
+coefficient depends neither on its batch nor on the machine's BLAS;
+``estimate_control_point`` is a table of one.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -44,8 +44,8 @@ from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 # default coincidence tolerance: this fraction of the bounding-box diagonal
 COINCIDENCE_SCALE = 1e-12
 # most candidates in one batch of NeighbourTable rows (an id and a squared
-# distance, 16 bytes each), unless a single row holds more; a table keeps
-# its first batch and makes the rows after it again on each read
+# distance, 16 bytes each), unless a single row holds more; a table makes
+# each batch once and estimates every spec of its grid on it
 TABLE_BUDGET = 1 << 20
 
 
@@ -175,18 +175,19 @@ def _neighbours(cloud: np.ndarray, centres: np.ndarray, rows: list[np.ndarray]) 
 
 
 class NeighbourTable:
-    """Candidate neighbours of many window centres, shared by a weight grid.
+    """Every spec of a weight grid estimated at many window centres.
 
     One query per centre serves every spec of the grid's kind.  Under the
     (distance, id) order the k nearest points are a prefix of the K nearest,
     so knn and idw_truncated rows hold the ``K = min(largest size, n)``
     nearest; a closed ball holds every smaller ball about its centre, so
     indicator rows hold the ball of the largest radius; Gaussian and plain
-    IDW rows hold every point.  ``_rows`` makes the rows in batches of at
-    most ``TABLE_BUDGET`` candidates, and the table keeps the first: when
-    every row fits, that is every row, and otherwise each read of the table
-    makes the rows after it again.  An *index* over the cloud's planar
-    points, when given, serves the queries of an indexed kind.
+    IDW rows hold every point.  ``_rows`` makes the rows once, in batches of
+    at most ``TABLE_BUDGET`` candidates, and every spec still going is
+    estimated on a batch before the next.  ``estimates`` maps each spec to
+    its coefficients in centre order or to the first empty window it met,
+    where it dropped out; filter fallbacks warn while the table is built.
+    An *index* over the cloud's planar points serves an indexed kind.
     """
 
     def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
@@ -207,7 +208,18 @@ class NeighbourTable:
             self._index = index
         else:
             self._box = bounding_box(self.cloud)
-        self._kept = next(self._rows(0))[1]
+        self.estimates: dict[WeightSpec, np.ndarray | _EmptyWindow] = {}
+        going = {spec: np.empty(len(self.centres)) for spec in grid}
+        for first, rows in self._rows():
+            for spec, out in list(going.items()):
+                try:
+                    out[first : first + rows.starts.size - 1] = _estimates(self, first, rows, spec)
+                except _EmptyWindow as exc:
+                    self.estimates[spec] = exc.with_traceback(None)
+                    del going[spec]
+            if not going:
+                break
+        self.estimates.update(going)
 
     def _reach_for(self, grid) -> float | int | None:
         """How far one query must reach to serve every spec of *grid*."""
@@ -226,12 +238,12 @@ class NeighbourTable:
         query_point(centre, self._box)  # as PlanarIndex checks its queries
         return np.arange(self.cloud.shape[0])
 
-    def _rows(self, first: int) -> Iterator[tuple[int, Neighbours]]:
-        """``(first row, rows)`` pairs from centre *first* on, in order; a
+    def _rows(self) -> Iterator[tuple[int, Neighbours]]:
+        """``(first row, rows)`` pairs that cover every centre in order; a
         batch closes before it would pass ``TABLE_BUDGET`` candidates, so
         only a single larger row makes a larger batch."""
-        rows, total = [], 0
-        for r in range(first, len(self.centres)):
+        first, rows, total = 0, [], 0
+        for r in range(len(self.centres)):
             row = self._query(self.centres[r])
             if rows and total + row.size > TABLE_BUDGET:
                 yield first, _neighbours(self.cloud, self.centres[first:r], rows)
@@ -239,20 +251,6 @@ class NeighbourTable:
             rows.append(row)
             total += row.size
         yield first, _neighbours(self.cloud, self.centres[first:], rows)
-
-    def _serves(self, spec: WeightSpec) -> bool:
-        """Whether the rows hold every point that *spec* can weigh."""
-        return spec.kind == self.kind and (
-            self.reach is None or self._reach_for((spec,)) <= self.reach
-        )
-
-    def _batches(self) -> Iterator[tuple[int, Neighbours]]:
-        """``(first row, rows)`` pairs that cover every centre in order: the
-        kept batch, then the rest made again."""
-        yield 0, self._kept
-        kept = self._kept.starts.size - 1
-        if kept < len(self.centres):
-            yield from self._rows(kept)
 
 
 def _subset(keep: np.ndarray, starts: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -332,8 +330,9 @@ class _EmptyWindow(Exception):
         self.row = row
 
 
-def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
-    """Clamped weighted mean at every centre of *table*, in row order.
+def _estimates(table: NeighbourTable, first: int, rows: Neighbours, spec: WeightSpec) -> np.ndarray:
+    """Clamped weighted mean at each centre of *rows*, the batch of *table*
+    that starts at centre *first*.
 
     Each quotient is ``add.reduceat(z * w) / add.reduceat(w)`` over one
     row in ascending id order, so it does not depend on how many rows share
@@ -343,37 +342,34 @@ def _estimates(table: NeighbourTable, spec: WeightSpec) -> np.ndarray:
     cloud = table.cloud
     if spec.kind == "knn" and spec.k > cloud.shape[0]:
         raise _EmptyWindow(0, f"k={spec.k} exceeds cloud size {cloud.shape[0]}")
-    out = np.empty(len(table.centres))
-    for first, rows in table._batches():
-        ids, w, starts = _window(rows, spec, cloud)
-        z = cloud[ids, 2]
-        rejected = np.zeros(starts.size - 1, dtype=bool)
-        if spec.outlier_filter:
-            keep, rejected = _tukey_fences(z, starts, spec.fence)
-            z, w, starts = _subset(keep, starts, z, w)
-        heads, full = starts[:-1], starts[:-1] < starts[1:]
-        # an empty row has no sum; the full rows' heads delimit exactly them
-        total = np.zeros(heads.size)
-        total[full] = np.add.reduceat(w, heads[full])
-        bad = np.flatnonzero(~(total > 0.0))
-        stop = bad[0] if bad.size else heads.size
-        for _ in range(np.count_nonzero(rejected[: stop + 1])):
-            warnings.warn(
-                "outlier filter rejected every contributing point; "
-                "falling back to the unfiltered estimate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if bad.size:
-            raise _EmptyWindow(
-                first + stop,
-                "total weight underflowed to zero" if full[stop] else "no point has positive weight",
-                table.centres,
-            )
-        lo, hi = np.minimum.reduceat(z, heads), np.maximum.reduceat(z, heads)
-        quotient = np.add.reduceat(z * w, heads) / total
-        out[first : first + heads.size] = np.minimum(np.maximum(quotient, lo), hi)
-    return out
+    ids, w, starts = _window(rows, spec, cloud)
+    z = cloud[ids, 2]
+    rejected = np.zeros(starts.size - 1, dtype=bool)
+    if spec.outlier_filter:
+        keep, rejected = _tukey_fences(z, starts, spec.fence)
+        z, w, starts = _subset(keep, starts, z, w)
+    heads, full = starts[:-1], starts[:-1] < starts[1:]
+    # an empty row has no sum; the full rows' heads delimit exactly them
+    total = np.zeros(heads.size)
+    total[full] = np.add.reduceat(w, heads[full])
+    bad = np.flatnonzero(~(total > 0.0))
+    stop = bad[0] if bad.size else heads.size
+    for _ in range(np.count_nonzero(rejected[: stop + 1])):
+        warnings.warn(
+            "outlier filter rejected every contributing point; "
+            "falling back to the unfiltered estimate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if bad.size:
+        raise _EmptyWindow(
+            first + stop,
+            "total weight underflowed to zero" if full[stop] else "no point has positive weight",
+            table.centres,
+        )
+    lo, hi = np.minimum.reduceat(z, heads), np.maximum.reduceat(z, heads)
+    quotient = np.add.reduceat(z * w, heads) / total
+    return np.minimum(np.maximum(quotient, lo), hi)
 
 
 def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float:
@@ -387,11 +383,10 @@ def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float
     Raises ``ZeroWeightError`` when no point receives positive weight, so
     the caller can widen the window instead of silently producing zeros.
     """
-    table = NeighbourTable(cloud, ((float(u), float(v)),), (spec,))
-    try:
-        return float(_estimates(table, spec)[0])
-    except _EmptyWindow as exc:
-        raise ZeroWeightError(str(exc)) from None
+    estimate = NeighbourTable(cloud, ((float(u), float(v)),), (spec,)).estimates[spec]
+    if isinstance(estimate, _EmptyWindow):
+        raise ZeroWeightError(str(estimate))
+    return float(estimate[0])
 
 
 def fit_surface(
@@ -399,24 +394,23 @@ def fit_surface(
 ) -> WqisaSurface:
     """Surface on *space* with a coefficient estimated at every pair of knot averages.
 
-    *table* holds the neighbours of those knot averages in *cloud* for a
+    *table* holds the coefficients at those knot averages in *cloud* for a
     grid that includes *spec*; ``pipeline.tune_parameters`` shares one
     across its grid, and without one the function builds its own.
-    Zero-weight failures are re-raised with the offending grid entry.
+    Zero-weight failures are raised with the offending grid entry.
     """
     cloud = as_cloud(cloud)
     centres = knot_average_grid(space)
     if table is None:
         table = NeighbourTable(cloud, centres, (spec,))
     elif not (
-        table._serves(spec)
+        spec in table.estimates
         and np.array_equal(table.centres, centres)
         and np.array_equal(table.cloud, cloud)
     ):
         raise ValueError("the neighbour table was built for another cloud, mesh or weight grid")
-    try:
-        coefficients = _estimates(table, spec)
-    except _EmptyWindow as exc:
-        i, j = divmod(exc.row, space.shape[1])
-        raise ZeroWeightError(f"coefficient (i={i}, j={j}): {exc}") from None
+    coefficients = table.estimates[spec]
+    if isinstance(coefficients, _EmptyWindow):
+        i, j = divmod(coefficients.row, space.shape[1])
+        raise ZeroWeightError(f"coefficient (i={i}, j={j}): {coefficients}")
     return WqisaSurface(space, coefficients.reshape(space.shape))

@@ -397,6 +397,23 @@ def test_numpy_is_the_only_runtime_dependency(tmp_path):
     assert (tmp_path / "c.json").is_file()
 
 
+def test_module_run_warns_nothing(tmp_path):
+    # runpy warns when importing the package has already imported wqisa.cli
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wqisa.cli", "--version"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.startswith("wqisa ")
+
+
 # fixed-seed fits whose rows are long enough for a BLAS dot product to
 # reorder their sums: knn, knn with the outlier filter, and inverse
 # distance truncated to 40 points

@@ -179,6 +179,22 @@ class TestTuneParameters:
             result.surface.coefficients, fit_surface(self.training, space, grid[best]).coefficients
         )
 
+    def test_a_small_table_budget_changes_no_bit(self, monkeypatch):
+        from wqisa.splines import KnotVector
+
+        space = TensorSplineSpace(
+            KnotVector.piecewise_bezier(2, np.linspace(*self.space.domain[:2], 5)),
+            KnotVector.piecewise_bezier(2, np.linspace(*self.space.domain[2:], 4)),
+        )
+        grid = [WeightSpec.indicator(r) for r in (1.0, 1.5, 3.0)] + [WeightSpec.knn(k) for k in (2, 5)]
+        default = tune_parameters(self.training, self.validation, space, grid)
+        # a few rows to a batch, and one row of the widest ball
+        monkeypatch.setattr(weights, "TABLE_BUDGET", 12)
+        small = tune_parameters(self.training, self.validation, space, grid)
+        assert small.spec is default.spec
+        assert small.gmse == default.gmse
+        assert small.surface.coefficients.tobytes() == default.surface.coefficients.tobytes()
+
 
 def refined_space(degrees, domain) -> TensorSplineSpace:
     """A non-uniform 4 x 4 mesh over *domain*: three refinement steps that

@@ -18,7 +18,7 @@ from wqisa.weights import (
     fit_surface,
 )
 
-from oracles import brute_estimate, brute_knn_ids, random_cloud
+from oracles import brute_estimate, brute_knn_ids, brute_radius_ids, random_cloud
 
 
 class TestWeightSpec:
@@ -362,8 +362,7 @@ class TestSharedNeighbourTable:
     @pytest.mark.parametrize("outlier_filter", [False, True])
     @pytest.mark.parametrize("kind", GRIDS)
     def test_every_coefficient_matches_brute_force(self, monkeypatch, kind, outlier_filter, budget):
-        # a small budget keeps no rows: the centres are queried again for
-        # each entry, one (50) or several (2000) to a batch
+        # a small budget makes the rows one (50) or several (2000) to a batch
         if budget is not None:
             monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
         cloud = random_cloud(np.random.default_rng(14), 300, dupes=True)
@@ -389,79 +388,92 @@ class TestSharedNeighbourTable:
                 fitted += 1
         assert fitted > 0
 
-    def test_reads_remake_only_the_rows_after_the_kept_batch(self, monkeypatch):
-        cloud = random_cloud(np.random.default_rng(14), 300)
-        space = _mesh(cloud, 4, 3)
-        centres = knot_average_grid(space)
-        grid = [WeightSpec.knn(k) for k in (2, 5, 8)]
-        # every row holds the 8 nearest: the first batch takes half the centres
-        kept = len(centres) // 2
-        monkeypatch.setattr(weights, "TABLE_BUDGET", 8 * kept)
-        queries = []
-        knn = PlanarIndex.knn
-        monkeypatch.setattr(PlanarIndex, "knn", lambda *args: queries.append(0) or knn(*args))
-        table = NeighbourTable(cloud, centres, grid)
-        for spec in grid:
-            fit_surface(cloud, space, spec, table)
-        # building queries the kept rows and the row that closes their batch;
-        # each read queries the rows after the kept batch again
-        assert len(queries) == kept + 1 + len(grid) * (len(centres) - kept)
-
-    # index queries of the grids above when a table kept every row or none:
-    # one per centre to build, or one per centre for each entry read
-    # (indicator reads stop at the batch that holds an empty ball)
-    PARENT_QUERIES = {
-        "knn": {None: 108, 50: 432, 2000: 432},
-        "idw_truncated": {None: 108, 50: 432, 2000: 432},
-        "indicator": {None: 108, 50: 272, 2000: 293},
-        "gaussian": {None: 0, 50: 0, 2000: 0},
-        "idw": {None: 0, 50: 0, 2000: 0},
-    }
-
     @pytest.mark.parametrize("budget", [None, 50, 2000])
     @pytest.mark.parametrize("kind", GRIDS)
-    def test_no_more_queries_than_a_table_without_a_kept_batch(self, monkeypatch, kind, budget):
+    def test_building_queries_each_centre_once(self, monkeypatch, kind, budget):
+        # reading every entry afterwards queries nothing more
         if budget is not None:
             monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
         cloud = random_cloud(np.random.default_rng(14), 300, dupes=True)
         space = _mesh(cloud, 4, 3)
+        centres = knot_average_grid(space)
         queries = []
         for name in ("knn", "within_radius"):
             query = getattr(PlanarIndex, name)
             monkeypatch.setattr(
                 PlanarIndex, name, lambda *args, query=query: queries.append(0) or query(*args)
             )
-        table = NeighbourTable(cloud, knot_average_grid(space), self.GRIDS[kind])
+        table = NeighbourTable(cloud, centres, self.GRIDS[kind])
         for spec in self.GRIDS[kind]:
             try:
                 fit_surface(cloud, space, spec, table)
             except ZeroWeightError:
                 pass
-        assert len(queries) <= self.PARENT_QUERIES[kind][budget]
+        assert len(queries) == (len(centres) if weights.KERNELS[kind].indexed else 0)
 
-    def test_fallback_warns_once_per_falling_back_coefficient(self):
-        # fence 0 rejects both heights of a two-point window unless they are
-        # equal; heights from {0, 1} make some windows fall back, not all
+    # fence 0 rejects both heights of a two-point window unless they are
+    # equal; heights from {0, 1} make some windows fall back, not all
+    @staticmethod
+    def _binary_cloud() -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(15)
         cloud = random_cloud(rng, 200)
         cloud[:, 2] = rng.integers(0, 2, size=200)
-        space = _mesh(cloud, 5, 5)
-        centres = knot_average_grid(space)
-        grid = [WeightSpec.knn(k, outlier_filter=True, fence=0.0) for k in (2, 3)]
-        spec = grid[0]
-        expected = sum(
-            np.ptp(cloud[brute_knn_ids(cloud, u, v, 2), 2]) > 0 for u, v in centres
-        )
-        assert 0 < expected < len(centres)
-        table = NeighbourTable(cloud, centres, grid)
+        return cloud, knot_average_grid(_mesh(cloud, 5, 5))
+
+    @staticmethod
+    def _falls_back(heights: np.ndarray) -> bool:
+        """Whether fence 0 rejects every height of a window."""
+        if heights.size < 2:
+            return False
+        q1, q3 = np.percentile(heights, (25.0, 75.0))
+        return not ((heights >= q1) & (heights <= q3)).any()
+
+    @staticmethod
+    def _build_counting_fallbacks(cloud, centres, grid) -> tuple[NeighbourTable, int]:
+        """A table for *grid*, and the fallback warnings its building raised."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit_surface(cloud, space, spec, table)
-        assert [str(w.message) for w in caught] == [
-            "outlier filter rejected every contributing point; "
-            "falling back to the unfiltered estimate"
-        ] * expected
-        assert {w.category for w in caught} == {RuntimeWarning}
+            table = NeighbourTable(cloud, centres, grid)
+        assert {(w.category, str(w.message)) for w in caught} <= {
+            (
+                RuntimeWarning,
+                "outlier filter rejected every contributing point; "
+                "falling back to the unfiltered estimate",
+            )
+        }
+        return table, len(caught)
+
+    @pytest.mark.parametrize("budget", [None, 50])
+    def test_fallback_warns_once_per_falling_back_coefficient(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+        cloud, centres = self._binary_cloud()
+        grid = [WeightSpec.knn(k, outlier_filter=True, fence=0.0) for k in (2, 3)]
+        expected = [
+            sum(self._falls_back(cloud[brute_knn_ids(cloud, u, v, spec.k), 2]) for u, v in centres)
+            for spec in grid
+        ]
+        assert 0 < expected[0] < len(centres)
+        assert self._build_counting_fallbacks(cloud, centres, grid)[1] == sum(expected)
+
+    @pytest.mark.parametrize("budget", [None, 50])
+    def test_an_empty_window_ends_a_specs_fallback_warnings(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+        cloud, centres = self._binary_cloud()
+        # the small ball is empty at some centre; the large one never is
+        grid = [WeightSpec.indicator(r, outlier_filter=True, fence=0.0) for r in (0.06, 2.0)]
+        small, large = (
+            [cloud[brute_radius_ids(cloud, u, v, spec.radius), 2] for u, v in centres]
+            for spec in grid
+        )
+        empty = [heights.size for heights in small].index(0)
+        expected = [sum(map(self._falls_back, small[:empty])), sum(map(self._falls_back, large))]
+        assert expected[0] > 0 and any(map(self._falls_back, small[empty:]))
+        table, caught = self._build_counting_fallbacks(cloud, centres, grid)
+        assert caught == sum(expected)
+        assert table.estimates[grid[0]].row == empty
+        assert table.estimates[grid[1]].shape == (len(centres),)
 
     def test_table_must_match_cloud_mesh_and_grid(self):
         cloud = random_cloud(np.random.default_rng(16), 100)
@@ -469,6 +481,7 @@ class TestSharedNeighbourTable:
         table = NeighbourTable(cloud, knot_average_grid(space), [WeightSpec.knn(3), WeightSpec.knn(5)])
         fit_surface(cloud, space, WeightSpec.knn(5), table)
         for other_cloud, other_space, spec in (
+            (cloud, space, WeightSpec.knn(4)),
             (cloud, space, WeightSpec.knn(6)),
             (cloud, space, WeightSpec.truncated_idw(3)),
             (cloud, space, WeightSpec.idw()),
