@@ -13,6 +13,8 @@ from .splines import TensorSplineSpace, locate_spans
 # point pairs per distance block: bounds peak memory in either argument
 # order, and a 256 KB block of squared distances stays in cache
 _BLOCK_PAIRS = 1 << 15
+# points of either set that one step of the cell sweep takes at once
+_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,21 @@ class ElementErrorMap:
 def lmse(surface, validation, space: TensorSplineSpace) -> ElementErrorMap:
     """Mean squared residual of *validation* restricted to each mesh element."""
     validation = as_cloud(validation)
+    return _error_map(validation, residuals(surface, validation), space)
+
+
+def _error_map(points: np.ndarray, res: np.ndarray, space: TensorSplineSpace) -> ElementErrorMap:
+    """The LMSE map of *res*, the signed residuals at *points*, on *space*'s mesh."""
     x_edges = space.knots_x.breakpoints
     y_edges = space.knots_y.breakpoints
-    ex = locate_spans(x_edges, x_edges.size - 2, validation[:, 0])
-    ey = locate_spans(y_edges, y_edges.size - 2, validation[:, 1])
-    res = residuals(surface, validation)
+    ex = locate_spans(x_edges, x_edges.size - 2, points[:, 0])
+    ey = locate_spans(y_edges, y_edges.size - 2, points[:, 1])
     shape = (x_edges.size - 1, y_edges.size - 1)
-    sums = np.zeros(shape)
-    counts = np.zeros(shape, dtype=np.intp)
-    np.add.at(sums, (ex, ey), res**2)
-    np.add.at(counts, (ex, ey), 1)
-    values = np.zeros(shape)
-    hit = counts > 0
-    values[hit] = sums[hit] / counts[hit]
+    # each element's sum runs over its points in input order
+    cell, size = np.ravel_multi_index((ex, ey), shape), shape[0] * shape[1]
+    counts = np.bincount(cell, minlength=size).reshape(shape)
+    sums = np.bincount(cell, res**2, minlength=size).reshape(shape)
+    values = np.divide(sums, counts, out=np.zeros(shape), where=counts > 0)
     return ElementErrorMap(values=values, counts=counts)
 
 
@@ -123,34 +127,48 @@ def _directed(a: np.ndarray, b: np.ndarray, box: tuple, best: float) -> float:
     scale = max(width, height) or 1.0
     side = scale * max(sqrt(width / scale * (height / scale) / n), 1.0 / n) or 1.0
     nx, ny = int(width / side) + 1, int(height / side) + 1
-    ij = np.minimum((np.vstack([a[:, :2], b[:, :2]]) - (x0, y0)) / side, (nx - 1, ny - 1))
-    cell = (ij[:, 0].astype(np.intp) + 1) * (ny + 2) + ij[:, 1].astype(np.intp) + 1
-    # each cell keeps its lowest-id point of b, an empty one a sentinel at infinity
-    bx, by, bz = np.vstack([b, np.full(3, np.inf)]).T.copy()  # contiguous rows
+
+    def cells(points: np.ndarray) -> np.ndarray:
+        ix = np.minimum((points[:, 0] - x0) / side, nx - 1).astype(np.intp)
+        iy = np.minimum((points[:, 1] - y0) / side, ny - 1).astype(np.intp)
+        return (ix + 1) * (ny + 2) + iy + 1
+
+    def bounds(block: np.ndarray) -> np.ndarray:
+        """Each point's least squared distance to a kept point of the 3x3 cells about it."""
+        cell, out = cells(block), np.full(block.shape[0], np.inf)
+        for step in (-ny - 3, -ny - 2, -ny - 1, -1, 0, 1, ny + 1, ny + 2, ny + 3):
+            r = keep[cell + step]
+            np.minimum(out, (block[:, 0] - bx[r]) ** 2 + (block[:, 1] - by[r]) ** 2
+                       + (block[:, 2] - bz[r]) ** 2, out=out)
+        return out
+
+    # each cell keeps its lowest-id point of b, an empty one a sentinel at
+    # infinity; both sets go a block at a time, so no temporary grows with them
+    bx, by, bz = np.hstack([b.T, np.full((3, 1), np.inf)])  # contiguous rows
     keep = np.full((nx + 2) * (ny + 2), n)
-    occupied, first = np.unique(cell[m:], return_index=True)
-    keep[occupied] = first
-    bound = np.full(m, np.inf)
-    for step in (-ny - 3, -ny - 2, -ny - 1, -1, 0, 1, ny + 1, ny + 2, ny + 3):
-        r = keep[cell[:m] + step]
-        np.minimum(bound, (a[:, 0] - bx[r]) ** 2 + (a[:, 1] - by[r]) ** 2 + (a[:, 2] - bz[r]) ** 2,
-                   out=bound)
-    order = np.lexsort((np.arange(m), -bound))  # descending bound, then index
+    for start in range(0, n, _BLOCK_ROWS):
+        block = b[start : start + _BLOCK_ROWS]
+        np.minimum.at(keep, cells(block), np.arange(start, start + block.shape[0]))
+    bound = np.concatenate([bounds(a[start : start + _BLOCK_ROWS]) for start in range(0, m, _BLOCK_ROWS)])
+    order = np.argsort(-bound, kind="stable")  # descending bound, then index
     rows = max(1, _BLOCK_PAIRS // n)
     start = 0
     while start < m and bound[order[start]] > best:
         batch = order[start : start + rows]
         batch = batch[bound[batch] > best]  # a prefix: the bounds descend
-        # d2 lives until the next batch's is made, so that its memory is reused
-        d2 = _pair_squared(a[batch], bx[:n], by[:n], bz[:n])
-        best = max(best, float(d2.min(axis=1).max()))
+        # no name holds the block, so it is freed before the next is made
+        best = max(best, float(_pair_squared(a[batch], bx[:n], by[:n], bz[:n]).min(axis=1).max()))
         start += rows
     return best
 
 
 def _pair_squared(rows: np.ndarray, bx, by, bz) -> np.ndarray:
     """Squared distances from each of *rows* (axis 0) to each point ``(bx, by, bz)``."""
-    return (rows[:, 0:1] - bx) ** 2 + (rows[:, 1:2] - by) ** 2 + (rows[:, 2:3] - bz) ** 2
+    d2 = np.square(rows[:, 0:1] - bx)
+    term = np.empty_like(d2)  # the other terms are made in place: two blocks live at a time
+    for axis, other in ((1, by), (2, bz)):
+        d2 += np.square(np.subtract(rows[:, axis : axis + 1], other, out=term), out=term)
+    return d2
 
 
 def surface_sample_points(surface, density: int = 4) -> np.ndarray:

@@ -16,14 +16,15 @@ kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 Coefficients are estimated in batches.  A ``NeighbourTable`` runs one
 neighbor query per knot average, and that query serves every entry of a
 weight grid of one kind; ``pipeline.tune_parameters`` builds one table per
-mesh, and ``fit_surface`` reads each grid entry from it.  The table makes
-its rows once, a batch of at most ``TABLE_BUDGET`` candidates at a time,
-and estimates each of its specs on a batch before it makes the next.  The
-kernels, the Tukey fences, the sums and the clamp act on all rows of a
-batch at once.  Each quotient's numerator ``z * w`` and denominator ``w``
-are summed by ``np.add.reduceat`` over one row in ascending id order, so a
-coefficient depends neither on its batch nor on the machine's BLAS;
-``estimate_control_point`` is a table of one.
+mesh and reads every entry from it with ``NeighbourTable.coefficients``, as
+``fit_surface`` reads one.  The table makes its rows once, a batch of at
+most ``TABLE_BUDGET`` candidates at a time, and estimates each of its specs
+on a batch before it makes the next.  The kernels, the Tukey fences
+(quartiles from one sort of the rows of each length), the sums and the
+clamp act on all rows of a batch at once.  Each quotient's numerator
+``z * w`` and denominator ``w`` are summed by ``np.add.reduceat`` over one
+row in ascending id order, so a coefficient depends neither on its batch
+nor on the machine's BLAS; ``estimate_control_point`` is a table of one.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -193,6 +194,8 @@ class NeighbourTable:
     def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
         self.cloud = as_cloud(cloud)
         self.centres = np.array(centres, dtype=float).reshape(-1, 2)
+        if self.centres.size == 0:
+            raise ValueError("a neighbour table needs at least one window centre, got none")
         if not np.isfinite(self.centres).all():
             raise ValueError("window centres must be finite")
         kinds = {spec.kind for spec in grid}
@@ -220,6 +223,14 @@ class NeighbourTable:
             if not going:
                 break
         self.estimates.update(going)
+
+    def coefficients(self, spec: WeightSpec, shape: tuple[int, int]) -> np.ndarray:
+        """*spec*'s coefficients in a row-major grid of *shape*, or its ``ZeroWeightError``."""
+        estimate = self.estimates[spec]
+        if isinstance(estimate, _EmptyWindow):
+            i, j = divmod(estimate.row, shape[1])
+            raise ZeroWeightError(f"coefficient (i={i}, j={j}): {estimate}")
+        return estimate.reshape(shape)
 
     def _reach_for(self, grid) -> float | int | None:
         """How far one query must reach to serve every spec of *grid*."""
@@ -298,6 +309,13 @@ def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.n
     return _subset(coincident | ~split, starts, ids, w)
 
 
+def _quantile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """The *q* quantile of each ascending row, as ``np.percentile`` interpolates it (type 7)."""
+    index = (ordered.shape[1] - 1) * q
+    a, b, t = ordered[:, int(index)], ordered[:, int(index) + 1], index - int(index)
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.ndarray, np.ndarray]:
     """Which heights lie inside their row's Tukey fences (quartiles by linear
     interpolation of order statistics), and which rows' fences reject every
@@ -305,12 +323,12 @@ def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.n
     sizes = np.diff(starts)
     keep = np.ones(z.size, dtype=bool)
     rejected = np.zeros(sizes.size, dtype=bool)
-    # the rows of one length form a matrix whose quartiles are one call
+    # the rows of one length form a matrix whose quartiles come from one sort
     for size in np.unique(sizes[sizes > 1]):
         rows = np.flatnonzero(sizes == size)
         cols = starts[rows][:, None] + np.arange(size)
         heights = z[cols]
-        q1, q3 = np.percentile(heights, (25.0, 75.0), axis=1)
+        q1, q3 = (_quantile(np.sort(heights, axis=1), q) for q in (0.25, 0.75))
         iqr = q3 - q1
         inside = (heights >= (q1 - fence * iqr)[:, None]) & (heights <= (q3 + fence * iqr)[:, None])
         none = ~inside.any(axis=1)
@@ -395,22 +413,14 @@ def fit_surface(
     """Surface on *space* with a coefficient estimated at every pair of knot averages.
 
     *table* holds the coefficients at those knot averages in *cloud* for a
-    grid that includes *spec*; ``pipeline.tune_parameters`` shares one
-    across its grid, and without one the function builds its own.
+    grid that includes *spec*; without one the function builds its own.
     Zero-weight failures are raised with the offending grid entry.
     """
     cloud = as_cloud(cloud)
     centres = knot_average_grid(space)
     if table is None:
         table = NeighbourTable(cloud, centres, (spec,))
-    elif not (
-        spec in table.estimates
-        and np.array_equal(table.centres, centres)
-        and np.array_equal(table.cloud, cloud)
-    ):
+    elif not (spec in table.estimates and np.array_equal(table.centres, centres)
+              and np.array_equal(table.cloud, cloud)):
         raise ValueError("the neighbour table was built for another cloud, mesh or weight grid")
-    coefficients = table.estimates[spec]
-    if isinstance(coefficients, _EmptyWindow):
-        i, j = divmod(coefficients.row, space.shape[1])
-        raise ZeroWeightError(f"coefficient (i={i}, j={j}): {coefficients}")
-    return WqisaSurface(space, coefficients.reshape(space.shape))
+    return WqisaSurface(space, table.coefficients(spec, space.shape))

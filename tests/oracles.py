@@ -98,6 +98,23 @@ def brute_estimate(cloud: np.ndarray, u: float, v: float, spec) -> float:
     return float(min(max(value, zs.min()), zs.max()))
 
 
+def reference_tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which heights lie inside their row's Tukey fences, with each row's
+    quartiles from its own ``np.percentile`` call, and which rows' fences
+    reject every height (those rows keep all of theirs)."""
+    keep = np.ones(z.size, dtype=bool)
+    rejected = np.zeros(starts.size - 1, dtype=bool)
+    for row, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        heights = z[lo:hi]
+        if heights.size < 2:
+            continue
+        q1, q3 = np.percentile(heights, (25.0, 75.0))
+        inside = (heights >= q1 - fence * (q3 - q1)) & (heights <= q3 + fence * (q3 - q1))
+        rejected[row] = not inside.any()
+        keep[lo:hi] = inside | rejected[row]
+    return keep, rejected
+
+
 def reference_cloud_rows(text: str, fmt: str, columns=("x", "y", "z")) -> list[list[float]]:
     """The rows of a cloud file's *text*, walked one record at a time.
 

@@ -1,5 +1,7 @@
 """Tests for the evaluation measures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,8 +193,43 @@ class TestLmse:
         pooled = float((emap.values * emap.counts).sum() / emap.counts.sum())
         assert pooled == pytest.approx(gmse(surface, cloud), rel=1e-12)
 
+    def test_each_element_sums_its_points_in_input_order(self):
+        # refinement compares these values with a threshold, so their bits are
+        # fixed: squared residuals added left to right in input order, then
+        # divided by the count
+        rng = np.random.default_rng(7)
+        space = self.make_space(3)
+        surface = WqisaSurface(space, rng.uniform(-1, 1, size=space.shape))
+        heights = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
+        pts = np.column_stack([rng.uniform(0, 1, size=(500, 2)), heights])
+        emap = lmse(surface, pts, space)
+        res = metrics.residuals(surface, pts).tolist()
+        edges = space.knots_x.breakpoints
+        element = np.minimum(np.searchsorted(edges, pts[:, :2], side="right") - 1, edges.size - 2)
+        for (e, f), count in np.ndenumerate(emap.counts):
+            mine = [r for r, (i, j) in zip(res, element.tolist()) if (i, j) == (e, f)]
+            total = 0.0
+            for r in mine:
+                total += r * r
+            assert count == len(mine)
+            assert emap.values[e, f] == (total / count if count else 0.0)
+
 
 class TestHausdorff:
+    def test_memory_at_eval_shape_is_bounded(self):
+        # a 20k cloud against the 1,089 samples of an 8 x 8 surface, as `eval`
+        # measures one; the all-pairs sweep before the pruned one peaked at
+        # 1.03 MiB, and the bound sweep and the scan work in blocks to stay below
+        cloud, samples = hemisphere_and_samples(20000, 8)
+        assert samples.shape == (1089, 3)
+        tracemalloc.start()
+        try:
+            hausdorff(cloud, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.03 * 2**20
+
     def test_identical_sets(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(0, 1, size=(25, 3))

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from wqisa import weights
+from wqisa import metrics, weights
 from wqisa.clouds import bounding_box
 from wqisa.mba import fit_mba
-from wqisa.metrics import ElementErrorMap, gmse, lmse
+from wqisa.metrics import ElementErrorMap, gmse, lmse, residuals
 from wqisa.pipeline import (
     DataSplit,
     FitConfig,
@@ -141,6 +141,18 @@ class TestTuneParameters:
         with pytest.raises(ZeroWeightError, match="every grid entry"):
             tune_parameters(self.training, self.validation, self.space, grid)
 
+    def test_all_entries_failing_names_the_last_failure(self):
+        # the message fit_surface gives the last entry, after the same prefix
+        grid = [WeightSpec.indicator(1e-9), WeightSpec.knn(10_000)]
+        with pytest.raises(ZeroWeightError) as last:
+            fit_surface(self.training, self.space, grid[-1])
+        with pytest.raises(ZeroWeightError) as every:
+            tune_parameters(self.training, self.validation, self.space, grid)
+        assert str(every.value) == f"every grid entry failed; last error: {last.value}"
+        assert str(every.value) == (
+            "every grid entry failed; last error: coefficient (i=0, j=0): k=10000 exceeds cloud size 80"
+        )
+
     def test_oversized_k_skipped(self):
         grid = [WeightSpec.knn(5), WeightSpec.knn(10_000)]
         result = tune_parameters(self.training, self.validation, self.space, grid)
@@ -231,13 +243,31 @@ class TestScoring:
         grid = GRIDS[kind](outlier_filter=outlier_filter)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # filter fallbacks
-            scores = [gmse(fit_surface(training, space, spec), validation) for spec in grid]
+            surfaces = [fit_surface(training, space, spec) for spec in grid]
+            scores = [gmse(surface, validation) for surface in surfaces]
             for spec, score in zip(grid, scores):
                 assert tune_parameters(training, validation, space, [spec]).gmse == score
             result = tune_parameters(training, validation, space, grid)
         best = int(np.argmin(scores))
         assert result.spec is grid[best]
         assert result.gmse == scores[best]
+        assert result.surface.coefficients.tobytes() == surfaces[best].coefficients.tobytes()
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (0, 1)])
+    @pytest.mark.parametrize("kind", sorted(GRIDS))
+    def test_the_scored_residuals_map_the_lmse(self, kind, degrees):
+        # fit_split maps the LMSE from the winner's scored residuals; the map
+        # must be the bytes lmse gives from evaluating the surface again
+        cloud = random_cloud(np.random.default_rng(32), 300)
+        training, validation = cloud[:150], cloud[150:]
+        space = refined_space(degrees, bounding_box(cloud))
+        result = tune_parameters(training, validation, space, GRIDS[kind]())
+        assert result.residuals.tobytes() == residuals(result.surface, validation).tobytes()
+        handed = metrics._error_map(validation, result.residuals, space)
+        evaluated = lmse(result.surface, validation, space)
+        assert handed.values.tobytes() == evaluated.values.tobytes()
+        assert handed.counts.tobytes() == evaluated.counts.tobytes()
+        assert evaluated.counts.sum() == validation.shape[0]
 
 
 class TestRefineMesh:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqisa import weights
 from wqisa.kdtree import PlanarIndex
@@ -18,7 +20,13 @@ from wqisa.weights import (
     fit_surface,
 )
 
-from oracles import brute_estimate, brute_knn_ids, brute_radius_ids, random_cloud
+from oracles import (
+    brute_estimate,
+    brute_knn_ids,
+    brute_radius_ids,
+    random_cloud,
+    reference_tukey_fences,
+)
 
 
 class TestWeightSpec:
@@ -506,6 +514,91 @@ class TestSharedNeighbourTable:
         for points in (cloud[::-1], cloud[:-1], cloud + [1e-9, 0.0, 0.0]):
             with pytest.raises(ValueError, match="planar index was built over other points"):
                 NeighbourTable(cloud, centres, grid, PlanarIndex(points))
+
+    def test_an_equal_copy_of_the_cloud_reads_the_table(self):
+        # the table is matched to the cloud by value, not by identity
+        cloud = random_cloud(np.random.default_rng(16), 100)
+        space = _mesh(cloud, 3, 2)
+        grid = [WeightSpec.knn(3), WeightSpec.knn(5)]
+        table = NeighbourTable(cloud, knot_average_grid(space), grid)
+        for spec in grid:
+            got = fit_surface(cloud.copy(), space, spec, table).coefficients
+            assert got.tobytes() == fit_surface(cloud, space, spec).coefficients.tobytes()
+
+    def test_coefficients_name_the_first_empty_window(self):
+        cloud = random_cloud(np.random.default_rng(16), 100)
+        space = _mesh(cloud, 3, 2)
+        spec = WeightSpec.indicator(1e-9)
+        table = NeighbourTable(cloud, knot_average_grid(space), [spec])
+        with pytest.raises(ZeroWeightError) as raised:
+            table.coefficients(spec, space.shape)
+        with pytest.raises(ZeroWeightError, match=r"^coefficient \(i=0, j=0\): no point has positive weight"):
+            fit_surface(cloud, space, spec, table)
+        assert str(raised.value).startswith("coefficient (i=0, j=0): ")
+
+    @pytest.mark.parametrize("centres", [np.empty((0, 2)), [], np.empty(0)])
+    def test_no_centres_refused(self, centres):
+        cloud = random_cloud(np.random.default_rng(16), 20)
+        with pytest.raises(ValueError, match="^a neighbour table needs at least one window centre"):
+            NeighbourTable(cloud, centres, [WeightSpec.knn(3)])
+
+
+# heights that tie, zeros of both signs, the two least subnormals, and
+# magnitudes from 1e-300 to 1e300
+_HEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 1.0, -1.0, 2.5, 1e-300, -1e-300, 1e300, -1e300]),
+    st.builds(
+        lambda sign, digits, exponent: sign * digits * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.999),
+        st.integers(-300, 300),
+    ),
+)
+# rows of one size (a single matrix) or of mixed sizes, 0 to 64 heights each
+_SIZES = st.one_of(
+    st.tuples(st.integers(2, 64), st.integers(1, 6)).map(lambda size_rows: [size_rows[0]] * size_rows[1]),
+    st.lists(st.integers(0, 64), min_size=1, max_size=8),
+)
+
+
+class TestTukeyFences:
+    """The fences' quartiles come from one sort per row size; the kept
+    heights and the rejected rows must be those of ``np.percentile``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        sizes=_SIZES,
+        pool=st.lists(_HEIGHTS, min_size=1, max_size=12),
+        fresh=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        fence=st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+    )
+    def test_matches_the_percentile_oracle(self, sizes, pool, fresh, seed, fence):
+        # heights from a small pool tie; a *fresh* share is drawn anew over
+        # the whole 1e-300..1e300 range, so rows also hold distinct heights
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        z = rng.choice(np.array(pool), size=n)
+        new = rng.random(n) < fresh
+        z[new] = rng.choice([-1.0, 1.0], new.sum()) * rng.uniform(1, 10, new.sum()) * 10.0 ** rng.integers(
+            -300, 301, new.sum()
+        )
+        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        # fences of heights near 1e300 overflow alike in both
+        with np.errstate(over="ignore", invalid="ignore"):
+            keep, rejected = weights._tukey_fences(z, starts, fence)
+            want_keep, want_rejected = reference_tukey_fences(z, starts, fence)
+        assert keep.tolist() == want_keep.tolist()
+        assert rejected.tolist() == want_rejected.tolist()
+
+    def test_past_the_middle_a_quartile_comes_down_from_the_upper_statistic(self):
+        # half the step between the two least subnormals rounds to zero, so
+        # the two forms of the interpolation give different quartiles here:
+        # q1 = 5e-324 and q3 = 1e-323 as numpy gives them, not 0 and 5e-324
+        z, starts = np.array([0.0, 5e-324, 1e-323]), np.array([0, 3])
+        keep, rejected = weights._tukey_fences(z, starts, 0.0)
+        assert keep.tolist() == reference_tukey_fences(z, starts, 0.0)[0].tolist() == [False, True, True]
+        assert rejected.tolist() == [False]
 
 
 class TestSummationAccuracy:
