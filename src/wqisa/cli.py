@@ -154,6 +154,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _assess(surface, test, density: int) -> dict:
+    """A surface's punctual errors on *test* and Hausdorff distance to it."""
+    return {
+        "punctual": punctual_errors(surface, test).to_dict(),
+        "hausdorff": hausdorff(test, surface_sample_points(surface, density)),
+    }
+
+
 def _cmd_compare(args) -> int:
     cloud = read_cloud(args.cloud)
     run_config = read_config(args.config)
@@ -162,8 +170,7 @@ def _cmd_compare(args) -> int:
     data = split(cloud, fit_config.fractions, fit_config.seed)
 
     wq_surface, wq_report = fit_split(data, fit_config, domain=domain)
-    wq_stats = punctual_errors(wq_surface, data.test)
-    wq_haus = hausdorff(data.test, surface_sample_points(wq_surface, args.density))
+    wq_errors = _assess(wq_surface, data.test, args.density)
 
     mba_surface, mba_history = fit_mba(
         data.training,
@@ -172,23 +179,19 @@ def _cmd_compare(args) -> int:
         degrees=fit_config.degrees,
         domain=domain,
     )
-    mba_stats = punctual_errors(mba_surface, data.test)
-    mba_haus = hausdorff(data.test, surface_sample_points(mba_surface, args.density))
 
     write_report(
         {
             "tool_version": __version__,
             "config": run_config.to_dict(),
             "wqisa": {
-                "punctual": wq_stats.to_dict(),
-                "hausdorff": wq_haus,
+                **wq_errors,
                 "iterations": len(wq_report.iterations),
                 "stop_reason": wq_report.stop_reason,
                 "validation_gmse": wq_report.iterations[wq_report.best_iteration - 1].gmse,
             },
             "mba": {
-                "punctual": mba_stats.to_dict(),
-                "hausdorff": mba_haus,
+                **_assess(mba_surface, data.test, args.density),
                 "iterations": len(mba_surface.levels),
                 "validation_gmse": mba_history[len(mba_surface.levels) - 1],
             },

@@ -81,7 +81,8 @@ def mba_level_coefficients(cloud, space: TensorSplineSpace) -> np.ndarray:
     w = bx[:, None, :] * by[None, :, :]
     flat = (rows.offsets[:, :, None] + rows.base).ravel()
     nx, ny = space.shape
-    numerator = np.bincount(flat, (w**3 * cloud[:, 2] / ssq).ravel(), minlength=nx * ny)
+    # w * w * w, not w**3: numpy's power rounds by the SIMD variant it dispatches
+    numerator = np.bincount(flat, (w * w * w * cloud[:, 2] / ssq).ravel(), minlength=nx * ny)
     denominator = np.bincount(flat, (w**2).ravel(), minlength=nx * ny)
     grid = np.zeros(nx * ny)
     touched = denominator > 0.0

@@ -337,12 +337,18 @@ class WqisaSurface:
         return float(self.evaluate_many([x], [y])[0])
 
     def evaluate_many(self, xs, ys) -> np.ndarray:
-        """Evaluate at paired coordinate arrays ``xs``, ``ys``."""
+        """Evaluate at paired coordinate arrays ``xs``, ``ys``, in slices of
+        at most ``_BLOCK_POINTS`` points; the slices bound the memory of the
+        rows and change no value."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if xs.shape != ys.shape:
             raise ValueError(f"got {xs.size} x values but {ys.size} y values")
-        return self._blocks(xs.shape[0], lambda s: tensor_rows(self.space, xs[s], ys[s]))
+        values = np.empty(xs.shape[0])
+        for start in range(0, xs.shape[0], _BLOCK_POINTS):
+            block = slice(start, start + _BLOCK_POINTS)
+            values[block] = tensor_rows(self.space, xs[block], ys[block]).values(self.coefficients)
+        return values
 
     def evaluate_lattice(self, xs, ys) -> np.ndarray:
         """Values at every ``(x, y)`` of the lattice *xs* by *ys*, x varying
@@ -383,15 +389,6 @@ class WqisaSurface:
                 np.maximum(total, np.take(lo, index, out=term, mode="clip"), out=total)
                 np.minimum(total, np.take(hi, index, out=term, mode="clip"), out=values[rows, cols])
         return values.ravel()
-
-    def _blocks(self, n: int, rows) -> np.ndarray:
-        """Values at *n* points from *rows(block)* for each slice of at most
-        ``_BLOCK_POINTS`` points; the slices bound memory and change no value."""
-        values = np.empty(n)
-        for start in range(0, n, _BLOCK_POINTS):
-            block = slice(start, min(start + _BLOCK_POINTS, n))
-            values[block] = rows(block).values(self.coefficients)
-        return values
 
     def __repr__(self) -> str:
         return f"WqisaSurface(space={self.space!r})"

@@ -3,7 +3,8 @@
 Everything here recomputes results from the defining formulas with plain
 full scans and sorts, deliberately avoiding the library's spatial index and
 span-based evaluation paths.  ``tricky_surface`` is the one edge-case
-surface that several test modules share.
+surface that several test modules share, and ``avx512_targets`` names the
+SIMD targets to switch off when a test checks bytes without AVX-512.
 """
 
 from __future__ import annotations
@@ -249,3 +250,17 @@ def random_cloud(rng: np.random.Generator, n: int, scale: float = 1.0, dupes: bo
         dst = rng.choice(n, size=take)
         cloud[dst] = cloud[src]
     return cloud
+
+
+def avx512_targets() -> list[str]:
+    """The AVX-512 targets numpy dispatches and the CPU has, as
+    ``NPY_DISABLE_CPU_FEATURES`` names them: none on numpy 1.x or on a CPU
+    without AVX-512."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        return []
+    return [
+        f for f in __cpu_dispatch__
+        if __cpu_features__.get(f) and (f.startswith("AVX512") or f == "X86_V4")
+    ]

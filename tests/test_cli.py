@@ -16,6 +16,8 @@ from wqisa.io import RunConfig, read_cloud, save_surface, write_cloud, write_con
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 from wqisa.synthetic import hemisphere_cloud, perturb
 
+from oracles import avx512_targets
+
 
 @pytest.fixture
 def cloud_file(tmp_path):
@@ -362,6 +364,30 @@ class TestExitCodes:
         assert "wqisa" in capsys.readouterr().out
 
 
+# children import the source tree, whatever the session's working directory
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
+def _run_child(args, cwd, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter in *cwd*, with *env* added to
+    the environment; it must exit 0."""
+    done = subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**CHILD_ENV, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 # run in a fresh interpreter, so that nothing the test session imported counts
 DEPENDENCY_PROBE = """
 import sys
@@ -382,55 +408,62 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 def test_numpy_is_the_only_runtime_dependency(tmp_path):
     # scipy is installed in some environments but is no dependency: no CLI
     # path may import it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", DEPENDENCY_PROBE],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+    done = _run_child(["-c", DEPENDENCY_PROBE], tmp_path)
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "c.json").is_file()
 
 
 def test_module_run_warns_nothing(tmp_path):
     # runpy warns when importing the package has already imported wqisa.cli
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wqisa.cli", "--version"],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
+    done = _run_child(["-W", "error::RuntimeWarning", "-m", "wqisa.cli", "--version"], tmp_path)
     assert done.stderr == ""
     assert done.stdout.startswith("wqisa ")
 
 
-# fixed-seed fits whose rows are long enough for a BLAS dot product to
-# reorder their sums: knn, knn with the outlier filter, and inverse
-# distance truncated to 40 points
-KERNEL_PROBE = """
+# every CLI command on one fixed-seed cloud, synthesized as cloud.xyz and as
+# the file the first argument names, for each config row: rows long enough
+# for a sum to be reordered (knn, knn with the outlier filter, inverse
+# distance truncated to 40 points), the indicator, plain inverse distance,
+# and the README walkthrough's config.  Gaussian has no row: its bits follow
+# the SIMD variant numpy dispatches for np.exp.
+BYTES_PROBE = """
 import sys
 from wqisa.cli import cli_main
 
+cloud = sys.argv[1]
+synth = "synth --n 2000 --seed 7 --noise-std 0.05 --outlier-fraction 0.02 --out "
+for path in sorted({"cloud.xyz", cloud}):
+    assert cli_main((synth + path).split()) == 0
 for name, config in (
-    ("knn", "k_grid = 1,2,3,4,5,6,7,8,9,10\\n"),
-    ("knn-filtered", "k_grid = 1,2,3,4,5,6,7,8,9,10\\noutlier_filter = true\\n"),
-    ("idw-truncated", "weight = idw_truncated\\ntruncation = 40\\n"),
+    ("knn", "k_grid = 1,2,3,4,5,6,7,8,9,10\\nmax_iterations = 5\\n"),
+    ("knn-filtered", "k_grid = 1,2,3,4,5,6,7,8,9,10\\noutlier_filter = true\\nmax_iterations = 5\\n"),
+    ("idw-truncated", "weight = idw_truncated\\ntruncation = 40\\nmax_iterations = 5\\n"),
+    ("indicator", "weight = indicator\\nradius_grid = 0.05,0.1,0.2\\nmax_iterations = 5\\n"),
+    ("idw", "weight = idw\\nmax_iterations = 5\\n"),
+    ("walkthrough", "weight = knn\\nk_grid = 1,2,3,4,5\\nmax_iterations = 10\\nseed = 3\\n"),
 ):
-    open(name + ".cfg", "w").write(config + "max_iterations = 5\\n")
-    argv = ["fit", "--cloud", sys.argv[1], "--config", name + ".cfg",
-            "--surface-out", name + "-surface.json", "--report-out", name + "-report.json"]
-    assert cli_main(argv) == 0, name
+    open(name + ".cfg", "w").write(config)
+    for argv in (
+        f"fit --cloud {cloud} --config {name}.cfg --surface-out {name}-surf.json --report-out {name}-report.json",
+        f"eval --surface {name}-surf.json --cloud {cloud} --out {name}-eval.json",
+        f"compare --cloud {cloud} --config {name}.cfg --out {name}-compare.json",
+        f"sample --surface {name}-surf.json --resolution 60x40 --out {name}-grid.csv",
+    ):
+        assert cli_main(argv.split()) == 0, argv
+assert cli_main(f"split --cloud {cloud} --out-prefix parts --seed 1".split()) == 0
 """
+
+
+def _probe_bytes(work: Path, cloud: str, **env) -> dict[str, bytes]:
+    """Every file BYTES_PROBE writes in *work* but a CSV cloud, by name."""
+    work.mkdir()
+    _run_child(["-c", BYTES_PROBE, cloud], work, **env)
+    return {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "cloud.csv"}
+
+
+@pytest.fixture(scope="module")
+def default_bytes(tmp_path_factory):
+    return _probe_bytes(tmp_path_factory.mktemp("bytes") / "default", "cloud.xyz")
 
 
 def _dynamic_openblas_on_avx2() -> bool:
@@ -448,30 +481,32 @@ def _dynamic_openblas_on_avx2() -> bool:
     )
 
 
-@pytest.mark.skipif(
-    not _dynamic_openblas_on_avx2(), reason="needs numpy on a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU"
+@pytest.mark.parametrize(
+    "cloud, env",
+    [
+        pytest.param(
+            "cloud.xyz",
+            {"OPENBLAS_CORETYPE": "Prescott"},
+            id="prescott",
+            marks=pytest.mark.skipif(
+                not _dynamic_openblas_on_avx2(),
+                reason="needs numpy on a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU",
+            ),
+        ),
+        pytest.param(
+            "cloud.xyz",
+            {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512_targets())},
+            id="no-avx512",
+            marks=pytest.mark.skipif(
+                not avx512_targets(), reason="numpy dispatches no AVX-512 target on this CPU"
+            ),
+        ),
+        pytest.param("cloud.csv", {}, id="csv"),
+    ],
 )
-def test_fits_are_byte_identical_under_two_blas_kernels(tmp_path):
-    # forcing OpenBLAS's kernel in each child's environment stands in for
-    # two machines; nothing in this process changes
-    cloud = tmp_path / "cloud.xyz"
-    synth = "synth --n 2000 --seed 7 --noise-std 0.05 --outlier-fraction 0.02 --out"
-    assert cli_main([*synth.split(), str(cloud)]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = {}
-    for core in ("Haswell", "Prescott"):
-        work = tmp_path / core
-        work.mkdir()
-        done = subprocess.run(
-            [sys.executable, "-c", KERNEL_PROBE, str(cloud)],
-            cwd=work,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core},
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs[core] = {p.name: p.read_bytes() for p in sorted(work.glob("*.json"))}
-    assert len(outputs["Haswell"]) == 6
-    assert outputs["Haswell"] == outputs["Prescott"]
+def test_outputs_are_byte_identical_across_machines(tmp_path, default_bytes, cloud, env):
+    # a BLAS kernel or SIMD targets forced in a child's environment stand in
+    # for another machine, and a CSV cloud for another file; nothing in this
+    # process changes
+    assert len(default_bytes) == 6 * 6 + 3 + 1  # six files a row, three parts, the cloud
+    assert _probe_bytes(tmp_path / "variant", cloud, **env) == default_bytes
