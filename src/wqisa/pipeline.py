@@ -11,7 +11,7 @@ given the seed.
 On each mesh the grid entries share the work that does not depend on the
 weight parameter: one neighbour query per knot average, in one planar index
 that serves every mesh of the fit, and the validation points' basis rows,
-against which each entry's coefficients, read from the tables, are scored.
+against which each entry's coefficients, read from the mesh's table, are scored.
 Only the winner becomes a surface, and its scored residuals map the LMSE.
 """
 
@@ -175,11 +175,12 @@ def tune_parameters(
 ) -> TuneResult:
     """Exhaustive search of *grid*: fit on training, score GMSE on validation.
 
-    One neighbour table per kind and one set of validation basis rows serve
-    every entry of the grid on this mesh; *index*, a ``PlanarIndex`` over
-    the training points, spares each table of an indexed kind its own.
-    Each entry is scored as ``fit_surface`` and ``metrics.gmse`` would score
-    it; the winner comes with its validation residuals.
+    One neighbour table and one set of validation basis rows serve every
+    entry of the grid on this mesh, so the grid holds one weight kind, as
+    ``FitConfig`` requires; *index*, a ``PlanarIndex`` over the training
+    points, spares a table of an indexed kind its own.  Each entry is scored
+    as ``fit_surface`` and ``metrics.gmse`` would score it; the winner comes
+    with its validation residuals.
 
     Ties keep the earliest grid entry, so an ascending grid prefers the
     smallest parameter.  Grid entries that cannot be fitted (zero-weight
@@ -190,16 +191,12 @@ def tune_parameters(
         raise ValueError("parameter grid must be nonempty")
     validation = as_cloud(validation)
     rows = tensor_rows(space, validation[:, 0], validation[:, 1])
-    centres = knot_average_grid(space)
-    tables = {
-        kind: NeighbourTable(training, centres, [spec for spec in grid if spec.kind == kind], index)
-        for kind in dict.fromkeys(spec.kind for spec in grid)
-    }
+    table = NeighbourTable(training, knot_average_grid(space), grid, index)
     best: tuple[float, WeightSpec, np.ndarray, np.ndarray] | None = None
     failure: ZeroWeightError | None = None
     for spec in grid:
         try:
-            coefficients = tables[spec.kind].coefficients(spec, space.shape)
+            coefficients = table.coefficients(spec, space.shape)
         except ZeroWeightError as exc:
             failure = exc
             continue

@@ -15,16 +15,17 @@ kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 
 Coefficients are estimated in batches.  A ``NeighbourTable`` runs one
 neighbor query per knot average, and that query serves every entry of a
-weight grid of one kind; ``pipeline.tune_parameters`` builds one table per
-mesh and reads every entry from it with ``NeighbourTable.coefficients``, as
-``fit_surface`` reads one.  The table makes its rows once, a batch of at
-most ``TABLE_BUDGET`` candidates at a time, and estimates each of its specs
-on a batch before it makes the next.  The kernels, the Tukey fences
-(quartiles from one sort of the rows of each length), the sums and the
-clamp act on all rows of a batch at once.  Each quotient's numerator
-``z * w`` and denominator ``w`` are summed by ``np.add.reduceat`` over one
-row in ascending id order, so a coefficient depends neither on its batch
-nor on the machine's BLAS; ``estimate_control_point`` is a table of one.
+weight grid of one kind.  The table makes its rows once, a batch of at most
+``TABLE_BUDGET`` candidates at a time, and estimates each of its specs on a
+batch before it makes the next.  The kernels, the Tukey fences (quartiles
+from one sort of the rows of each length), the sums and the clamp act on
+all rows of a batch at once.  Each quotient's numerator ``z * w`` and
+denominator ``w`` are summed by ``np.add.reduceat`` over one row in
+ascending id order, so a coefficient depends neither on its batch nor on
+the machine's BLAS.  ``pipeline.tune_parameters`` builds one table per mesh
+and reads every entry of its grid with ``NeighbourTable.coefficients``;
+``fit_surface`` is a table of one spec read the same way, and
+``estimate_control_point`` a table of one centre.
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -104,8 +105,8 @@ class WeightSpec:
                 raise ValueError(f"parameter {name!r} does not apply to kind {self.kind!r}")
         if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma is not None and not (self.sigma > 0 and 2.0 * self.sigma * self.sigma > 0):
+            raise ValueError(f"sigma must be positive, with 2 * sigma**2 > 0; got {self.sigma!r}")
         for name in ("k", "truncation"):
             value = getattr(self, name)
             # bool is an int subclass, but True is no window size
@@ -114,8 +115,8 @@ class WeightSpec:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.coincidence_tol is not None and not self.coincidence_tol >= 0:
             raise ValueError("coincidence tolerance must be nonnegative")
-        if not self.fence >= 0:
-            raise ValueError("fence multiplier must be nonnegative")
+        if not 0 <= self.fence < np.inf:
+            raise ValueError(f"fence multiplier must be finite and nonnegative, got {self.fence!r}")
 
     @property
     def parameter(self) -> float | int | None:
@@ -226,7 +227,9 @@ class NeighbourTable:
 
     def coefficients(self, spec: WeightSpec, shape: tuple[int, int]) -> np.ndarray:
         """*spec*'s coefficients in a row-major grid of *shape*, or its ``ZeroWeightError``."""
-        estimate = self.estimates[spec]
+        estimate = self.estimates.get(spec)
+        if estimate is None:
+            raise ValueError(f"the neighbour table was not built for {spec}")
         if isinstance(estimate, _EmptyWindow):
             i, j = divmod(estimate.row, shape[1])
             raise ZeroWeightError(f"coefficient (i={i}, j={j}): {estimate}")
@@ -281,7 +284,9 @@ def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.n
         return _subset(d2 <= spec.radius * spec.radius, starts, ids, np.ones(ids.size))
     if spec.kind == "gaussian":
         exponent = d2 if spec.gaussian_squared else np.sqrt(d2)
-        w = np.exp(-exponent / (2.0 * spec.sigma * spec.sigma))
+        # a tiny sigma's quotient overflows to inf, and exp(-inf) is the 0 above ~745
+        with np.errstate(over="ignore"):
+            w = np.exp(-exponent / (2.0 * spec.sigma * spec.sigma))
         return _subset(w > 0.0, starts, ids, w)
     if spec.kind in ("knn", "idw_truncated"):
         # each row's first `size` in (distance, id) order, re-sorted by id
@@ -407,20 +412,8 @@ def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float
     return float(estimate[0])
 
 
-def fit_surface(
-    cloud, space: TensorSplineSpace, spec: WeightSpec, table: NeighbourTable | None = None
-) -> WqisaSurface:
-    """Surface on *space* with a coefficient estimated at every pair of knot averages.
-
-    *table* holds the coefficients at those knot averages in *cloud* for a
-    grid that includes *spec*; without one the function builds its own.
-    Zero-weight failures are raised with the offending grid entry.
-    """
-    cloud = as_cloud(cloud)
-    centres = knot_average_grid(space)
-    if table is None:
-        table = NeighbourTable(cloud, centres, (spec,))
-    elif not (spec in table.estimates and np.array_equal(table.centres, centres)
-              and np.array_equal(table.cloud, cloud)):
-        raise ValueError("the neighbour table was built for another cloud, mesh or weight grid")
+def fit_surface(cloud, space: TensorSplineSpace, spec: WeightSpec) -> WqisaSurface:
+    """Surface on *space* with a coefficient at every pair of knot averages: a
+    table of one spec.  Zero-weight failures name the offending grid entry."""
+    table = NeighbourTable(cloud, knot_average_grid(space), (spec,))
     return WqisaSurface(space, table.coefficients(spec, space.shape))

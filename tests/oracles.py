@@ -3,8 +3,10 @@
 Everything here recomputes results from the defining formulas with plain
 full scans and sorts, deliberately avoiding the library's spatial index and
 span-based evaluation paths.  ``tricky_surface`` is the one edge-case
-surface that several test modules share, and ``avx512_targets`` names the
-SIMD targets to switch off when a test checks bytes without AVX-512.
+surface that several test modules share, ``noisy_cloud`` samples test
+surfaces other than the hemisphere (``franke_height``, ``step_height``),
+and ``avx512_targets`` names the SIMD targets to switch off when a test
+checks bytes without AVX-512.
 """
 
 from __future__ import annotations
@@ -250,6 +252,31 @@ def random_cloud(rng: np.random.Generator, n: int, scale: float = 1.0, dupes: bo
         dst = rng.choice(n, size=take)
         cloud[dst] = cloud[src]
     return cloud
+
+
+def franke_height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Franke's test function: two bumps, a ridge and a dip on the unit
+    square (Franke, Math. Comp. 38, 1982)."""
+    x, y = 9.0 * x, 9.0 * y
+    return (
+        0.75 * np.exp(-((x - 2.0) ** 2 + (y - 2.0) ** 2) / 4.0)
+        + 0.75 * np.exp(-((x + 1.0) ** 2) / 49.0 - (y + 1.0) / 10.0)
+        + 0.5 * np.exp(-((x - 7.0) ** 2 + (y - 3.0) ** 2) / 4.0)
+        - 0.2 * np.exp(-((x - 4.0) ** 2) - (y - 7.0) ** 2)
+    )
+
+
+def step_height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A unit step along the straight line ``x + y / 2 = 0.75``, which no
+    knot line of a uniform mesh follows."""
+    return np.where(x + 0.5 * y < 0.75, 0.0, 1.0)
+
+
+def noisy_cloud(height, n: int, seed: int, noise_std: float = 0.05) -> np.ndarray:
+    """*n* points uniform on the unit square at *height* plus Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 1.0, size=(n, 2))
+    return np.column_stack([xy, height(xy[:, 0], xy[:, 1]) + rng.normal(0.0, noise_std, n)])
 
 
 def avx512_targets() -> list[str]:

@@ -425,9 +425,16 @@ def test_module_run_warns_nothing(tmp_path):
 # for a sum to be reordered (knn, knn with the outlier filter, inverse
 # distance truncated to 40 points), the indicator, plain inverse distance,
 # and the README walkthrough's config.  Gaussian has no row: its bits follow
-# the SIMD variant numpy dispatches for np.exp.
+# the SIMD variant numpy dispatches for np.exp.  Every installed package but
+# numpy (and wqisa, when installed) is made unimportable first, so each
+# command also shows that numpy is the one runtime dependency.
 BYTES_PROBE = """
 import sys
+from importlib.metadata import packages_distributions
+
+for name in packages_distributions():
+    if name not in ("numpy", "wqisa"):
+        sys.modules.setdefault(name, None)
 from wqisa.cli import cli_main
 
 cloud = sys.argv[1]

@@ -3,29 +3,44 @@
 Rescaling or shifting the heights, or the plane, maps one valid input onto
 another whose fit is known from the first: the same refinement path, the
 same tuned parameter and the same stop reason, with the test MSE scaled by
-the square of the height factor.
+the square of the height factor.  Each relation is checked on the noisy
+hemisphere with outliers, on Franke's function and on a straight step; on
+the last two every kind's fit must also stay inside the training heights
+and give the same bytes when run again.
 """
 
+import numpy as np
 import pytest
 
-from wqisa.pipeline import FitConfig, fit, knn_parameter_grid
+from wqisa.metrics import surface_sample_points
+from wqisa.pipeline import FitConfig, fit, knn_parameter_grid, split
 from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import WeightSpec
 
+from oracles import franke_height, noisy_cloud, step_height
 
-@pytest.fixture(scope="module")
-def cloud():
-    return perturb(
+SURFACES = {
+    "hemisphere": lambda: perturb(
         hemisphere_cloud(3000, seed=41), noise_std=0.05, outlier_fraction=0.02, seed=42
-    )
+    ),
+    "franke": lambda: noisy_cloud(franke_height, 3000, seed=41),
+    "step": lambda: noisy_cloud(step_height, 3000, seed=41),
+}
+
+
+@pytest.fixture(scope="module", params=list(SURFACES))
+def cloud(request):
+    return SURFACES[request.param]()
 
 
 def config(kind: str, scale: float = 1.0) -> FitConfig:
-    """knn is free of the plane's scale; indicator radii scale with it."""
+    """knn and idw_truncated are free of the plane's scale; indicator radii scale with it."""
     if kind == "knn":
         grid = knn_parameter_grid(10)
-    else:
+    elif kind == "indicator":
         grid = tuple(WeightSpec.indicator(scale * r) for r in (0.03, 0.06, 0.12))
+    else:
+        grid = tuple(WeightSpec.truncated_idw(t) for t in (4, 16, 64))
     return FitConfig(weight_grid=grid, max_iterations=6, seed=43)
 
 
@@ -56,3 +71,15 @@ def test_similar_plane_keeps_the_path_and_the_mse(cloud, base_reports, kind, s, 
     assert path(report) == [(mesh, s * r if kind == "indicator" else r) for mesh, r in path(base)]
     assert report.stop_reason == base.stop_reason
     assert report.test_mse == pytest.approx(base.test_mse, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["knn", "indicator", "idw_truncated"])
+@pytest.mark.parametrize("name", ["franke", "step"])
+def test_fit_stays_inside_the_training_heights_and_repeats(name, kind):
+    cloud = SURFACES[name]()
+    surface, _ = fit(cloud, config(kind))
+    training = split(cloud, config(kind).fractions, config(kind).seed).training
+    lo, hi = training[:, 2].min(), training[:, 2].max()
+    for z in (surface.coefficients, surface_sample_points(surface)[:, 2]):
+        assert lo <= z.min() and z.max() <= hi
+    assert fit(cloud, config(kind))[0].coefficients.tobytes() == surface.coefficients.tobytes()

@@ -141,17 +141,30 @@ class TestTuneParameters:
         with pytest.raises(ZeroWeightError, match="every grid entry"):
             tune_parameters(self.training, self.validation, self.space, grid)
 
-    def test_all_entries_failing_names_the_last_failure(self):
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [
+            ([WeightSpec.indicator(1e-9), WeightSpec.indicator(2e-9)], "no point has positive weight at "),
+            ([WeightSpec.knn(20_000), WeightSpec.knn(10_000)], "k=10000 exceeds cloud size 80"),
+        ],
+    )
+    def test_all_entries_failing_names_the_last_failure(self, grid, reason):
         # the message fit_surface gives the last entry, after the same prefix
-        grid = [WeightSpec.indicator(1e-9), WeightSpec.knn(10_000)]
         with pytest.raises(ZeroWeightError) as last:
             fit_surface(self.training, self.space, grid[-1])
         with pytest.raises(ZeroWeightError) as every:
             tune_parameters(self.training, self.validation, self.space, grid)
         assert str(every.value) == f"every grid entry failed; last error: {last.value}"
-        assert str(every.value) == (
-            "every grid entry failed; last error: coefficient (i=0, j=0): k=10000 exceeds cloud size 80"
+        assert str(every.value).startswith(
+            f"every grid entry failed; last error: coefficient (i=0, j=0): {reason}"
         )
+
+    def test_mixed_kind_grid_refused(self):
+        # one table serves the grid, and a table serves one kind, as FitConfig requires
+        grid = [WeightSpec.indicator(0.5), WeightSpec.knn(4)]
+        message = r"^a neighbour table serves one weight kind, got \['indicator', 'knn'\]$"
+        with pytest.raises(ValueError, match=message):
+            tune_parameters(self.training, self.validation, self.space, grid)
 
     def test_oversized_k_skipped(self):
         grid = [WeightSpec.knn(5), WeightSpec.knn(10_000)]
@@ -164,13 +177,14 @@ class TestTuneParameters:
             [WeightSpec.knn(k) for k in (1, 3, 200, 6, 12)],
             [WeightSpec.truncated_idw(t, outlier_filter=True) for t in (2, 9, 500)],
             [WeightSpec.indicator(r) for r in (1e-6, 0.3, 0.6, 1.2)],
-            [WeightSpec.indicator(0.5, outlier_filter=True), WeightSpec.knn(4), WeightSpec.indicator(0.2)],
+            [WeightSpec.indicator(r, outlier_filter=True) for r in (0.5, 1.2)] + [WeightSpec.indicator(0.2)],
+            [WeightSpec.knn(4)],
         ],
     )
     def test_shared_neighbours_pick_what_separate_fits_pick(self, grid):
-        # the grid shares one neighbour query per knot average and kind;
-        # every entry must score as it does when fitted on its own, and
-        # entries that cannot be fitted (k > n, empty balls) are skipped
+        # the grid shares one neighbour query per knot average; every entry
+        # must score as it does when fitted on its own, and entries that
+        # cannot be fitted (k > n, empty balls) are skipped
         from wqisa.splines import KnotVector
 
         space = TensorSplineSpace(
@@ -198,14 +212,15 @@ class TestTuneParameters:
             KnotVector.piecewise_bezier(2, np.linspace(*self.space.domain[:2], 5)),
             KnotVector.piecewise_bezier(2, np.linspace(*self.space.domain[2:], 4)),
         )
-        grid = [WeightSpec.indicator(r) for r in (1.0, 1.5, 3.0)] + [WeightSpec.knn(k) for k in (2, 5)]
-        default = tune_parameters(self.training, self.validation, space, grid)
+        grids = ([WeightSpec.indicator(r) for r in (1.0, 1.5, 3.0)], [WeightSpec.knn(k) for k in (2, 5)])
+        defaults = [tune_parameters(self.training, self.validation, space, grid) for grid in grids]
         # a few rows to a batch, and one row of the widest ball
         monkeypatch.setattr(weights, "TABLE_BUDGET", 12)
-        small = tune_parameters(self.training, self.validation, space, grid)
-        assert small.spec is default.spec
-        assert small.gmse == default.gmse
-        assert small.surface.coefficients.tobytes() == default.surface.coefficients.tobytes()
+        for grid, default in zip(grids, defaults):
+            small = tune_parameters(self.training, self.validation, space, grid)
+            assert small.spec is default.spec
+            assert small.gmse == default.gmse
+            assert small.surface.coefficients.tobytes() == default.surface.coefficients.tobytes()
 
 
 def refined_space(degrees, domain) -> TensorSplineSpace:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,8 +46,10 @@ class TestWeightSpec:
     def test_positivity_checks(self):
         with pytest.raises(ValueError):
             WeightSpec.indicator(0.0)
-        with pytest.raises(ValueError):
-            WeightSpec.gaussian(-1.0)
+        # 2 * sigma**2 underflows to 0 at 1e-162, so every weight would be exp(-d / 0)
+        for sigma in (-1.0, 1e-162):
+            with pytest.raises(ValueError, match="^sigma must be positive, with 2 \\* sigma\\*\\*2 > 0"):
+                WeightSpec.gaussian(sigma)
         with pytest.raises(ValueError):
             WeightSpec.knn(0)
         for bad in (WeightSpec.knn, WeightSpec.truncated_idw):
@@ -62,6 +65,16 @@ class TestWeightSpec:
                 WeightSpec.idw(coincidence_tol=value)
             with pytest.raises(ValueError, match="coincidence tolerance"):
                 WeightSpec.truncated_idw(5, coincidence_tol=value)
+        # in a window of equal heights q1 - inf * 0 is NaN, which rejects every height
+        with pytest.raises(ValueError, match="^fence multiplier must be finite and nonnegative"):
+            WeightSpec.knn(3, outlier_filter=True, fence=np.inf)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_a_tiny_sigma_weighs_only_the_centre(self, squared):
+        # off the centre the kernel's quotient overflows to inf, whose weight
+        # is 0; the overflow is expected and must raise no RuntimeWarning
+        cloud = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 3.0], [1.0, 1.0, 5.0]])
+        assert estimate_control_point(cloud, 0.5, 0.5, WeightSpec.gaussian(1e-160, squared=squared)) == 3.0
 
     def test_parameter_property(self):
         assert WeightSpec.knn(4).parameter == 4
@@ -389,9 +402,9 @@ class TestSharedNeighbourTable:
             if None in expected:
                 i, j = divmod(expected.index(None), space.shape[1])
                 with pytest.raises(ZeroWeightError, match=rf"^coefficient \(i={i}, j={j}\): "):
-                    fit_surface(cloud, space, spec, table)
+                    table.coefficients(spec, space.shape)
             else:
-                got = fit_surface(cloud, space, spec, table).coefficients
+                got = table.coefficients(spec, space.shape)
                 assert got.ravel().tolist() == expected
                 fitted += 1
         assert fitted > 0
@@ -414,7 +427,7 @@ class TestSharedNeighbourTable:
         table = NeighbourTable(cloud, centres, self.GRIDS[kind])
         for spec in self.GRIDS[kind]:
             try:
-                fit_surface(cloud, space, spec, table)
+                table.coefficients(spec, space.shape)
             except ZeroWeightError:
                 pass
         assert len(queries) == (len(centres) if weights.KERNELS[kind].indexed else 0)
@@ -483,21 +496,15 @@ class TestSharedNeighbourTable:
         assert table.estimates[grid[0]].row == empty
         assert table.estimates[grid[1]].shape == (len(centres),)
 
-    def test_table_must_match_cloud_mesh_and_grid(self):
+    def test_table_reads_only_its_own_grid(self):
         cloud = random_cloud(np.random.default_rng(16), 100)
         space = _mesh(cloud, 2, 2)
         table = NeighbourTable(cloud, knot_average_grid(space), [WeightSpec.knn(3), WeightSpec.knn(5)])
-        fit_surface(cloud, space, WeightSpec.knn(5), table)
-        for other_cloud, other_space, spec in (
-            (cloud, space, WeightSpec.knn(4)),
-            (cloud, space, WeightSpec.knn(6)),
-            (cloud, space, WeightSpec.truncated_idw(3)),
-            (cloud, space, WeightSpec.idw()),
-            (cloud, _mesh(cloud, 3, 2), WeightSpec.knn(3)),
-            (cloud[::-1], space, WeightSpec.knn(3)),
-        ):
-            with pytest.raises(ValueError, match="neighbour table was built for another"):
-                fit_surface(other_cloud, other_space, spec, table)
+        table.coefficients(WeightSpec.knn(5), space.shape)
+        for spec in (WeightSpec.knn(4), WeightSpec.knn(6), WeightSpec.truncated_idw(3), WeightSpec.idw()):
+            message = f"the neighbour table was not built for {spec}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                table.coefficients(spec, space.shape)
         with pytest.raises(ValueError, match="one weight kind"):
             NeighbourTable(cloud, knot_average_grid(space), [WeightSpec.knn(3), WeightSpec.idw()])
 
@@ -510,20 +517,10 @@ class TestSharedNeighbourTable:
         # an index sees only x and y, so other heights share it
         for points in (cloud, cloud * [1.0, 1.0, -2.0]):
             table = NeighbourTable(cloud, centres, grid, PlanarIndex(points))
-            assert np.array_equal(fit_surface(cloud, space, grid[1], table).coefficients, own)
+            assert np.array_equal(table.coefficients(grid[1], space.shape), own)
         for points in (cloud[::-1], cloud[:-1], cloud + [1e-9, 0.0, 0.0]):
             with pytest.raises(ValueError, match="planar index was built over other points"):
                 NeighbourTable(cloud, centres, grid, PlanarIndex(points))
-
-    def test_an_equal_copy_of_the_cloud_reads_the_table(self):
-        # the table is matched to the cloud by value, not by identity
-        cloud = random_cloud(np.random.default_rng(16), 100)
-        space = _mesh(cloud, 3, 2)
-        grid = [WeightSpec.knn(3), WeightSpec.knn(5)]
-        table = NeighbourTable(cloud, knot_average_grid(space), grid)
-        for spec in grid:
-            got = fit_surface(cloud.copy(), space, spec, table).coefficients
-            assert got.tobytes() == fit_surface(cloud, space, spec).coefficients.tobytes()
 
     def test_coefficients_name_the_first_empty_window(self):
         cloud = random_cloud(np.random.default_rng(16), 100)
@@ -533,7 +530,7 @@ class TestSharedNeighbourTable:
         with pytest.raises(ZeroWeightError) as raised:
             table.coefficients(spec, space.shape)
         with pytest.raises(ZeroWeightError, match=r"^coefficient \(i=0, j=0\): no point has positive weight"):
-            fit_surface(cloud, space, spec, table)
+            fit_surface(cloud, space, spec)
         assert str(raised.value).startswith("coefficient (i=0, j=0): ")
 
     @pytest.mark.parametrize("centres", [np.empty((0, 2)), [], np.empty(0)])
