@@ -74,55 +74,35 @@ _TRAILING = sum(np.arange(10000) % 10**j == 0 for j in range(1, 5)).astype(np.in
 _FIRST = 7
 
 
-def _field(chars: dict[int, str]) -> bytes:
-    """A ``_WIDTH``-byte field holding *chars*, a position -> char mapping,
-    and NUL elsewhere."""
-    field = bytearray(_WIDTH)
-    for at, char in chars.items():
-        field[at] = ord(char)
-    return bytes(field)
-
-
-def _layout(e: int, negative: bool, kept: int) -> tuple[int, bytes, bytes, bytes]:
+def _layout(e: int, negative: bool, kept: int) -> tuple[int, bytes, bytes]:
     """How ``%.17g`` lays out 17 digits with decimal exponent *e* when the
     digits through the *kept*-th are kept: the byte the first digit goes
-    to, the constant chars, and which bytes to keep (0xff) of the digits so
-    placed and of the digits one byte further up."""
-    s = int(negative)
-    chars = {0: "-"} if negative else {}
+    to, the ``_WIDTH`` chars it writes with NUL at each digit's byte, and
+    each byte's source: 0 for a constant char, 1 for a digit in place and 2
+    for a digit one byte further up, past the '.'."""
+    sign = "-" * negative
     if e < 0:  # '0.', -e - 1 zeros, the digits
-        at = s + 1 - e
-        chars.update({j: "0" for j in range(s, at)})
-        chars[s + 1] = "."
-        there, further = range(at, at + kept), ()
+        head, digits = sign + "0." + "0" * (-e - 1), "\0" * kept
     else:  # the first e + 1 digits, and a '.' only before a kept fraction digit
-        at, dot = s, s + e + 1
-        if kept > e + 1:
-            chars[dot] = "."
-        there, further = range(at, dot), range(dot + 1, at + 1 + kept)
-    keep = [_field(dict.fromkeys(span, "\xff")) for span in (there, further)]
-    return at, _field(chars), *keep
-
-
-def _words(fields) -> np.ndarray:
-    """``_WIDTH``-byte *fields* as three little-endian words each, word-major."""
-    return np.ascontiguousarray(np.frombuffer(b"".join(fields), "<u8").reshape(-1, 3).T, np.uint64)
+        head, digits = sign, "\0" * (e + 1) + ("." + "\0" * (kept - e - 1) if kept > e + 1 else "")
+    text, at = head + digits, len(head)
+    source = bytes(1 + text.count(".", at, j) if c == "\0" else 0 for j, c in enumerate(text))
+    return at, text.encode().ljust(_WIDTH, b"\0"), source.ljust(_WIDTH, b"\0")
 
 
 def _layout_tables():
     """Per plan ``18 * (2 * (e + 4) + negative) + kept``: the shift that
-    moves the first digit from byte ``_FIRST`` to its byte, and the words of
-    the constant chars and of the two keep masks.  The word tables are
+    moves the first digit from byte ``_FIRST`` to its byte, and the constant
+    chars and the masks (0xff) of the digits in place and one byte further
+    up, each field as three little-endian words.  The word tables are
     word-major, so a lookup gives one contiguous row per word."""
-    plans = [
-        _layout(e, negative, kept)
-        for e in _EXPONENTS
-        for negative in (False, True)
-        for kept in range(18)
-    ]
-    shifts = np.array([8 * (_FIRST - at) for at, _, _, _ in plans], np.uint64)
-    columns = list(zip(*plans))
-    return shifts, _words(columns[1]), np.array([_words(columns[2]), _words(columns[3])])
+    at, text, source = zip(
+        *(_layout(e, negative, kept) for e in _EXPONENTS for negative in (False, True) for kept in range(18))
+    )
+    text, source = (np.frombuffer(b"".join(column), np.uint8) for column in (text, source))
+    fields = np.stack([text, 0xFF * (source == 1), 0xFF * (source == 2)]).astype(np.uint8)
+    words = np.ascontiguousarray(fields.view("<u8").reshape(3, -1, 3).transpose(0, 2, 1), np.uint64)
+    return 8 * (_FIRST - np.array(at, np.uint64)), words[0], words[1:]
 
 
 _SHIFTS, _CONSTANTS, _MASKS = _layout_tables()

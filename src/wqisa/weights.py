@@ -25,7 +25,8 @@ ascending id order, so a coefficient depends neither on its batch nor on
 the machine's BLAS.  ``pipeline.tune_parameters`` builds one table per mesh
 and reads every entry of its grid with ``NeighbourTable.coefficients``;
 ``fit_surface`` is a table of one spec read the same way, and
-``estimate_control_point`` a table of one centre.
+``estimate_control_point`` a table of one centre.  An empty window is a
+``ZeroWeightError`` naming its centre; ``coefficients`` adds its (i, j).
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -71,7 +72,12 @@ WEIGHT_KINDS = tuple(KERNELS)
 
 
 class ZeroWeightError(ValueError):
-    """Total weight vanished; the window is too narrow for the data."""
+    """Total weight vanished; the window is too narrow for the data.  *row*
+    is the window centre, in a table's centre order, where it vanished."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -187,8 +193,8 @@ class NeighbourTable:
     IDW rows hold every point.  ``_rows`` makes the rows once, in batches of
     at most ``TABLE_BUDGET`` candidates, and every spec still going is
     estimated on a batch before the next.  ``estimates`` maps each spec to
-    its coefficients in centre order or to the first empty window it met,
-    where it dropped out; filter fallbacks warn while the table is built.
+    its coefficients in centre order or to the ``ZeroWeightError`` of its
+    first empty window; filter fallbacks warn while the table is built.
     An *index* over the cloud's planar points serves an indexed kind.
     """
 
@@ -212,13 +218,13 @@ class NeighbourTable:
             self._index = index
         else:
             self._box = bounding_box(self.cloud)
-        self.estimates: dict[WeightSpec, np.ndarray | _EmptyWindow] = {}
+        self.estimates: dict[WeightSpec, np.ndarray | ZeroWeightError] = {}
         going = {spec: np.empty(len(self.centres)) for spec in grid}
         for first, rows in self._rows():
             for spec, out in list(going.items()):
                 try:
                     out[first : first + rows.starts.size - 1] = _estimates(self, first, rows, spec)
-                except _EmptyWindow as exc:
+                except ZeroWeightError as exc:
                     self.estimates[spec] = exc.with_traceback(None)
                     del going[spec]
             if not going:
@@ -230,7 +236,7 @@ class NeighbourTable:
         estimate = self.estimates.get(spec)
         if estimate is None:
             raise ValueError(f"the neighbour table was not built for {spec}")
-        if isinstance(estimate, _EmptyWindow):
+        if isinstance(estimate, ZeroWeightError):
             i, j = divmod(estimate.row, shape[1])
             raise ZeroWeightError(f"coefficient (i={i}, j={j}): {estimate}")
         return estimate.reshape(shape)
@@ -335,22 +341,14 @@ def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.n
         heights = z[cols]
         q1, q3 = (_quantile(np.sort(heights, axis=1), q) for q in (0.25, 0.75))
         iqr = q3 - q1
-        inside = (heights >= (q1 - fence * iqr)[:, None]) & (heights <= (q3 + fence * iqr)[:, None])
+        with np.errstate(over="ignore"):  # a reach that overflows lies beyond every height
+            reach = fence * iqr
+        inside = (heights >= (q1 - reach)[:, None]) & (heights <= (q3 + reach)[:, None])
         none = ~inside.any(axis=1)
         inside[none] = True
         rejected[rows[none]] = True
         keep[cols] = inside
     return keep, rejected
-
-
-class _EmptyWindow(Exception):
-    """A window without positive weight, at a known row of a table."""
-
-    def __init__(self, row: int, message: str, centres: np.ndarray | None = None):
-        if centres is not None:
-            message += " at (u, v)=({}, {})".format(*centres[row])
-        super().__init__(message)
-        self.row = row
 
 
 def _estimates(table: NeighbourTable, first: int, rows: Neighbours, spec: WeightSpec) -> np.ndarray:
@@ -364,7 +362,7 @@ def _estimates(table: NeighbourTable, first: int, rows: Neighbours, spec: Weight
     """
     cloud = table.cloud
     if spec.kind == "knn" and spec.k > cloud.shape[0]:
-        raise _EmptyWindow(0, f"k={spec.k} exceeds cloud size {cloud.shape[0]}")
+        raise ZeroWeightError(f"k={spec.k} exceeds cloud size {cloud.shape[0]}")
     ids, w, starts = _window(rows, spec, cloud)
     z = cloud[ids, 2]
     rejected = np.zeros(starts.size - 1, dtype=bool)
@@ -385,11 +383,9 @@ def _estimates(table: NeighbourTable, first: int, rows: Neighbours, spec: Weight
             stacklevel=3,
         )
     if bad.size:
-        raise _EmptyWindow(
-            first + stop,
-            "total weight underflowed to zero" if full[stop] else "no point has positive weight",
-            table.centres,
-        )
+        row = first + stop
+        why = "total weight underflowed to zero" if full[stop] else "no point has positive weight"
+        raise ZeroWeightError("{} at (u, v)=({}, {})".format(why, *table.centres[row]), row)
     lo, hi = np.minimum.reduceat(z, heads), np.maximum.reduceat(z, heads)
     quotient = np.add.reduceat(z * w, heads) / total
     return np.minimum(np.maximum(quotient, lo), hi)
@@ -407,8 +403,8 @@ def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float
     the caller can widen the window instead of silently producing zeros.
     """
     estimate = NeighbourTable(cloud, ((float(u), float(v)),), (spec,)).estimates[spec]
-    if isinstance(estimate, _EmptyWindow):
-        raise ZeroWeightError(str(estimate))
+    if isinstance(estimate, ZeroWeightError):
+        raise estimate
     return float(estimate[0])
 
 

@@ -388,31 +388,6 @@ def _run_child(args, cwd, **env) -> subprocess.CompletedProcess:
     return done
 
 
-# run in a fresh interpreter, so that nothing the test session imported counts
-DEPENDENCY_PROBE = """
-import sys
-from wqisa.cli import cli_main
-
-open("run.cfg", "w").write("k_grid = 1,2,3\\nmax_iterations = 4\\n")
-for argv in (
-    "synth --n 400 --seed 3 --noise-std 0.05 --outlier-fraction 0.02 --out cloud.xyz",
-    "fit --cloud cloud.xyz --config run.cfg --surface-out s.json --report-out r.json",
-    "eval --surface s.json --cloud cloud.xyz --out e.json",
-    "compare --cloud cloud.xyz --config run.cfg --out c.json",
-):
-    assert cli_main(argv.split()) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-"""
-
-
-def test_numpy_is_the_only_runtime_dependency(tmp_path):
-    # scipy is installed in some environments but is no dependency: no CLI
-    # path may import it
-    done = _run_child(["-c", DEPENDENCY_PROBE], tmp_path)
-    assert done.stdout.strip() == "[]"
-    assert (tmp_path / "c.json").is_file()
-
-
 def test_module_run_warns_nothing(tmp_path):
     # runpy warns when importing the package has already imported wqisa.cli
     done = _run_child(["-W", "error::RuntimeWarning", "-m", "wqisa.cli", "--version"], tmp_path)
@@ -426,15 +401,26 @@ def test_module_run_warns_nothing(tmp_path):
 # distance truncated to 40 points), the indicator, plain inverse distance,
 # and the README walkthrough's config.  Gaussian has no row: its bits follow
 # the SIMD variant numpy dispatches for np.exp.  Every installed package but
-# numpy (and wqisa, when installed) is made unimportable first, so each
-# command also shows that numpy is the one runtime dependency.
+# numpy (and wqisa, when installed) is made unimportable first, and the child
+# prints each import of one it refused, so that each command also shows that
+# numpy is the one runtime dependency, even where an ImportError is caught.
 BYTES_PROBE = """
 import sys
 from importlib.metadata import packages_distributions
 
-for name in packages_distributions():
-    if name not in ("numpy", "wqisa"):
-        sys.modules.setdefault(name, None)
+blocked = set(packages_distributions()) - {"numpy", "wqisa"} - set(sys.modules)
+refused = []
+
+
+class Refuse:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] in blocked:
+            refused.append(name)
+            raise ImportError(f"import of {name} refused: numpy is the one runtime dependency")
+
+
+sys.meta_path.insert(0, Refuse)
 from wqisa.cli import cli_main
 
 cloud = sys.argv[1]
@@ -458,13 +444,14 @@ for name, config in (
     ):
         assert cli_main(argv.split()) == 0, argv
 assert cli_main(f"split --cloud {cloud} --out-prefix parts --seed 1".split()) == 0
+print(sorted(set(refused)))
 """
 
 
 def _probe_bytes(work: Path, cloud: str, **env) -> dict[str, bytes]:
     """Every file BYTES_PROBE writes in *work* but a CSV cloud, by name."""
     work.mkdir()
-    _run_child(["-c", BYTES_PROBE, cloud], work, **env)
+    assert _run_child(["-c", BYTES_PROBE, cloud], work, **env).stdout == "[]\n"
     return {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "cloud.csv"}
 
 

@@ -408,6 +408,27 @@ class TestFieldText:
         assert len(ties) > 20
         self.assert_percent(ties + [-v for v in ties])
 
+    def test_every_layout(self):
+        # the fast path lays out a value by its decimal exponent (-4..15),
+        # sign and count of significant digits (1..17): 680 layouts.  The
+        # nearest double to a random significand of `kept` digits often
+        # prints with just those digits, and its %.17g text names its layout
+        rng = np.random.default_rng(21)
+        values = [
+            float(f"{m}e{e - kept + 1}")
+            for e in range(-4, 16)
+            for kept in range(1, 18)
+            for m in rng.integers(10 ** (kept - 1), 10**kept, 64).tolist()
+        ]
+        values += [-v for v in values]
+        layouts = set()
+        for text in ("%.17g" % v for v in values):
+            if "e" not in text:
+                digits = Decimal(text).normalize().as_tuple().digits
+                layouts.add((Decimal(text).adjusted(), text[0] == "-", len(digits)))
+        assert layouts == {(e, s, k) for e in range(-4, 16) for s in (False, True) for k in range(1, 18)}
+        self.assert_percent(values)
+
     def test_slow_path_values(self):
         # zeros, subnormals, and the two ends of the fast range
         tiny = np.finfo(float).tiny

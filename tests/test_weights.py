@@ -262,6 +262,13 @@ class TestEstimateControlPoint:
             got = estimate_control_point(cloud, 0.0, 0.0, spec)
         assert got == pytest.approx(0.5)
 
+    def test_a_huge_fence_keeps_every_height(self):
+        # fence * IQR overflows to inf, a fence beyond every height; the
+        # overflow must raise no RuntimeWarning
+        cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 10.0], [0.0, 1.0, 20.0], [1.0, 1.0, 30.0]])
+        spec = WeightSpec.knn(4, outlier_filter=True, fence=1e308)
+        assert estimate_control_point(cloud, 0.5, 0.5, spec) == 15.0
+
     @pytest.mark.parametrize("u, v", [(np.inf, 0.5), (0.5, np.nan)])
     @pytest.mark.parametrize(
         "spec",
