@@ -139,14 +139,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_eval(args) -> int:
     surface = load_surface(args.surface)
-    cloud = read_cloud(args.cloud)
-    stats = punctual_errors(surface, cloud)
-    distance = hausdorff(cloud, surface_sample_points(surface, args.density))
+    assessed = _assess(surface, read_cloud(args.cloud), args.density)
     write_report(
         {
             "tool_version": __version__,
-            "stats": stats.to_dict(),
-            "hausdorff": distance,
+            "stats": assessed["punctual"],
+            "hausdorff": assessed["hausdorff"],
             "hausdorff_sample_density": args.density,
         },
         args.out,

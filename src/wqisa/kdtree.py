@@ -4,7 +4,9 @@ An implicit bucketed tree (Friedman, Bentley & Finkel, ACM TOMS 1977): a
 permutation of the point ids plus one split value per internal node.  Node
 ``(s, e)`` covers positions ``s:e``; above ``LEAF_SIZE`` points it splits at
 ``m = (s + e) // 2``, on x at even depth and y at odd, with ``s:m`` at or below
-the split value and ``m:e`` at or above it.  Leaves are scanned by numpy.
+the split value and ``m:e`` at or above it.  Both queries gather candidates
+through one walk, which keeps the leaf runs whose cells lie within a squared
+distance bound and scans them by numpy.
 
 Built once, then immutable, so an index can be shared across threads.
 Squared distances are computed as a full scan computes them and only cells
@@ -94,10 +96,7 @@ class PlanarIndex:
         d2 = (self._x[s:e] - u) ** 2 + (self._y[s:e] - v) ** 2
         visited = 1
         if e - s < n:  # points outside the subtree may still beat the bound
-            runs, visited = self._runs(u, v, float(np.partition(d2, k - 1)[k - 1]))
-            if runs[0][0] < s or runs[-1][1] > e:
-                # the bound ball leaves the subtree: rank every candidate
-                ids, d2 = self._candidates(runs, u, v)
+            ids, d2, visited = self._ball(u, v, float(np.partition(d2, k - 1)[k - 1]))
         ids = _nearest(ids, d2, k)
         if with_count:
             return ids, visited
@@ -109,15 +108,14 @@ class PlanarIndex:
             raise ValueError(f"radius must be nonnegative, got {r}")
         u, v = query_point(query, self._box)
         r2 = r * r
-        ids, d2 = self._candidates(self._runs(u, v, r2)[0], u, v)
+        ids, d2, _ = self._ball(u, v, r2)
         return np.sort(ids[d2 <= r2])
 
-    def _runs(self, u: float, v: float, bound: float) -> tuple[list[tuple[int, int]], int]:
-        """Leaf runs ``(s, e)`` whose cell lies within squared distance
-        *bound* of ``(u, v)``, ascending with adjacent runs merged, and the
-        number of nodes visited."""
+    def _ball(self, u: float, v: float, bound: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """Ids and squared distances of the points in every leaf cell within
+        squared distance *bound* of ``(u, v)``, and the number of nodes visited."""
         split = self._split
-        runs: list[tuple[int, int]] = []
+        runs: list[tuple[int, int]] = []  # ascending leaf runs, adjacent ones merged
         visited = 0
         # (s, e, axis, own, other): gaps from the query to the node's cell along
         # its split axis and the other axis.  The near child inherits them; the
@@ -143,10 +141,6 @@ class PlanarIndex:
                 stack.append((m, e, 1 - axis, other, own))
                 if far:
                     stack.append((s, m, 1 - axis, other, gap))
-        return runs, visited
-
-    def _candidates(self, runs, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-        """Point ids of the leaf runs and their squared distances."""
         if len(runs) == 1:
             s, e = runs[0]
             ids, x, y = self._order[s:e], self._x[s:e], self._y[s:e]
@@ -154,7 +148,7 @@ class PlanarIndex:
             ids = np.concatenate([self._order[s:e] for s, e in runs])
             x = np.concatenate([self._x[s:e] for s, e in runs])
             y = np.concatenate([self._y[s:e] for s, e in runs])
-        return ids, (x - u) ** 2 + (y - v) ** 2
+        return ids, (x - u) ** 2 + (y - v) ** 2, visited
 
 
 def query_point(query, box: tuple[float, float, float, float]) -> tuple[float, float]:

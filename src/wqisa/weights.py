@@ -321,7 +321,8 @@ def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.n
 
 
 def _quantile(ordered: np.ndarray, q: float) -> np.ndarray:
-    """The *q* quantile of each ascending row, as ``np.percentile`` interpolates it (type 7)."""
+    """The *q* quantile of each ascending row of finite range, as
+    ``np.percentile`` interpolates it (type 7)."""
     index = (ordered.shape[1] - 1) * q
     a, b, t = ordered[:, int(index)], ordered[:, int(index) + 1], index - int(index)
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
@@ -339,11 +340,16 @@ def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.n
         rows = np.flatnonzero(sizes == size)
         cols = starts[rows][:, None] + np.arange(size)
         heights = z[cols]
-        q1, q3 = (_quantile(np.sort(heights, axis=1), q) for q in (0.25, 0.75))
-        iqr = q3 - q1
-        with np.errstate(over="ignore"):  # a reach that overflows lies beyond every height
-            reach = fence * iqr
-        inside = (heights >= (q1 - reach)[:, None]) & (heights <= (q3 + reach)[:, None])
+        ordered = np.sort(heights, axis=1)
+        # a row whose range overflows straddles zero: its fences come from its
+        # halved heights, doubled, so fence 0 still keeps [q1, q3]; a fence
+        # that overflows lies beyond every height
+        with np.errstate(over="ignore"):
+            scale = np.where(np.isinf(ordered[:, -1] - ordered[:, 0]), 2.0, 1.0)
+            q1, q3 = (_quantile(ordered / scale[:, None], q) for q in (0.25, 0.75))
+            reach = fence * (q3 - q1)
+            lo, hi = (q1 - reach) * scale, (q3 + reach) * scale
+        inside = (heights >= lo[:, None]) & (heights <= hi[:, None])
         none = ~inside.any(axis=1)
         inside[none] = True
         rejected[rows[none]] = True

@@ -272,10 +272,45 @@ def step_height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(x + 0.5 * y < 0.75, 0.0, 1.0)
 
 
-def noisy_cloud(height, n: int, seed: int, noise_std: float = 0.05) -> np.ndarray:
-    """*n* points uniform on the unit square at *height* plus Gaussian noise."""
+def octave_height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Terrain of four octaves of a sinusoid: each octave doubles the
+    frequency, halves the amplitude and shifts the phase."""
+    return sum(
+        0.5**o * np.sin(2.0 * np.pi * 2**o * x + o) * np.cos(2.0 * np.pi * 2**o * y - 0.5 * o)
+        for o in range(4)
+    )
+
+
+def uniform_plane(rng: np.random.Generator, n: int) -> np.ndarray:
+    """*n* points uniform on the unit square."""
+    return rng.uniform(0.0, 1.0, size=(n, 2))
+
+
+# the hole of holed_plane: the disc of this radius about (0.5, 0.5)
+HOLE_RADIUS = 0.1
+
+
+def holed_plane(rng: np.random.Generator, n: int) -> np.ndarray:
+    """*n* points uniform on the unit square minus the closed disc of radius
+    ``HOLE_RADIUS`` about (0.5, 0.5), drawn by rejection."""
+    xy = np.empty((0, 2))
+    while len(xy) < n:
+        draw = uniform_plane(rng, n)
+        xy = np.concatenate([xy, draw[((draw - 0.5) ** 2).sum(axis=1) > HOLE_RADIUS**2]])
+    return xy[:n]
+
+
+def graded_plane(rng: np.random.Generator, n: int) -> np.ndarray:
+    """*n* points on the unit square with x drawn as u**4 for uniform u: dense
+    near x = 0, sparse near x = 1, so leaf cells differ widely in size."""
+    xy = uniform_plane(rng, n)
+    return np.column_stack([xy[:, 0] ** 4, xy[:, 1]])
+
+
+def noisy_cloud(height, n: int, seed: int, noise_std: float = 0.05, plane=uniform_plane) -> np.ndarray:
+    """*n* points drawn on the unit square by *plane* at *height* plus Gaussian noise."""
     rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, 1.0, size=(n, 2))
+    xy = plane(rng, n)
     return np.column_stack([xy, height(xy[:, 0], xy[:, 1]) + rng.normal(0.0, noise_std, n)])
 
 

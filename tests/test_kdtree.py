@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wqisa.kdtree import LEAF_SIZE, PlanarIndex
 
-from oracles import brute_knn_ids, brute_radius_ids
+from oracles import brute_knn_ids, brute_radius_ids, graded_plane, holed_plane, uniform_plane
 
 
 class TestBuild:
@@ -162,9 +162,12 @@ class TestWithinRadius:
             idx.within_radius(query, 1e300)
 
 
-def test_large_random_cloud_agrees_with_brute_force():
+@pytest.mark.parametrize("plane", [uniform_plane, holed_plane, graded_plane])
+def test_large_random_cloud_agrees_with_brute_force(plane):
+    # the holed and graded clouds give leaf cells of uneven size and bound
+    # balls that cross empty space
     rng = np.random.default_rng(6)
-    pts = rng.uniform(0, 10, size=(10_000, 2))
+    pts = 10.0 * plane(rng, 10_000)
     idx = PlanarIndex(pts)
     for _ in range(100):
         q = rng.uniform(0, 10, size=2)

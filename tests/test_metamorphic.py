@@ -4,9 +4,11 @@ Rescaling or shifting the heights, or the plane, maps one valid input onto
 another whose fit is known from the first: the same refinement path, the
 same tuned parameter and the same stop reason, with the test MSE scaled by
 the square of the height factor.  Each relation is checked on the noisy
-hemisphere with outliers, on Franke's function and on a straight step; on
-the last two every kind's fit must also stay inside the training heights
-and give the same bytes when run again.
+hemisphere with outliers, on Franke's function, on a straight step, on
+Franke's function over a plane with a hole and over a plane of graded
+density, and on a multi-octave terrain; on all but the hemisphere every
+kind's fit must also stay inside the training heights and give the same
+bytes when run again.
 """
 
 import numpy as np
@@ -15,9 +17,9 @@ import pytest
 from wqisa.metrics import surface_sample_points
 from wqisa.pipeline import FitConfig, fit, knn_parameter_grid, split
 from wqisa.synthetic import hemisphere_cloud, perturb
-from wqisa.weights import WeightSpec
+from wqisa.weights import WeightSpec, ZeroWeightError
 
-from oracles import franke_height, noisy_cloud, step_height
+from oracles import franke_height, graded_plane, holed_plane, noisy_cloud, octave_height, step_height
 
 SURFACES = {
     "hemisphere": lambda: perturb(
@@ -25,6 +27,9 @@ SURFACES = {
     ),
     "franke": lambda: noisy_cloud(franke_height, 3000, seed=41),
     "step": lambda: noisy_cloud(step_height, 3000, seed=41),
+    "hole": lambda: noisy_cloud(franke_height, 3000, seed=41, plane=holed_plane),
+    "graded": lambda: noisy_cloud(franke_height, 3000, seed=41, plane=graded_plane),
+    "terrain": lambda: noisy_cloud(octave_height, 3000, seed=41),
 }
 
 
@@ -74,7 +79,7 @@ def test_similar_plane_keeps_the_path_and_the_mse(cloud, base_reports, kind, s, 
 
 
 @pytest.mark.parametrize("kind", ["knn", "indicator", "idw_truncated"])
-@pytest.mark.parametrize("name", ["franke", "step"])
+@pytest.mark.parametrize("name", [name for name in SURFACES if name != "hemisphere"])
 def test_fit_stays_inside_the_training_heights_and_repeats(name, kind):
     cloud = SURFACES[name]()
     surface, _ = fit(cloud, config(kind))
@@ -83,3 +88,15 @@ def test_fit_stays_inside_the_training_heights_and_repeats(name, kind):
     for z in (surface.coefficients, surface_sample_points(surface)[:, 2]):
         assert lo <= z.min() and z.max() <= hi
     assert fit(cloud, config(kind))[0].coefficients.tobytes() == surface.coefficients.tobytes()
+
+
+def test_windows_inside_the_hole_fail_naming_the_coefficient():
+    # the first mesh's middle knot average lies in the hole, which no radius
+    # below the hole's own reaches across
+    grid = tuple(WeightSpec.indicator(r) for r in (0.03, 0.06, 0.09))
+    with pytest.raises(ZeroWeightError) as failure:
+        fit(SURFACES["hole"](), FitConfig(weight_grid=grid, max_iterations=6, seed=43))
+    assert str(failure.value).startswith(
+        "iteration 1: every grid entry failed; last error: "
+        "coefficient (i=1, j=1): no point has positive weight at (u, v)="
+    )

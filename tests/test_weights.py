@@ -269,6 +269,19 @@ class TestEstimateControlPoint:
         spec = WeightSpec.knn(4, outlier_filter=True, fence=1e308)
         assert estimate_control_point(cloud, 0.5, 0.5, spec) == 15.0
 
+    def test_fence_zero_keeps_the_quartiles_of_heights_that_span_the_float_range(self):
+        # q3 - q1 = 2e308 overflows; taken in halves, fence 0 keeps [q1, q3],
+        # here every height, with no overflow, NaN fence or fallback warning
+        cloud = np.array([[0.0, 0.0, -1e308], [1.0, 0.0, -1e308], [0.0, 1.0, 1e308], [1.0, 1.0, 1e308]])
+        spec = WeightSpec.knn(4, outlier_filter=True, fence=0.0)
+        assert estimate_control_point(cloud, 0.5, 0.5, spec) == 0.0
+
+    def test_quartiles_of_two_heights_that_span_the_float_range(self):
+        # the gap the quartiles interpolate across, 2e308, overflows
+        cloud = np.array([[0.0, 0.0, -1e308], [1.0, 1.0, 1e308]])
+        spec = WeightSpec.knn(2, outlier_filter=True)
+        assert estimate_control_point(cloud, 0.5, 0.5, spec) == 0.0
+
     @pytest.mark.parametrize("u, v", [(np.inf, 0.5), (0.5, np.nan)])
     @pytest.mark.parametrize(
         "spec",
