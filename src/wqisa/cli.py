@@ -3,9 +3,11 @@
 Subcommands: ``split`` a cloud into training/validation/test files, ``fit``
 a surface, ``eval`` a surface against a cloud, ``compare`` the weighted
 quasi-interpolant against the multilevel baseline, ``sample`` a surface onto
-a grid CSV, and ``synth`` to generate benchmark clouds.  Exit status is 0 on
-success, 1 on usage errors, 2 on data errors.  Reports are JSON with sorted
-keys and no timestamps, so a fixed seed reproduces them byte for byte.
+a grid of points, and ``synth`` to generate benchmark clouds.  A point
+file's extension is its format: ``.csv`` is CSV with an ``x,y,z`` header,
+any other is XYZ.  Exit status is 0 on success, 1 on usage errors, 2 on data
+errors.  Reports are JSON with sorted keys and no timestamps, so a fixed
+seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -89,10 +91,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--density", type=int, default=4)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("sample", help="sample a surface onto a uniform x,y,z grid CSV")
+    p = sub.add_parser("sample", help="sample a surface onto a uniform grid of x,y,z points")
     p.add_argument("--surface", required=True)
     p.add_argument("--resolution", type=_resolution, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="point file: CSV if it ends in .csv, else XYZ")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark cloud")

@@ -1,23 +1,24 @@
 """File formats: point clouds, surfaces, run configurations, sampled grids.
 
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
-CSV with a header row and a configurable column mapping; the extension picks
-the format unless one is given.  Cloud and config files are UTF-8, with or
-without a byte-order mark; a byte that is not UTF-8 is refused with its
-line.  A cloud is read by one ``np.loadtxt`` call; a file it refuses is
-walked record by record, which skips blank records and names the line the
-first bad one starts on.  The walk defines a valid cloud: numpy's reader
-accepts no file the walk refuses.
+CSV with a header row and a configurable column mapping.  The extension is
+the format: ``.csv`` is CSV, any other is XYZ.  Cloud and config files are
+UTF-8, with or without a byte-order mark; a byte that is not UTF-8 is
+refused with its line.  A cloud is read by one ``np.loadtxt`` call; a file
+it refuses is walked record by record, which skips blank records and names
+the line the first bad one starts on.  The walk defines a valid cloud:
+numpy's reader accepts no file the walk refuses.
 
-Clouds and sampled surface grids (``x,y,z`` CSV) are written by one row
-writer, in blocks of ``_ROWS_PER_BLOCK`` rows.  Each value is written as the
-bytes of ``'%.17g' % v``, whose 17 significant digits reproduce it exactly.
-numpy formats every value with ``1e-4 <= |v| < 1e16``; Python's ``%``
-formats the others (zeros, subnormals, smaller and larger magnitudes), in
-one call per block.  A grid formats each lattice x and y once, and takes its
-z values from ``evaluate_lattice``'s row tiles.  Surfaces and reports
-are JSON, reports without NaN or infinity.  Run configs are ``key = value``
-lines with finite floats, written as ``%.17g``, and round-trip losslessly.
+Clouds and sampled surface grids are written by one row writer, by the same
+extension rule, in blocks of ``_ROWS_PER_BLOCK`` rows.  Each value is
+written as the bytes of ``'%.17g' % v``, whose 17 significant digits
+reproduce it exactly.  numpy formats every value with
+``1e-4 <= |v| < 1e16``; Python's ``%`` formats the others (zeros,
+subnormals, smaller and larger magnitudes), in one call per block.  A grid
+formats each lattice x and y once, and takes its z values from
+``evaluate_lattice``'s row tiles.  Surfaces and reports are JSON, reports
+without NaN or infinity.  Run configs are ``key = value`` lines with finite
+floats, written as ``%.17g``, and round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -169,23 +170,24 @@ def _fields(values: np.ndarray) -> np.ndarray:
     return chars
 
 
-def _rows(columns, sep: bytes) -> bytes:
-    """Rows of three *columns* of ``_fields`` text, each value followed by
-    *sep* and the last by a newline."""
-    chars = np.zeros((columns[0].shape[0], 3, _WIDTH + 1), np.uint8)
-    for j, column in enumerate(columns):
-        chars[:, j, :_WIDTH] = column
-    chars[:, :, _WIDTH] = np.frombuffer(sep * 2 + b"\n", np.uint8)
-    return chars[chars != 0].tobytes()
+def _cloud_format(path: Path) -> str:
+    """The one format rule for point files: a ``.csv`` *path* is CSV, any other XYZ."""
+    return "csv" if path.suffix.lower() == ".csv" else "xyz"
 
 
-def _cloud_format(path: Path, fmt: str | None) -> str:
-    """*fmt*, or the format the extension implies: ``.csv`` is CSV, else XYZ."""
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "xyz"
-    if fmt not in ("xyz", "csv"):
-        raise ValueError(f"unknown cloud format {fmt!r}")
-    return fmt
+def _write_points(path, n: int, columns) -> None:
+    """Write *n* rows to the point file *path* in its format, the rows
+    ``start:stop`` being the three ``_fields`` columns ``columns(start, stop)``."""
+    header, sep = (b"x,y,z\n", b",") if _cloud_format(Path(path)) == "csv" else (b"", b" ")
+    with Path(path).open("wb") as fh:
+        fh.write(header)
+        for start in range(0, n, _ROWS_PER_BLOCK):
+            stop = min(start + _ROWS_PER_BLOCK, n)
+            chars = np.zeros((stop - start, 3, _WIDTH + 1), np.uint8)
+            for j, column in enumerate(columns(start, stop)):
+                chars[:, j, :_WIDTH] = column
+            chars[:, :, _WIDTH] = np.frombuffer(sep * 2 + b"\n", np.uint8)
+            fh.write(chars[chars != 0].tobytes())
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:
@@ -214,16 +216,15 @@ def _csv_records(path: Path, reader):
         raise CloudParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x", "y", "z")) -> np.ndarray:
+def read_cloud(path, columns: tuple[str, str, str] = ("x", "y", "z")) -> np.ndarray:
     """Read a point cloud, preserving row order.
 
-    *fmt* is ``"xyz"`` or ``"csv"``; by default it is inferred from the file
-    extension (``.csv`` means CSV, anything else means XYZ ascii).  For CSV,
-    *columns* names the header columns holding x, y and z.  The file is
-    UTF-8, with or without a byte-order mark.
+    The extension is the format: a ``.csv`` file is CSV, whose header
+    *columns* names the columns holding x, y and z; any other file is XYZ
+    ascii.  The file is UTF-8, with or without a byte-order mark.
     """
     path = Path(path)
-    fmt = _cloud_format(path, fmt)
+    fmt = _cloud_format(path)
     if len(columns) != 3:
         raise ValueError(f"columns must name the x, y and z columns, got {columns!r}")
     text = _read_text(path, CloudParseError)
@@ -290,16 +291,10 @@ def read_cloud(path, fmt: str | None = None, columns: tuple[str, str, str] = ("x
     return np.array(rows, dtype=float)
 
 
-def write_cloud(path, cloud, fmt: str | None = None) -> None:
-    """Write a cloud as XYZ ascii or CSV (inferred from the extension)."""
-    path = Path(path)
+def write_cloud(path, cloud) -> None:
+    """Write a cloud as CSV to a ``.csv`` path, else as XYZ ascii."""
     cloud = as_cloud(cloud)
-    header, sep = (b"x,y,z\n", b",") if _cloud_format(path, fmt) == "csv" else (b"", b" ")
-    with path.open("wb") as fh:
-        fh.write(header)
-        for start in range(0, cloud.shape[0], _ROWS_PER_BLOCK):
-            block = cloud[start : start + _ROWS_PER_BLOCK]
-            fh.write(_rows([_fields(column) for column in block.T], sep))
+    _write_points(path, cloud.shape[0], lambda start, stop: [_fields(c) for c in cloud[start:stop].T])
 
 
 def save_surface(surface: WqisaSurface, path) -> None:
@@ -319,6 +314,9 @@ def load_surface(path) -> WqisaSurface:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"surface payload must be a JSON object, got {type(payload).__name__}")
+    for name, expected in (("format", "wqisa-surface"), ("version", 1)):
+        if type(payload.get(name)) is not type(expected) or payload[name] != expected:  # true is not 1
+            raise ValueError(f"surface payload {name} must be {expected!r}, got {payload.get(name)!r}")
     try:
         # KnotVector rejects a degree that is not an integer
         space = TensorSplineSpace(
@@ -334,11 +332,12 @@ def load_surface(path) -> WqisaSurface:
 
 
 def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path) -> None:
-    """Sample the surface on a uniform grid and write ``x,y,z`` CSV rows.
+    """Sample the surface on a uniform grid and write it as a point file,
+    CSV or XYZ by the extension as ``write_cloud`` writes it.
 
     Row-major: x varies slowest.  Values carry 17 significant digits, so
-    re-reading the grid and re-evaluating the surface reproduces the z
-    column exactly.
+    re-reading the grid with ``read_cloud`` and re-evaluating the surface
+    reproduces the z column exactly.
     """
     rx, ry = resolution
     if rx < 2 or ry < 2:
@@ -350,12 +349,12 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
         raise ValueError("the sampled surface holds non-finite values")
     # each lattice x and y is formatted once, and its text gathered per row
     x_text, y_text = _fields(xs), _fields(ys)
-    with Path(path).open("wb") as fh:
-        fh.write(b"x,y,z\n")
-        for start in range(0, z.size, _ROWS_PER_BLOCK):
-            i, j = np.divmod(np.arange(start, min(start + _ROWS_PER_BLOCK, z.size)), ry)
-            z_text = _fields(z[start : start + i.size])
-            fh.write(_rows([np.take(x_text, i, axis=0), np.take(y_text, j, axis=0), z_text], b","))
+
+    def columns(start, stop):
+        i, j = np.divmod(np.arange(start, stop), ry)
+        return np.take(x_text, i, axis=0), np.take(y_text, j, axis=0), _fields(z[start:stop])
+
+    _write_points(path, z.size, columns)
 
 
 def write_report(payload: dict, path) -> None:

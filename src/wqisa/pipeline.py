@@ -216,18 +216,23 @@ def refine_mesh(
     """Split every element with LMSE above *epsilon* at its midpoints.
 
     Midpoints are inserted into both knot vectors (deduplicated); the tensor
-    structure propagates each cut along the full row and column.  Returns
-    the input space unchanged when nothing exceeds the threshold.
+    structure propagates each cut along the full row and column.  An
+    element too narrow for a float strictly between its edges is not split
+    along that axis.  Returns the input space unchanged when nothing
+    exceeds the threshold or nothing flagged can be split.
     """
     x_edges = space.knots_x.breakpoints
     y_edges = space.knots_y.breakpoints
     if error_map.values.shape != (x_edges.size - 1, y_edges.size - 1):
         raise ValueError("error map is not aligned with the space")
-    flagged = np.argwhere(error_map.values > epsilon)
-    if flagged.size == 0:
+    flagged = error_map.values > epsilon
+    cuts = []
+    for edges, rows in ((x_edges, flagged.any(axis=1)), (y_edges, flagged.any(axis=0))):
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        cuts.append(mid[rows & (edges[:-1] < mid) & (mid < edges[1:])])
+    new_x, new_y = cuts
+    if new_x.size == 0 and new_y.size == 0:
         return space
-    new_x = sorted({(x_edges[e] + x_edges[e + 1]) / 2.0 for e in flagged[:, 0]})
-    new_y = sorted({(y_edges[f] + y_edges[f + 1]) / 2.0 for f in flagged[:, 1]})
     kx = reduce(insert_knot, new_x, space.knots_x)
     return TensorSplineSpace(kx, reduce(insert_knot, new_y, space.knots_y))
 
@@ -311,7 +316,11 @@ def fit_split(
         error_map = _error_map(data.validation, tuned.residuals, space)
         refined = refine_mesh(space, error_map, epsilon)
         if refined is space:
-            stop_reason = "threshold_met"
+            stop_reason = "unsplittable" if (error_map.values > epsilon).any() else "threshold_met"
+            break
+        # MBA's budget: no mesh with more coefficients than training points
+        if refined.shape[0] * refined.shape[1] > data.training.shape[0]:
+            stop_reason = "budget"
             break
         space = refined
     assert best is not None

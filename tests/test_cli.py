@@ -82,6 +82,8 @@ class TestFitCommand:
             "max_iterations",
             "threshold_met",
             "stagnated",
+            "budget",
+            "unsplittable",
         )
         assert report["config"]["seed"] == 7
         assert surface_path.exists()
@@ -190,6 +192,23 @@ class TestSampleCommand:
         assert code == 0
         grid = read_cloud(grid_path)
         assert grid.shape == (4, 3)
+
+    @pytest.mark.parametrize("name", ["g.xyz", "g.csv", "g.txt"])
+    def test_grid_is_read_back_as_a_cloud(self, tmp_path, name):
+        # the grid's extension is its format, as it is for every point file
+        surface_path = tmp_path / "s.json"
+        unit = TensorSplineSpace(KnotVector.uniform_open(1, 1), KnotVector.uniform_open(1, 1))
+        save_surface(WqisaSurface(unit, np.array([[0.0, 1.0], [2.0, 3.0]])), surface_path)
+        grid_path = tmp_path / name
+        argv = ["sample", "--surface", str(surface_path), "--resolution", "3x2", "--out", str(grid_path)]
+        assert cli_main(argv) == 0
+        argv = ["eval", "--surface", str(surface_path), "--cloud", str(grid_path),
+                "--out", str(tmp_path / "e.json")]
+        assert cli_main(argv) == 0
+        grid = read_cloud(grid_path)
+        assert grid[:, 2].tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0]
+        with_header = name.endswith(".csv")
+        assert grid_path.read_text().startswith("x,y,z\n" if with_header else "0 0 0\n")
 
 
 class TestSynthCommand:
@@ -340,10 +359,10 @@ class TestExitCodes:
     def test_malformed_surface_is_two(self, tmp_path, cloud_file, capsys):
         # a JSON array instead of an object, a fractional degree that must
         # not be truncated to an integer, a boolean degree that must not be
-        # read as 1, and an object where knots belong
+        # read as 1, an object where knots belong, and another format
         knots = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-        surface = {"degree_x": 2, "degree_y": 2, "knots_x": knots, "knots_y": knots,
-                   "coefficients": [[0.0] * 3] * 3}
+        surface = {"format": "wqisa-surface", "version": 1, "degree_x": 2, "degree_y": 2,
+                   "knots_x": knots, "knots_y": knots, "coefficients": [[0.0] * 3] * 3}
         path = tmp_path / "s.json"
         for payload in (
             [1, 2],
@@ -352,6 +371,7 @@ class TestExitCodes:
             {**surface, "degree_x": True, "knots_x": [0.0, 0.0, 1.0, 1.0],
              "coefficients": [[0.0] * 3] * 2},
             {**surface, "knots_y": {}},
+            {**surface, "format": "something-else", "version": 99},
         ):
             path.write_text(json.dumps(payload))
             argv = ["eval", "--surface", str(path), "--cloud", str(cloud_file),

@@ -340,11 +340,13 @@ class TestWrittenText:
         )
 
 
+    @pytest.mark.parametrize("suffix", [".csv", ".xyz"])
     @pytest.mark.parametrize("resolution", [(2, 2), (3, 2), (7, 5), (3, 1100), (1100, 3)])
     @pytest.mark.parametrize("make_surface", ["tricky", "negative"])
-    def test_surface_grid_is_the_lattice_cloud(self, tmp_path, resolution, make_surface):
+    def test_surface_grid_is_the_lattice_cloud(self, tmp_path, resolution, make_surface, suffix):
         # the grid formats each lattice x and y once; its bytes are those of
-        # the sampled lattice written as a cloud, also when y spans chunks
+        # the sampled lattice written as a cloud of the same extension, also
+        # when y spans chunks
         if make_surface == "tricky":
             surface = tricky_surface()
         else:
@@ -353,9 +355,10 @@ class TestWrittenText:
                 KnotVector.uniform_open(3, 4, -1e-3, 2.0 / 7.0),
             )
             surface = WqisaSurface(space, np.random.default_rng(6).normal(size=space.shape))
-        write_surface_grid(surface, resolution, tmp_path / "grid.csv")
-        write_cloud(tmp_path / "lattice.csv", sample_lattice(surface, resolution), fmt="csv")
-        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "lattice.csv").read_bytes()
+        grid, lattice = tmp_path / f"grid{suffix}", tmp_path / f"lattice{suffix}"
+        write_surface_grid(surface, resolution, grid)
+        write_cloud(lattice, sample_lattice(surface, resolution))
+        assert grid.read_bytes() == lattice.read_bytes()
 
 
 def field_text(values) -> list[str]:

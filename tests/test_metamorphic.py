@@ -8,12 +8,18 @@ hemisphere with outliers, on Franke's function, on a straight step, on
 Franke's function over a plane with a hole and over a plane of graded
 density, and on a multi-octave terrain; on all but the hemisphere every
 kind's fit must also stay inside the training heights and give the same
-bytes when run again.
+bytes when run again.  Scalings by powers of two, drawn by ``hypothesis``,
+must give the base fit's coefficients bit for bit (times the height factor),
+and CLI ``compare`` must succeed on every surface.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wqisa.cli import cli_main
+from wqisa.io import RunConfig, write_cloud, write_config
 from wqisa.metrics import surface_sample_points
 from wqisa.pipeline import FitConfig, fit, knn_parameter_grid, split
 from wqisa.synthetic import hemisphere_cloud, perturb
@@ -54,13 +60,46 @@ def path(report):
 
 
 @pytest.fixture(scope="module")
-def base_reports(cloud):
-    return {kind: fit(cloud, config(kind))[1] for kind in ("knn", "indicator")}
+def base_fits(cloud):
+    return {kind: fit(cloud, config(kind)) for kind in ("knn", "indicator")}
+
+
+# a factor 2**i scales every rounding with it, so these relations hold bit for bit
+POWERS = st.integers(-40, 40)
+DRAWN = settings(derandomize=True, max_examples=1, deadline=None)
+
+
+@pytest.mark.parametrize("kind", ["knn", "indicator"])
+@DRAWN
+@given(i=POWERS, sign=st.sampled_from([1.0, -1.0]))
+@example(i=40, sign=-1.0)
+def test_power_of_two_heights_scale_the_fit_exactly(cloud, base_fits, kind, i, sign):
+    a = sign * 2.0**i
+    base_surface, base = base_fits[kind]
+    surface, report = fit(cloud * [1.0, 1.0, a], config(kind))
+    assert surface.coefficients.tobytes() == (a * base_surface.coefficients).tobytes()
+    assert path(report) == path(base)
+    assert report.stop_reason == base.stop_reason
+    assert report.test_mse == a * a * base.test_mse
+
+
+@pytest.mark.parametrize("kind", ["knn", "indicator"])
+@DRAWN
+@given(j=POWERS)
+@example(j=-40)
+def test_power_of_two_plane_keeps_the_fit_exactly(cloud, base_fits, kind, j):
+    s = 2.0**j
+    base_surface, base = base_fits[kind]
+    surface, report = fit(cloud * [s, s, 1.0], config(kind, s))
+    assert surface.coefficients.tobytes() == base_surface.coefficients.tobytes()
+    assert path(report) == [(mesh, s * r if kind == "indicator" else r) for mesh, r in path(base)]
+    assert report.stop_reason == base.stop_reason
+    assert report.test_mse == base.test_mse
 
 
 @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-2.5, 1.0), (1e-6, 0.0), (1e4, -3.0)])
-def test_affine_heights_keep_the_path_and_scale_the_mse(cloud, base_reports, a, b):
-    base = base_reports["knn"]
+def test_affine_heights_keep_the_path_and_scale_the_mse(cloud, base_fits, a, b):
+    base = base_fits["knn"][1]
     _, report = fit(cloud * [1.0, 1.0, a] + [0.0, 0.0, b], config("knn"))
     assert path(report) == path(base)
     assert report.stop_reason == base.stop_reason
@@ -69,8 +108,8 @@ def test_affine_heights_keep_the_path_and_scale_the_mse(cloud, base_reports, a, 
 
 @pytest.mark.parametrize("kind", ["knn", "indicator"])
 @pytest.mark.parametrize("s, t", [(1e-3, 0.0), (1e3, 5.0), (0.5, 0.25)])
-def test_similar_plane_keeps_the_path_and_the_mse(cloud, base_reports, kind, s, t):
-    base = base_reports[kind]
+def test_similar_plane_keeps_the_path_and_the_mse(cloud, base_fits, kind, s, t):
+    base = base_fits[kind][1]
     _, report = fit(cloud * [s, s, 1.0] + [t, t, 0.0], config(kind, s))
     # the grid's radii are s * r, so the tuned one must be s times the base's
     assert path(report) == [(mesh, s * r if kind == "indicator" else r) for mesh, r in path(base)]
@@ -88,6 +127,15 @@ def test_fit_stays_inside_the_training_heights_and_repeats(name, kind):
     for z in (surface.coefficients, surface_sample_points(surface)[:, 2]):
         assert lo <= z.min() and z.max() <= hi
     assert fit(cloud, config(kind))[0].coefficients.tobytes() == surface.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("name", list(SURFACES))
+def test_compare_exits_zero(tmp_path, name):
+    write_cloud(tmp_path / "cloud.xyz", SURFACES[name]())
+    write_config(RunConfig(max_iterations=6, seed=43), tmp_path / "run.cfg")
+    argv = ["compare", "--cloud", str(tmp_path / "cloud.xyz"), "--config", str(tmp_path / "run.cfg"),
+            "--out", str(tmp_path / "compare.json")]
+    assert cli_main(argv) == 0
 
 
 def test_windows_inside_the_hole_fail_naming_the_coefficient():

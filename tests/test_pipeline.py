@@ -1,5 +1,6 @@
 """Tests for splitting, tuning, refinement, and the full fitting loop."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -318,6 +319,16 @@ class TestRefineMesh:
         np.testing.assert_allclose(refined.knots_x.breakpoints, [0, 0.25, 0.5, 1])
         np.testing.assert_allclose(refined.knots_y.breakpoints, [0, 0.25, 0.5, 0.75, 1])
 
+    def test_an_axis_without_a_float_inside_is_not_split(self):
+        # x spans one ulp, so its midpoint rounds onto an edge; y is cut
+        space = TensorSplineSpace.single_element((2, 2), (1.0, np.nextafter(1.0, 2.0), 0.0, 1.0))
+        flagged = ElementErrorMap(values=np.ones((1, 1)), counts=np.ones((1, 1), dtype=np.intp))
+        refined = refine_mesh(space, flagged, epsilon=0.5)
+        assert refined.knots_x is space.knots_x
+        assert refined.knots_y.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        narrow = TensorSplineSpace(space.knots_x, space.knots_x)
+        assert refine_mesh(narrow, flagged, epsilon=0.5) is narrow
+
     def test_misaligned_map_rejected(self):
         from wqisa.metrics import ElementErrorMap
 
@@ -410,6 +421,30 @@ class TestFit:
         assert report.stop_reason == "max_iterations"
         assert len(report.iterations) == 1
         assert report.best_iteration == 1
+
+    def test_budget_stop_returns_the_fit_capped_there(self):
+        # 150 training points: the 8x8 mesh has 100 coefficients, the next 324
+        cloud = perturb(hemisphere_cloud(300, seed=1), noise_std=0.05, seed=2)
+        config = FitConfig(weight_grid=knn_parameter_grid(3), seed=7)
+        surface, report = fit(cloud, config)
+        assert report.stop_reason == "budget"
+        assert report.iterations[-1].mesh_elements == (8, 8)
+        capped, capped_report = fit(cloud, dataclasses.replace(config, max_iterations=len(report.iterations)))
+        assert capped_report.stop_reason == "max_iterations"
+        assert capped_report.iterations == report.iterations
+        assert capped.coefficients.tobytes() == surface.coefficients.tobytes()
+
+    def test_elements_below_float_resolution_stop_the_fit(self):
+        # at 2**50 the spacing of floats is 0.25, the width of the 4x4 mesh's
+        # elements: their midpoints round onto an edge, which used to raise
+        # from insert_knot after a valid surface existed
+        cloud = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2) + [2.0**50, 2.0**50, 0.0]
+        config = FitConfig(weight_grid=knn_parameter_grid(10), max_iterations=15, epsilon=0.0)
+        surface, report = fit(cloud, config)
+        assert report.stop_reason == "unsplittable"
+        assert [rec.mesh_elements for rec in report.iterations] == [(1, 1), (2, 2), (4, 4)]
+        capped, _ = fit(cloud, dataclasses.replace(config, max_iterations=3))
+        assert capped.coefficients.tobytes() == surface.coefficients.tobytes()
 
     def test_mesh_grows_monotonically(self):
         cloud = perturb(hemisphere_cloud(300, seed=12), noise_std=0.02, seed=13)

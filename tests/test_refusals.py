@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wqisa.clouds import as_cloud
-from wqisa.io import load_surface, parse_config, read_cloud
+from wqisa.io import load_surface, parse_config
 from wqisa.kdtree import PlanarIndex
 from wqisa.mba import dyadic_space
 from wqisa.metrics import ErrorStats, surface_sample_points
@@ -19,6 +19,10 @@ from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
 UNIT = TensorSplineSpace(KnotVector.uniform_open(1, 1), KnotVector.uniform_open(1, 1))
 CLOUD = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 1.0, 4.0]])
 KNOTS = [0.0, 0.0, 1.0, 1.0]
+# the fields that mark a file as a surface, and a whole payload of the unit surface
+HEADER = {"format": "wqisa-surface", "version": 1}
+SURFACE = {**HEADER, "degree_x": 1, "degree_y": 1, "knots_x": KNOTS, "knots_y": KNOTS,
+           "coefficients": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def written(name: str, text: str) -> Path:
@@ -106,15 +110,25 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: load_surface(
-            written("s.json", json.dumps({"degree_x": 1, "degree_y": 1, "knots_x": KNOTS}))
+            written("s.json", json.dumps({**HEADER, "degree_x": 1, "degree_y": 1, "knots_x": KNOTS}))
         ),
         "surface payload is missing field 'knots_y'",
         id="surface-missing-field",
     ),
     pytest.param(
-        lambda: read_cloud("c.las", fmt="las"),
-        "unknown cloud format 'las'",
-        id="cloud-format",
+        lambda: load_surface(written("s.json", json.dumps({**SURFACE, "format": "something-else"}))),
+        "surface payload format must be 'wqisa-surface', got 'something-else'",
+        id="surface-format",
+    ),
+    pytest.param(
+        lambda: load_surface(written("s.json", json.dumps({**SURFACE, "version": 99}))),
+        "surface payload version must be 1, got 99",
+        id="surface-version",
+    ),
+    pytest.param(
+        lambda: load_surface(written("s.json", json.dumps({**SURFACE, "version": True}))),
+        "surface payload version must be 1, got True",
+        id="surface-version-true",
     ),
     pytest.param(
         lambda: parse_config("outlier_filter = yes\n"),
