@@ -28,7 +28,7 @@ from .weights import (
     fit_surface,
 )
 from .kdtree import PlanarIndex
-from .mba import MbaSurface, dyadic_space, fit_mba, mba_level_coefficients
+from .mba import MbaSurface, fit_mba, mba_level_coefficients
 from .metrics import (
     ElementErrorMap,
     ErrorStats,
@@ -85,7 +85,6 @@ __all__ = [
     "fit_surface",
     "PlanarIndex",
     "MbaSurface",
-    "dyadic_space",
     "fit_mba",
     "mba_level_coefficients",
     "ElementErrorMap",

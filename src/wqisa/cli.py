@@ -49,6 +49,12 @@ def _fractions(text: str) -> tuple[float, float, float]:
     return train, validation, test
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # int() would also take a sign, blanks and underscores
+        raise argparse.ArgumentTypeError("expected a nonnegative integer")
+    return int(text)
+
+
 def _resolution(text: str) -> tuple[int, int]:
     try:
         rx, ry = map(int, text.lower().split("x"))
@@ -66,7 +72,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cloud", required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--fractions", type=_fractions, default=DEFAULT_FRACTIONS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=("xyz", "csv"), default="xyz")
     p.set_defaults(func=_cmd_split)
 
@@ -99,7 +105,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark cloud")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--outlier-fraction", type=float, default=0.0)
     p.add_argument("--outlier-scale", type=float, default=1.0)

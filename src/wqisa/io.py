@@ -1,7 +1,7 @@
 """File formats: point clouds, surfaces, run configurations, sampled grids.
 
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
-CSV with a header row and a configurable column mapping.  The extension is
+CSV whose header names the ``x``, ``y`` and ``z`` columns.  The extension is
 the format: ``.csv`` is CSV, any other is XYZ.  Cloud and config files are
 UTF-8, with or without a byte-order mark; a byte that is not UTF-8 is
 refused with its line.  A cloud is read by one ``np.loadtxt`` call; a file
@@ -52,6 +52,7 @@ _FLOAT = "%.17g"
 _ROWS_PER_BLOCK = 8192
 # bytes per formatted field: the longest %.17g text is "-4.9406564584124654e-324"
 _WIDTH = 24
+_CSV_COLUMNS = ("x", "y", "z")  # a CSV point file's header, in the order written
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,15 +179,15 @@ def _cloud_format(path: Path) -> str:
 def _write_points(path, n: int, columns) -> None:
     """Write *n* rows to the point file *path* in its format, the rows
     ``start:stop`` being the three ``_fields`` columns ``columns(start, stop)``."""
-    header, sep = (b"x,y,z\n", b",") if _cloud_format(Path(path)) == "csv" else (b"", b" ")
+    is_csv = _cloud_format(Path(path)) == "csv"
     with Path(path).open("wb") as fh:
-        fh.write(header)
+        fh.write(",".join(_CSV_COLUMNS).encode() + b"\n" if is_csv else b"")
         for start in range(0, n, _ROWS_PER_BLOCK):
             stop = min(start + _ROWS_PER_BLOCK, n)
             chars = np.zeros((stop - start, 3, _WIDTH + 1), np.uint8)
             for j, column in enumerate(columns(start, stop)):
                 chars[:, j, :_WIDTH] = column
-            chars[:, :, _WIDTH] = np.frombuffer(sep * 2 + b"\n", np.uint8)
+            chars[:, :, _WIDTH] = np.frombuffer(b",,\n" if is_csv else b"  \n", np.uint8)
             fh.write(chars[chars != 0].tobytes())
 
 
@@ -216,17 +217,16 @@ def _csv_records(path: Path, reader):
         raise CloudParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def read_cloud(path, columns: tuple[str, str, str] = ("x", "y", "z")) -> np.ndarray:
+def read_cloud(path) -> np.ndarray:
     """Read a point cloud, preserving row order.
 
-    The extension is the format: a ``.csv`` file is CSV, whose header
-    *columns* names the columns holding x, y and z; any other file is XYZ
-    ascii.  The file is UTF-8, with or without a byte-order mark.
+    The extension is the format: a ``.csv`` file is CSV, whose header names
+    the columns ``x``, ``y`` and ``z`` in any order, other columns being
+    ignored; any other file is XYZ ascii.  The file is UTF-8, with or
+    without a byte-order mark.
     """
     path = Path(path)
     fmt = _cloud_format(path)
-    if len(columns) != 3:
-        raise ValueError(f"columns must name the x, y and z columns, got {columns!r}")
     text = _read_text(path, CloudParseError)
     # a file is walked where numpy's reader differs: it strips U+001F from a
     # field's ends (float() refuses it), joins a quoted CSV field across lines
@@ -248,10 +248,10 @@ def read_cloud(path, columns: tuple[str, str, str] = ("x", "y", "z")) -> np.ndar
         except StopIteration:
             raise CloudParseError(f"{path}: empty file") from None
         try:
-            idx = [header.index(c) for c in columns]
+            idx = [header.index(c) for c in _CSV_COLUMNS]
         except ValueError:
             raise CloudParseError(
-                f"{path}: header {header!r} is missing one of the columns {columns!r}"
+                f"{path}: header {header!r} is missing one of the columns {_CSV_COLUMNS!r}"
             ) from None
         first, low, high, width_error = reader.line_num + 1, max(idx) + 1, inf, "too few fields"
         options = {"delimiter": ",", "usecols": idx}
@@ -402,6 +402,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.weight not in WEIGHT_KINDS:
             raise ConfigError(f"weight must be one of {WEIGHT_KINDS}, got {self.weight!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for name, value in asdict(self).items():  # reports carry it, and hold no NaN
             values = value if isinstance(value, tuple) else (value,)
             if not all(isfinite(v) for v in values if isinstance(v, float)):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clouds import as_cloud, check_planar_extent, joint_bounding_box
+from .metrics import mean_square
 from .pipeline import STAGNATION_TOL
-from .splines import KnotVector, TensorSplineSpace, WqisaSurface, tensor_rows
+from .splines import TensorSplineSpace, WqisaSurface, tensor_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,22 +48,6 @@ class MbaSurface:
         for level in self.levels:
             total += level.evaluate_lattice(xs, ys)
         return total
-
-
-def dyadic_space(
-    degrees: tuple[int, int],
-    bbox: tuple[float, float, float, float],
-    level: int,
-) -> TensorSplineSpace:
-    """Uniform tensor mesh with ``2**level`` elements per direction."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    xmin, xmax, ymin, ymax = bbox
-    elems = 2**level
-    return TensorSplineSpace(
-        KnotVector.uniform_open(degrees[0], elems, xmin, xmax),
-        KnotVector.uniform_open(degrees[1], elems, ymin, ymax),
-    )
 
 
 def mba_level_coefficients(cloud, space: TensorSplineSpace) -> np.ndarray:
@@ -126,7 +111,7 @@ def fit_mba(
     levels: list[WqisaSurface] = []
     gmse_history: list[float] = []
     for level in range(max_levels):
-        space = dyadic_space(degrees, domain, level)
+        space = TensorSplineSpace.uniform(degrees, domain, 2**level)
         if level > 0 and space.shape[0] * space.shape[1] > cloud.shape[0]:
             break
         grid = mba_level_coefficients(
@@ -134,7 +119,7 @@ def fit_mba(
         )
         surface = WqisaSurface(space, grid)
         candidate_val = val_pred + surface.evaluate_many(validation[:, 0], validation[:, 1])
-        gmse = float(np.mean((validation[:, 2] - candidate_val) ** 2))
+        gmse = mean_square(validation[:, 2] - candidate_val)
         gmse_history.append(gmse)
         previous = gmse_history[level - 1] if level > 0 else None
         if previous is not None and gmse > previous:

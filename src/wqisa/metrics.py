@@ -1,4 +1,4 @@
-"""Evaluation measures: punctual error statistics, LMSE maps, exact pruned Hausdorff."""
+"""Evaluation measures: mean squares, punctual error statistics, LMSE maps, exact pruned Hausdorff."""
 
 from __future__ import annotations
 
@@ -34,15 +34,24 @@ class ErrorStats:
             raise ValueError("residuals must be a nonempty 1-d array")
         abs_res = np.abs(res)
         return cls(
+            mse=mean_square(res),  # first: it refuses an overflowing square that std would warn on
             mean=float(abs_res.mean()),
             std=float(abs_res.std()),  # population convention, like the MSE
-            mse=float(np.mean(res**2)),
             max_abs=float(abs_res.max()),
             count=int(res.size),
         )
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def mean_square(values: np.ndarray) -> float:
+    """Mean of the squared *values*; ``ValueError`` if it overflows the float range."""
+    with np.errstate(over="ignore"):
+        value = float(np.mean(values**2))
+    if not isfinite(value):
+        raise ValueError(f"the mean square of {values.size} values overflows the float range")
+    return value
 
 
 def residuals(surface, cloud) -> np.ndarray:
@@ -58,7 +67,7 @@ def punctual_errors(surface, cloud) -> ErrorStats:
 
 def gmse(surface, cloud) -> float:
     """Mean squared signed residual over the cloud."""
-    return float(np.mean(residuals(surface, cloud) ** 2))
+    return mean_square(residuals(surface, cloud))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .clouds import as_cloud, bounding_box, check_planar_extent, joint_bounding_box
+from .metrics import mean_square, residuals
 # the fit calls neither `lmse` nor `fit_surface`; perfbench's tracer wraps both at these names
 from .metrics import ElementErrorMap, ErrorStats, _error_map, gmse as surface_gmse, lmse  # noqa: F401
 from .splines import TensorSplineSpace, WqisaSurface, insert_knot, knot_average_grid, tensor_rows
@@ -201,7 +202,7 @@ def tune_parameters(
             failure = exc
             continue
         res = validation[:, 2] - rows.values(coefficients)
-        score = float(np.mean(res**2))
+        score = mean_square(res)
         if best is None or score < best[0]:
             best = (score, spec, coefficients, res)
     if best is None:
@@ -281,8 +282,8 @@ def fit_split(
     check_planar_extent(domain)
     epsilon = config.epsilon
     if epsilon is None:
-        epsilon = 0.01 * float(np.var(data.training[:, 2]))
-    space = TensorSplineSpace.single_element(config.degrees, domain)
+        epsilon = 0.01 * mean_square(data.training[:, 2] - np.mean(data.training[:, 2]))
+    space = TensorSplineSpace.uniform(config.degrees, domain, 1)
     # the training cloud never changes, so one index serves every mesh
     index = weights.PlanarIndex(data.training) if KERNELS[config.weight_kind].indexed else None
     records: list[IterationRecord] = []
@@ -352,9 +353,6 @@ def cross_validate(cloud, config: FitConfig, k: int) -> ErrorStats:
     """
     cloud = as_cloud(cloud)
     domain = bounding_box(cloud)
-    pooled: list[np.ndarray] = []
-    for fold in kfold_splits(cloud, k, config.seed):
-        surface, _ = fit_split(fold, config, domain=domain)
-        holdout = fold.test
-        pooled.append(holdout[:, 2] - surface.evaluate_many(holdout[:, 0], holdout[:, 1]))
+    folds = kfold_splits(cloud, k, config.seed)
+    pooled = [residuals(fit_split(fold, config, domain=domain)[0], fold.test) for fold in folds]
     return ErrorStats.from_residuals(np.concatenate(pooled))

@@ -245,14 +245,14 @@ class TensorSplineSpace:
         return self.knots_x.num_elements, self.knots_y.num_elements
 
     @classmethod
-    def single_element(
-        cls, degrees: tuple[int, int], bbox: tuple[float, float, float, float]
+    def uniform(
+        cls, degrees: tuple[int, int], bbox: tuple[float, float, float, float], elements: int
     ) -> "TensorSplineSpace":
-        """One-element mesh with maximum boundary multiplicities over *bbox*."""
+        """Open mesh over *bbox* with *elements* equal spans per direction."""
         xmin, xmax, ymin, ymax = bbox
         return cls(
-            KnotVector.piecewise_bezier(degrees[0], [xmin, xmax]),
-            KnotVector.piecewise_bezier(degrees[1], [ymin, ymax]),
+            KnotVector.uniform_open(degrees[0], elements, xmin, xmax),
+            KnotVector.uniform_open(degrees[1], elements, ymin, ymax),
         )
 
     def __repr__(self) -> str:

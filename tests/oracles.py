@@ -118,15 +118,15 @@ def reference_tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> t
     return keep, rejected
 
 
-def reference_cloud_rows(text: str, fmt: str, columns=("x", "y", "z")) -> list[list[float]]:
+def reference_cloud_rows(text: str, fmt: str) -> list[list[float]]:
     """The rows of a cloud file's *text*, walked one record at a time.
 
     The documented rules: XYZ records are whitespace-split lines, CSV records
-    follow a header row naming *columns*; a blank record is skipped; every
-    other record holds the three picked fields, each a finite ``float``.  A
-    record is named by the line it starts on, which after a quoted CSV field
-    spanning lines is past the record count.  A refusal raises
-    ``ValueError`` with the message that follows the path in
+    follow a header row naming the columns ``x``, ``y`` and ``z``; a blank
+    record is skipped; every other record holds the three picked fields, each
+    a finite ``float``.  A record is named by the line it starts on, which
+    after a quoted CSV field spanning lines is past the record count.  A
+    refusal raises ``ValueError`` with the message that follows the path in
     ``read_cloud``'s ``CloudParseError``.
     """
     lines = text.splitlines()
@@ -151,6 +151,7 @@ def reference_cloud_rows(text: str, fmt: str, columns=("x", "y", "z")) -> list[l
         if header is None:
             raise ValueError("empty file")
         header = [h.strip() for h in header[1]]
+        columns = ("x", "y", "z")
         if not all(c in header for c in columns):
             raise ValueError(f"header {header!r} is missing one of the columns {columns!r}")
         idx = [header.index(c) for c in columns]

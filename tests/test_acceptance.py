@@ -14,7 +14,7 @@ import pytest
 from wqisa.cli import cli_main
 from wqisa.io import RunConfig, write_cloud, write_config
 from wqisa.kdtree import PlanarIndex
-from wqisa.mba import dyadic_space, fit_mba, mba_level_coefficients
+from wqisa.mba import fit_mba, mba_level_coefficients
 from wqisa.metrics import gmse, hausdorff, lmse
 from wqisa.pipeline import FitConfig, fit, knn_parameter_grid
 from wqisa.splines import (
@@ -308,7 +308,7 @@ def test_criterion_07_estimator_matches_brute_force():
 def test_criterion_08_mba_baseline():
     # hand-derived single-point oracle: only one bilinear basis is 1 at a corner
     corner = np.array([[0.0, 0.0, 4.25]])
-    space = dyadic_space((1, 1), (0, 1, 0, 1), 0)
+    space = TensorSplineSpace.uniform((1, 1), (0, 1, 0, 1), 1)
     grid = mba_level_coefficients(corner, space)
     np.testing.assert_allclose(grid, [[4.25, 0.0], [0.0, 0.0]], atol=1e-12)
 

@@ -324,6 +324,44 @@ class TestExitCodes:
         assert "non-finite squared diagonal" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_heights_whose_squares_overflow_are_two(self, tmp_path, cloud_file, config_file, capsys):
+        # heights times 2**520: every mean square of them overflows, so each
+        # command refuses the cloud before it writes anything
+        cloud = read_cloud(cloud_file) * [1.0, 1.0, 2.0**520]
+        huge = tmp_path / "huge.xyz"
+        write_cloud(huge, cloud)
+        surface = tmp_path / "s.json"
+        fit = ["fit", "--cloud", str(cloud_file), "--config", str(config_file),
+               "--surface-out", str(surface), "--report-out", str(tmp_path / "r.json")]
+        assert cli_main(fit) == 0
+        outputs = [tmp_path / name for name in ("s2.json", "r2.json", "e.json", "c.json")]
+        for argv in (
+            ["fit", "--cloud", str(huge), "--config", str(config_file),
+             "--surface-out", str(outputs[0]), "--report-out", str(outputs[1])],
+            ["eval", "--surface", str(surface), "--cloud", str(huge), "--out", str(outputs[2])],
+            ["compare", "--cloud", str(huge), "--config", str(config_file), "--out", str(outputs[3])],
+        ):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: the mean square of")
+        assert [path for path in outputs if path.exists()] == []
+
+    @pytest.mark.parametrize("command", ["split", "synth"])
+    def test_negative_seed_option_is_one(self, tmp_path, capsys, command):
+        argv = {"split": ["split", "--cloud", "c.xyz", "--out-prefix", str(tmp_path / "p")],
+                "synth": ["synth", "--n", "20", "--out", str(tmp_path / "c.xyz")]}[command]
+        for seed in ("-2", "1.5", "x"):
+            assert cli_main([*argv, "--seed", seed]) == 1
+            assert "error: argument --seed: expected a nonnegative integer\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_config_seed_is_two(self, tmp_path, cloud_file, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -3\n")
+        argv = ["fit", "--cloud", str(cloud_file), "--config", str(config),
+                "--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -3\n"
+
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"
         bad.write_text("1 2 fish\n")

@@ -57,9 +57,10 @@ class TestReadCloud:
         np.testing.assert_array_equal(cloud, [[0, 0, 1], [1, 0, 3]])
 
     def test_csv_with_shuffled_columns(self, tmp_path):
+        # the header names x, y and z in any order; other columns are ignored
         path = tmp_path / "c.csv"
-        path.write_text("height,east,north\n7.5,1.0,2.0\n8.5,3.0,4.0\n")
-        cloud = read_cloud(path, columns=("east", "north", "height"))
+        path.write_text("z,intensity,x,y\n7.5,9,1.0,2.0\n8.5,9,3.0,4.0\n")
+        cloud = read_cloud(path)
         np.testing.assert_array_equal(cloud, [[1, 2, 7.5], [3, 4, 8.5]])
 
     @pytest.mark.parametrize(
@@ -242,12 +243,6 @@ class TestBlockParse:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CloudParseError, match=rf"line {at + 1}: {message}"):
             read_cloud(path)
-
-    def test_columns_must_be_three(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("x,y,z,w\n1,2,3,4\n")
-        with pytest.raises(ValueError, match="x, y and z"):
-            read_cloud(path, columns=("x", "y", "z", "w"))
 
 
 # what Python's float() and numpy's reader could disagree on: underscores,
@@ -516,7 +511,7 @@ class TestSurfacePersistence:
         rng = np.random.default_rng(2)
         cloud = random_cloud(rng, 120)
         bbox = (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max())
-        space = TensorSplineSpace.single_element((2, 2), bbox)
+        space = TensorSplineSpace.uniform((2, 2), bbox, 1)
         return fit_surface(cloud, space, WeightSpec.knn(4))
 
     def test_json_roundtrip_is_exact(self, tmp_path):

@@ -5,14 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from wqisa.mba import MbaSurface, dyadic_space, fit_mba, mba_level_coefficients
+from wqisa.mba import MbaSurface, fit_mba, mba_level_coefficients
 from wqisa.splines import TensorSplineSpace, WqisaSurface
 from wqisa.synthetic import hemisphere_cloud
 from wqisa.weights import fit_surface  # noqa: F401  (namespace sanity)
 
 
 def bilinear_unit_space() -> TensorSplineSpace:
-    return TensorSplineSpace.single_element((1, 1), (0.0, 1.0, 0.0, 1.0))
+    return TensorSplineSpace.uniform((1, 1), (0.0, 1.0, 0.0, 1.0), 1)
 
 
 class TestLevelCoefficients:
@@ -25,7 +25,7 @@ class TestLevelCoefficients:
     def test_zero_cloud_gives_zero_grid(self):
         rng = np.random.default_rng(0)
         cloud = np.column_stack([rng.uniform(0, 1, size=(20, 2)), np.zeros(20)])
-        grid = mba_level_coefficients(cloud, dyadic_space((2, 2), (0, 1, 0, 1), 2))
+        grid = mba_level_coefficients(cloud, TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 4))
         np.testing.assert_array_equal(grid, 0.0)
 
     def test_two_point_bilinear_hand_oracle(self):
@@ -56,14 +56,14 @@ class TestLevelCoefficients:
     def test_single_point_reproduced_by_surface(self):
         # the minimum-norm solve makes the level exact on an isolated point
         cloud = np.array([[0.37, 0.61, 1.5]])
-        space = dyadic_space((2, 2), (0, 1, 0, 1), 0)
+        space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 1)
         surface = WqisaSurface(space, mba_level_coefficients(cloud, space))
         assert surface.evaluate(0.37, 0.61) == pytest.approx(1.5, abs=1e-12)
 
     def test_untouched_supports_stay_zero(self):
         # all data in one corner: far-away basis functions keep coefficient 0
         cloud = np.column_stack([np.full(5, 0.05), np.full(5, 0.05), np.arange(5.0) + 1])
-        space = dyadic_space((2, 2), (0, 1, 0, 1), 3)
+        space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 8)
         grid = mba_level_coefficients(cloud, space)
         assert np.all(grid[4:, :] == 0.0)
         assert np.all(grid[:, 4:] == 0.0)
@@ -75,7 +75,7 @@ class TestMbaSurface:
         rng = np.random.default_rng(1)
         levels = []
         for lev in range(3):
-            space = dyadic_space((2, 2), (0, 1, 0, 1), lev)
+            space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 2**lev)
             levels.append(WqisaSurface(space, rng.uniform(-1, 1, size=space.shape)))
         surface = MbaSurface(tuple(levels))
         xs = rng.uniform(0, 1, size=100)
@@ -91,7 +91,7 @@ class TestMbaSurface:
 class TestFitMba:
     def test_dyadic_element_counts(self):
         for lev in range(4):
-            space = dyadic_space((2, 2), (0, 1, 0, 1), lev)
+            space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 2**lev)
             assert space.element_counts == (2**lev, 2**lev)
 
     def test_constant_cloud_error_collapses_across_levels(self):
@@ -153,7 +153,7 @@ class TestFitMba:
         for level in surface.levels:
             nx, ny = level.space.shape
             assert nx * ny <= cloud.shape[0]
-        nx, ny = dyadic_space((2, 2), (0, 1, 0, 1), kept).shape
+        nx, ny = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 2**kept).shape
         assert nx * ny > cloud.shape[0]
 
     def test_budget_keeps_the_first_level(self):

@@ -14,7 +14,7 @@ from wqisa.metrics import (
     punctual_errors,
     surface_sample_points,
 )
-from wqisa.mba import MbaSurface, dyadic_space
+from wqisa.mba import MbaSurface
 from wqisa.splines import KnotVector, OutOfDomainError, TensorSplineSpace, WqisaSurface, insert_knot
 from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import WeightSpec, fit_surface
@@ -23,7 +23,7 @@ from oracles import brute_hausdorff, random_cloud, sample_lattice
 
 
 def constant_surface(value: float, bbox=(0.0, 1.0, 0.0, 1.0)) -> WqisaSurface:
-    space = TensorSplineSpace.single_element((2, 2), bbox)
+    space = TensorSplineSpace.uniform((2, 2), bbox, 1)
     return WqisaSurface(space, np.full(space.shape, value))
 
 
@@ -362,6 +362,6 @@ class TestSurfaceSamples:
         bbox = (-2.0, 3.0 / 7.0, 1.0, 1.25)
         levels = []
         for level in range(4):
-            space = dyadic_space((2, 2), bbox, level)
+            space = TensorSplineSpace.uniform((2, 2), bbox, 2**level)
             levels.append(WqisaSurface(space, rng.normal(size=space.shape)))
         self.assert_reference(MbaSurface(tuple(levels)), density)

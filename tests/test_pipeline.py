@@ -114,7 +114,7 @@ class TestTuneParameters:
         hi_x = max(self.training[:, 0].max(), self.validation[:, 0].max())
         lo_y = min(self.training[:, 1].min(), self.validation[:, 1].min())
         hi_y = max(self.training[:, 1].max(), self.validation[:, 1].max())
-        self.space = TensorSplineSpace.single_element((2, 2), (lo_x, hi_x, lo_y, hi_y))
+        self.space = TensorSplineSpace.uniform((2, 2), (lo_x, hi_x, lo_y, hi_y), 1)
 
     def test_single_entry_grid(self):
         spec = WeightSpec.knn(3)
@@ -227,7 +227,7 @@ class TestTuneParameters:
 def refined_space(degrees, domain) -> TensorSplineSpace:
     """A non-uniform 4 x 4 mesh over *domain*: three refinement steps that
     each split one element."""
-    space = TensorSplineSpace.single_element(degrees, domain)
+    space = TensorSplineSpace.uniform(degrees, domain, 1)
     for flagged in ((0, 0), (1, 0), (2, 2)):
         values = np.zeros(space.element_counts)
         values[flagged] = 1.0
@@ -288,7 +288,7 @@ class TestScoring:
 
 class TestRefineMesh:
     def test_nothing_flagged_returns_same_space(self):
-        space = TensorSplineSpace.single_element((2, 2), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 1)
         surface = fit_surface(
             np.array([[0.2, 0.2, 1.0], [0.8, 0.8, 1.0]]), space, WeightSpec.knn(2)
         )
@@ -296,7 +296,7 @@ class TestRefineMesh:
         assert refine_mesh(space, emap, epsilon=1.0) is space
 
     def test_single_flagged_element_becomes_two_by_two(self):
-        space = TensorSplineSpace.single_element((2, 2), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 1)
         surface = fit_surface(
             np.array([[0.2, 0.2, 0.0], [0.8, 0.8, 0.0]]), space, WeightSpec.knn(2)
         )
@@ -321,7 +321,7 @@ class TestRefineMesh:
 
     def test_an_axis_without_a_float_inside_is_not_split(self):
         # x spans one ulp, so its midpoint rounds onto an edge; y is cut
-        space = TensorSplineSpace.single_element((2, 2), (1.0, np.nextafter(1.0, 2.0), 0.0, 1.0))
+        space = TensorSplineSpace.uniform((2, 2), (1.0, np.nextafter(1.0, 2.0), 0.0, 1.0), 1)
         flagged = ElementErrorMap(values=np.ones((1, 1)), counts=np.ones((1, 1), dtype=np.intp))
         refined = refine_mesh(space, flagged, epsilon=0.5)
         assert refined.knots_x is space.knots_x
@@ -332,7 +332,7 @@ class TestRefineMesh:
     def test_misaligned_map_rejected(self):
         from wqisa.metrics import ElementErrorMap
 
-        space = TensorSplineSpace.single_element((2, 2), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 1)
         bogus = ElementErrorMap(
             values=np.zeros((3, 3)),
             counts=np.zeros((3, 3), dtype=np.intp),
@@ -445,6 +445,36 @@ class TestFit:
         assert [rec.mesh_elements for rec in report.iterations] == [(1, 1), (2, 2), (4, 4)]
         capped, _ = fit(cloud, dataclasses.replace(config, max_iterations=3))
         assert capped.coefficients.tobytes() == surface.coefficients.tobytes()
+
+    def test_an_unchanged_validation_error_stops_stagnated(self):
+        # k equal to the training size makes every coefficient the training
+        # mean, so the refined mesh scores exactly what the first one scored
+        cloud = perturb(hemisphere_cloud(200, seed=1), noise_std=0.05, seed=2)
+        training = split(cloud).training
+        config = FitConfig(weight_grid=(WeightSpec.knn(training.shape[0]),), epsilon=0.0, max_iterations=5)
+        surface, report = fit(cloud, config)
+        assert report.stop_reason == "stagnated"
+        assert report.best_iteration == 2
+        assert [rec.mesh_elements for rec in report.iterations] == [(1, 1), (2, 2)]
+        assert report.iterations[0].gmse == report.iterations[1].gmse
+        np.testing.assert_allclose(surface.coefficients, training[:, 2].mean(), rtol=1e-14)
+
+    @pytest.mark.parametrize("exponent", [512, 520])
+    def test_heights_whose_squares_overflow_are_refused(self, exponent):
+        # the default epsilon's variance overflows first; it used to become
+        # inf, and the fit reported an infinite test MSE after one mesh
+        cloud = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2) * [1.0, 1.0, 2.0**exponent]
+        with pytest.raises(ValueError, match="the mean square of 1500 values overflows the float range"):
+            fit(cloud, FitConfig())
+
+    def test_heights_just_below_the_overflow_scale_exactly(self):
+        cloud = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2)
+        base_surface, base = fit(cloud, FitConfig())
+        surface, report = fit(cloud * [1.0, 1.0, 2.0**510], FitConfig())
+        assert surface.coefficients.tobytes() == (base_surface.coefficients * 2.0**510).tobytes()
+        assert report.test_mse == base.test_mse * 2.0**1020
+        assert [rec.gmse for rec in report.iterations] == [rec.gmse * 2.0**1020 for rec in base.iterations]
+        assert (report.stop_reason, report.best_iteration) == (base.stop_reason, base.best_iteration)
 
     def test_mesh_grows_monotonically(self):
         cloud = perturb(hemisphere_cloud(300, seed=12), noise_std=0.02, seed=13)

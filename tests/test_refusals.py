@@ -11,7 +11,6 @@ import pytest
 from wqisa.clouds import as_cloud
 from wqisa.io import load_surface, parse_config
 from wqisa.kdtree import PlanarIndex
-from wqisa.mba import dyadic_space
 from wqisa.metrics import ErrorStats, surface_sample_points
 from wqisa.pipeline import FitConfig, knn_parameter_grid, split, tune_parameters
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
@@ -94,9 +93,9 @@ REFUSALS = [
         id="surface-nan-coefficient",
     ),
     pytest.param(
-        lambda: dyadic_space((2, 2), (0.0, 1.0, 0.0, 1.0), -1),
-        "level must be nonnegative",
-        id="dyadic-negative-level",
+        lambda: TensorSplineSpace.uniform((2, 2), (0.0, 1.0, 0.0, 1.0), 0),
+        "num_elements must be >= 1",
+        id="space-uniform-no-elements",
     ),
     pytest.param(
         lambda: ErrorStats.from_residuals([]),

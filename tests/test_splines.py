@@ -82,6 +82,14 @@ class TestKnotVector:
         assert kv.num_basis == 6
         assert np.count_nonzero(kv.knots == 0.5) == 3
 
+    @pytest.mark.parametrize("degrees", [(0, 3), (2, 2), (3, 1)])
+    def test_uniform_space_of_one_element_is_the_bezier_mesh(self, degrees):
+        bbox = (-7.25, -1.0 / 3.0, -1e-3, 2.0 / 7.0)
+        space = TensorSplineSpace.uniform(degrees, bbox, 1)
+        for kv, p, ends in zip((space.knots_x, space.knots_y), degrees, (bbox[:2], bbox[2:])):
+            assert kv.knots.tobytes() == KnotVector.piecewise_bezier(p, ends).knots.tobytes()
+        assert TensorSplineSpace.uniform(degrees, bbox, 8).element_counts == (8, 8)
+
 
 def dense_basis(kv: KnotVector, ts) -> np.ndarray:
     """Every basis value at each point: ``basis_rows`` scattered into a
@@ -202,7 +210,7 @@ class TestElementOf:
     """The knot span, and the mesh element, that a point falls in."""
 
     def test_single_element_mesh(self):
-        space = TensorSplineSpace.single_element((2, 3), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((2, 3), (0, 1, 0, 1), 1)
         assert (span_of(space.knots_x, 0.3), span_of(space.knots_y, 0.8)) == (2, 3)
 
     def test_uniform_four_span_third_span(self):
@@ -232,7 +240,7 @@ class TestElementOf:
         assert np.all(kv.knots[spans] < kv.knots[spans + 1])
 
     def test_out_of_domain(self):
-        space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((1, 1), (0, 1, 0, 1), 1)
         with pytest.raises(OutOfDomainError):
             basis_rows(space.knots_x, [1.5])
         with pytest.raises(OutOfDomainError):
@@ -277,7 +285,7 @@ class TestEvaluateSurface:
         assert surface.evaluate(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_out_of_domain_is_distinct_error(self):
-        space = TensorSplineSpace.single_element((2, 2), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 1)
         surface = WqisaSurface(space, np.zeros(space.shape))
         with pytest.raises(OutOfDomainError):
             surface.evaluate(2.0, 0.5)
@@ -295,7 +303,7 @@ class TestEvaluateSurface:
             assert np.all(values <= hi)
 
     def test_shape_mismatch_rejected(self):
-        space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((1, 1), (0, 1, 0, 1), 1)
         with pytest.raises(ValueError, match="does not match"):
             WqisaSurface(space, np.zeros((3, 3)))
 

@@ -4,9 +4,9 @@
 twenty public names (``wqisa.cli.read_cloud``, ``PlanarIndex.knn`` called
 with ``with_count=True``, ...) while a traced op runs.  A renamed or reshaped
 one breaks the benchmark, which only its own smoke test would see.  Here the
-tracer wraps the package as imported, one traced ``fit`` and one traced
-``compare`` run on the harness's own small workloads, and no wrapped call
-may fail.
+tracer wraps the package as imported, one traced op of each workload (``fit``,
+``eval`` with ``sample``, and ``compare``) runs on the harness's own small
+inputs, and no wrapped call may fail.
 """
 
 import importlib
@@ -20,12 +20,13 @@ import harness  # noqa: E402
 import tracing  # noqa: E402
 
 
-def test_a_traced_fit_and_compare_call_every_name_as_the_tracer_wraps_it(tmp_path):
+def test_every_traced_workload_calls_each_name_as_the_tracer_wraps_it(tmp_path):
     # the namespace harness.import_wqisa builds, over the package already imported
     modules = {name: importlib.import_module(f"wqisa.{name}") for name in harness.WQISA_MODULES}
     wq = SimpleNamespace(**modules, modules=tuple(modules.values()))
     tracer = tracing.Tracer(wq)
     workloads = (harness.Fit(points=400, pool=1, max_iterations=3),
+                 harness.Eval(points=400, pool=1, elements=2, resolution=20),
                  harness.Compare(points=400, pool=1, max_iterations=3))
     for op, workload in enumerate(workloads):
         work = tmp_path / workload.name
@@ -34,6 +35,9 @@ def test_a_traced_fit_and_compare_call_every_name_as_the_tracer_wraps_it(tmp_pat
         with tracer.op(op):
             assert harness.run_op(wq, workload.argvs(0, work))
     rows = tracer.per_op()
-    for op in range(len(workloads)):
-        assert [key for key in rows[op] if ":error." in key] == []
-        assert rows[op]["kdtree.knn:count"] > 0
+    fit, evaluate, compare = (rows[op] for op in range(len(workloads)))
+    for row in (fit, evaluate, compare):
+        assert [key for key in row if ":error." in key] == []
+    # eval makes no neighbour query; it reads a surface and writes a grid
+    assert fit["kdtree.knn:count"] > 0 and compare["kdtree.knn:count"] > 0
+    assert evaluate["metrics.hausdorff:calls"] > 0 and evaluate["io.write:calls"] > 0

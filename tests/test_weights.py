@@ -340,9 +340,8 @@ class TestEstimateAllCoefficients:
 
     def test_single_element_full_knn_is_cloud_mean(self):
         cloud = random_cloud(np.random.default_rng(12), 15)
-        space = TensorSplineSpace.single_element(
-            (2, 2),
-            (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max()),
+        space = TensorSplineSpace.uniform(
+            (2, 2), (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max()), 1
         )
         grid = fit_surface(cloud, space, WeightSpec.knn(15)).coefficients
         np.testing.assert_allclose(grid, cloud[:, 2].mean(), rtol=1e-14)
@@ -352,13 +351,13 @@ class TestEstimateAllCoefficients:
         cloud = np.array(
             [[0.05, 0.05, 1.0], [0.95, 0.1, 2.0], [0.0, 0.9, 3.0], [1.0, 1.0, 4.0]]
         )
-        space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((1, 1), (0, 1, 0, 1), 1)
         grid = fit_surface(cloud, space, WeightSpec.knn(1)).coefficients
         np.testing.assert_array_equal(grid, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_zero_weight_names_offending_entry(self):
         cloud = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 2.0]])
-        space = TensorSplineSpace.single_element((1, 1), (0, 1, 0, 1))
+        space = TensorSplineSpace.uniform((1, 1), (0, 1, 0, 1), 1)
         with pytest.raises(ZeroWeightError, match=r"\(i=0, j=1\)"):
             fit_surface(cloud, space, WeightSpec.indicator(0.05))
 
@@ -369,7 +368,7 @@ class TestEstimateAllCoefficients:
         rng = np.random.default_rng(13)
         cloud = random_cloud(rng, n)
         bbox = (cloud[:, 0].min(), cloud[:, 0].max(), cloud[:, 1].min(), cloud[:, 1].max())
-        space = TensorSplineSpace.single_element((2, 2), bbox)
+        space = TensorSplineSpace.uniform((2, 2), bbox, 1)
         for spec in (WeightSpec.knn(3), WeightSpec.indicator(0.8), WeightSpec.truncated_idw(40)):
             grid = fit_surface(cloud, space, spec).coefficients
             for i, u in enumerate(knot_averages(space.knots_x)):
