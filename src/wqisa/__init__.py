@@ -8,6 +8,8 @@ evaluation metrics, the data-driven fitting pipeline, synthetic data
 generators, and file formats plus a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .clouds import as_cloud, bounding_box
@@ -67,57 +69,7 @@ from .io import (
     write_surface_grid,
 )
 
-__all__ = [
-    "__version__",
-    "as_cloud",
-    "bounding_box",
-    "KnotVector",
-    "OutOfDomainError",
-    "TensorSplineSpace",
-    "WqisaSurface",
-    "insert_knot",
-    "knot_average_grid",
-    "knot_averages",
-    "NeighbourTable",
-    "WeightSpec",
-    "ZeroWeightError",
-    "estimate_control_point",
-    "fit_surface",
-    "PlanarIndex",
-    "MbaSurface",
-    "fit_mba",
-    "mba_level_coefficients",
-    "ElementErrorMap",
-    "ErrorStats",
-    "gmse",
-    "hausdorff",
-    "lmse",
-    "punctual_errors",
-    "surface_sample_points",
-    "DataSplit",
-    "FitConfig",
-    "FitReport",
-    "cross_validate",
-    "fit",
-    "fit_split",
-    "kfold_splits",
-    "knn_parameter_grid",
-    "refine_mesh",
-    "split",
-    "tune_parameters",
-    "hemisphere_cloud",
-    "hemisphere_height",
-    "perturb",
-    "CloudParseError",
-    "ConfigError",
-    "RunConfig",
-    "format_config",
-    "load_surface",
-    "parse_config",
-    "read_cloud",
-    "read_config",
-    "save_surface",
-    "write_cloud",
-    "write_config",
-    "write_surface_grid",
+# every name imported above is public, and nothing else: one list, not two
+__all__ = ["__version__"] + [
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
 ]

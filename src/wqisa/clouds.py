@@ -25,6 +25,14 @@ def as_cloud(points) -> np.ndarray:
     return cloud
 
 
+def check_integer(name: str, value, minimum: int) -> int:
+    """*value* as an ``int``; ``ValueError`` naming *name* unless it is an
+    integer >= *minimum*.  A bool is an int subclass, but never a count here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def bounding_box(cloud: np.ndarray) -> tuple[float, float, float, float]:
     """Return ``(xmin, xmax, ymin, ymax)`` of the cloud's planar projection."""
     cloud = as_cloud(cloud)

@@ -35,7 +35,7 @@ import numpy as np
 from .clouds import as_cloud
 from .pipeline import DEFAULT_FRACTIONS, FitConfig
 from .splines import KnotVector, TensorSplineSpace, WqisaSurface
-from .weights import KERNELS, WEIGHT_KINDS, WeightSpec
+from .weights import KERNELS, Kernel, WeightSpec
 
 
 class CloudParseError(ValueError):
@@ -375,11 +375,24 @@ _SPEC_FIELDS = {
     "coincidence_tol": "coincidence_tolerance",
     "gaussian_squared": "gaussian_squared",
 }
+# the keys behind each FitConfig field that is not itself a key
+_FIT_KEYS = {
+    "degrees[0]": "degree_x",
+    "degrees[1]": "degree_y",
+    "fractions": "train_fraction, validation_fraction, test_fraction",
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, human-editable description of one fitting run."""
+    """Flat, human-editable text form of a :class:`FitConfig`.
+
+    Construction builds the ``FitConfig``, so its checks and
+    ``WeightSpec``'s are the run config's: each refusal is re-raised as
+    ``ConfigError``, prefixed with the keys behind a field of another name.
+    Only a non-finite value is refused here, since every report carries
+    every key and holds no NaN or infinity.
+    """
 
     degree_x: int = 2
     degree_y: int = 2
@@ -400,39 +413,37 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.weight not in WEIGHT_KINDS:
-            raise ConfigError(f"weight must be one of {WEIGHT_KINDS}, got {self.weight!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for name, value in asdict(self).items():  # reports carry it, and hold no NaN
             values = value if isinstance(value, tuple) else (value,)
             if not all(isfinite(v) for v in values if isinstance(v, float)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        self.to_fit_config()
 
     def to_fit_config(self) -> FitConfig:
-        kernel = KERNELS[self.weight]
+        # an unknown weight kind takes no field, and WeightSpec refuses it by name
+        kernel = KERNELS.get(self.weight) or Kernel(None, (), False)
+        keys = {**_SPEC_FIELDS, **_FIT_KEYS, "weight_grid": _SPEC_FIELDS.get(kernel.parameter, "weight")}
         common = {"outlier_filter": self.outlier_filter, "fence": self.fence}
         common.update({name: getattr(self, _SPEC_FIELDS[name]) for name in kernel.optional})
-        if kernel.parameter is None:
-            grid = (WeightSpec(self.weight, **common),)
-        else:
-            source = _SPEC_FIELDS[kernel.parameter]
-            values = getattr(self, source)
-            if not isinstance(values, tuple):
-                values = (values,)
-            if not values:
-                raise ConfigError(f"weight {self.weight!r} needs a nonempty {source}")
-            grid = tuple(
-                WeightSpec(self.weight, **{kernel.parameter: value}, **common) for value in values
+        try:
+            if kernel.parameter is None:
+                grid = (WeightSpec(self.weight, **common),)
+            else:
+                values = getattr(self, _SPEC_FIELDS[kernel.parameter])
+                values = values if isinstance(values, tuple) else (values,)
+                grid = tuple(WeightSpec(self.weight, **{kernel.parameter: v}, **common) for v in values)
+            return FitConfig(
+                weight_grid=grid,
+                degrees=(self.degree_x, self.degree_y),
+                epsilon=self.epsilon,
+                max_iterations=self.max_iterations,
+                fractions=(self.train_fraction, self.validation_fraction, self.test_fraction),
+                seed=self.seed,
             )
-        return FitConfig(
-            weight_grid=grid,
-            degrees=(self.degree_x, self.degree_y),
-            epsilon=self.epsilon,
-            max_iterations=self.max_iterations,
-            fractions=(self.train_fraction, self.validation_fraction, self.test_fraction),
-            seed=self.seed,
-        )
+        except ValueError as exc:  # each message begins with the field's name
+            field = str(exc).partition(" ")[0]
+            key = keys.get(field, field)
+            raise ConfigError(str(exc) if key == field else f"{key}: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,7 +6,8 @@ permutation of the point ids plus one split value per internal node.  Node
 ``m = (s + e) // 2``, on x at even depth and y at odd, with ``s:m`` at or below
 the split value and ``m:e`` at or above it.  Both queries gather candidates
 through one walk, which keeps the leaf runs whose cells lie within a squared
-distance bound and scans them by numpy.
+distance bound and scans them by numpy; a k-nearest query skips the walk
+when the bound from its descent subtree lies strictly inside that subtree's cell.
 
 Built once, then immutable, so an index can be shared across threads.
 Squared distances are computed as a full scan computes them and only cells
@@ -18,7 +19,7 @@ overflows, since a distance that overflows would rank as a tie.
 
 from __future__ import annotations
 
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -86,17 +87,27 @@ class PlanarIndex:
         # that holds 2k points bounds the true k-th distance from above; a
         # subtree of only k points would give its farthest point as the bound
         s, e, axis = 0, n, 0
+        cell = [-inf, inf, -inf, inf]  # the subtree's (xmin, xmax, ymin, ymax)
+        visited = 1
         while e - s > LEAF_SIZE:
             m = (s + e) // 2
-            child = (s, m) if (v if axis else u) < self._split[m] else (m, e)
+            left = (v if axis else u) < self._split[m]
+            child = (s, m) if left else (m, e)
             if child[1] - child[0] < 2 * k:
                 break
+            cell[2 * axis + left] = self._split[m]
             (s, e), axis = child, 1 - axis
+            visited += 1
         ids = self._order[s:e]
         d2 = (self._x[s:e] - u) ** 2 + (self._y[s:e] - v) ** 2
-        visited = 1
-        if e - s < n:  # points outside the subtree may still beat the bound
-            ids, d2, visited = self._ball(u, v, float(np.partition(d2, k - 1)[k - 1]))
+        bound = float(np.partition(d2, k - 1)[k - 1])
+        # a point outside the cell is at least as far as the cell side between
+        # them, so a bound below every side's squared gap cannot be reached
+        # or tied from outside, and the subtree holds the answer
+        xmin, xmax, ymin, ymax = cell
+        if not bound < min((u - xmin) ** 2, (xmax - u) ** 2, (v - ymin) ** 2, (ymax - v) ** 2):
+            ids, d2, more = self._ball(u, v, bound)
+            visited += more
         ids = _nearest(ids, d2, k)
         if with_count:
             return ids, visited

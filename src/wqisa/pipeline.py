@@ -20,11 +20,13 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from functools import reduce
+from math import inf
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box, check_planar_extent, joint_bounding_box
+from .clouds import as_cloud, bounding_box, check_integer, check_planar_extent, joint_bounding_box
 from .metrics import mean_square, residuals
 # the fit calls neither `lmse` nor `fit_surface`; perfbench's tracer wraps both at these names
 from .metrics import ElementErrorMap, ErrorStats, _error_map, gmse as surface_gmse, lmse  # noqa: F401
@@ -118,10 +120,22 @@ def kfold_splits(cloud, k: int, seed: int = 0) -> list[DataSplit]:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a fit needs besides the cloud itself.
+    """Everything a fit needs besides the cloud itself, checked once, here.
 
     ``epsilon=None`` resolves to ``0.01 * var(training z)`` at fit time, a
-    scale-aware refinement threshold.
+    scale-aware refinement threshold.  Construction refuses, with a
+    ``ValueError`` whose message begins with the field's name:
+
+    - a ``weight_grid`` that is not a nonempty tuple (or list) of
+      ``WeightSpec`` entries of one kind;
+    - ``degrees`` other than two integers >= 0;
+    - an ``epsilon`` that is neither ``None`` nor finite and >= 0;
+    - a ``max_iterations`` that is not an integer >= 1;
+    - ``fractions`` other than three finite positive values that sum to at
+      most 1;
+    - a ``seed`` that is not an integer >= 0.
+
+    A bool is no integer here, and no real value either.
     """
 
     weight_grid: tuple[WeightSpec, ...] = field(
@@ -134,23 +148,38 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        grid = tuple(self.weight_grid)
-        object.__setattr__(self, "weight_grid", grid)
-        if len(grid) == 0:
-            raise ValueError("weight grid must be nonempty")
-        kinds = {spec.kind for spec in grid}
+        grid = self.weight_grid
+        if not (isinstance(grid, (tuple, list)) and grid and all(isinstance(s, WeightSpec) for s in grid)):
+            raise ValueError(f"weight_grid must be a nonempty tuple of WeightSpec entries, got {grid!r}")
+        kinds = sorted({spec.kind for spec in grid})
         if len(kinds) != 1:
-            raise ValueError(f"weight grid mixes kinds: {sorted(kinds)}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.epsilon is not None and not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        if min(self.degrees) < 0:
-            raise ValueError("degrees must be nonnegative")
+            raise ValueError(f"weight_grid mixes kinds: {kinds}")
+        object.__setattr__(self, "weight_grid", tuple(grid))
+        if not (isinstance(self.degrees, (tuple, list)) and len(self.degrees) == 2):
+            raise ValueError(f"degrees must be two integers >= 0, got {self.degrees!r}")
+        degrees = tuple(check_integer(f"degrees[{i}]", d, 0) for i, d in enumerate(self.degrees))
+        object.__setattr__(self, "degrees", degrees)
+        if not (self.epsilon is None or _real(self.epsilon) and 0 <= self.epsilon < inf):
+            raise ValueError(f"epsilon must be None, or finite and >= 0, got {self.epsilon!r}")
+        fractions = self.fractions
+        if not (
+            isinstance(fractions, (tuple, list)) and len(fractions) == 3
+            and all(_real(f) and 0 < f < inf for f in fractions) and sum(fractions) <= 1 + 1e-9
+        ):
+            raise ValueError(
+                f"fractions must be three finite positive values that sum to at most 1, got {fractions!r}"
+            )
+        for name, minimum in (("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
 
     @property
     def weight_kind(self) -> str:
         return self.weight_grid[0].kind
+
+
+def _real(value) -> bool:
+    """Whether *value* is a real number and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def knn_parameter_grid(max_k: int = 10, **common) -> tuple[WeightSpec, ...]:
@@ -282,7 +311,10 @@ def fit_split(
     check_planar_extent(domain)
     epsilon = config.epsilon
     if epsilon is None:
-        epsilon = 0.01 * mean_square(data.training[:, 2] - np.mean(data.training[:, 2]))
+        z = data.training[:, 2]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is mean_square's refusal
+            centred = z - np.mean(z)
+        epsilon = 0.01 * mean_square(centred)
     space = TensorSplineSpace.uniform(config.degrees, domain, 1)
     # the training cloud never changes, so one index serves every mesh
     index = weights.PlanarIndex(data.training) if KERNELS[config.weight_kind].indexed else None

@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .clouds import check_integer
+
 # points per evaluation block: a block's rows take 56 bytes a point at
 # degrees (2, 2)
 _BLOCK_POINTS = 1 << 14
@@ -58,12 +60,8 @@ class KnotVector:
     knots: np.ndarray
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but a JSON true is no degree
-        integral = isinstance(self.degree, (int, np.integer)) and not isinstance(self.degree, bool)
-        if not integral or self.degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
+        object.__setattr__(self, "degree", check_integer("degree", self.degree, 0))
         knots = _frozen_copy(self.knots)
-        object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "knots", knots)
         p = self.degree
         if knots.ndim != 1:

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .clouds import as_cloud, bbox_diagonal, bounding_box
+from .clouds import as_cloud, bbox_diagonal, bounding_box, check_integer
 from .kdtree import PlanarIndex, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 
@@ -114,13 +114,10 @@ class WeightSpec:
         if self.sigma is not None and not (self.sigma > 0 and 2.0 * self.sigma * self.sigma > 0):
             raise ValueError(f"sigma must be positive, with 2 * sigma**2 > 0; got {self.sigma!r}")
         for name in ("k", "truncation"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no window size
-            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if value is not None and not (integral and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         if self.coincidence_tol is not None and not self.coincidence_tol >= 0:
-            raise ValueError("coincidence tolerance must be nonnegative")
+            raise ValueError(f"coincidence_tol must be nonnegative, got {self.coincidence_tol!r}")
         if not 0 <= self.fence < np.inf:
             raise ValueError(f"fence multiplier must be finite and nonnegative, got {self.fence!r}")
 

@@ -345,6 +345,18 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("error: the mean square of")
         assert [path for path in outputs if path.exists()] == []
 
+    def test_heights_whose_sum_overflows_are_two(self, tmp_path, config_file, capsys):
+        # heights in [0.5e308, 1e308]: the default epsilon's mean overflows,
+        # which must be the one refusal, not a RuntimeWarning raised past it
+        cloud = hemisphere_cloud(300, seed=1)
+        cloud[:, 2] = 0.5e308 + 0.5e308 * cloud[:, 2]
+        write_cloud(tmp_path / "huge.xyz", cloud)
+        argv = ["fit", "--cloud", str(tmp_path / "huge.xyz"), "--config", str(config_file),
+                "--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: the mean square of 150 values overflows the float range\n"
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize("command", ["split", "synth"])
     def test_negative_seed_option_is_one(self, tmp_path, capsys, command):
         argv = {"split": ["split", "--cloud", "c.xyz", "--out-prefix", str(tmp_path / "p")],
@@ -360,7 +372,7 @@ class TestExitCodes:
         argv = ["fit", "--cloud", str(cloud_file), "--config", str(config),
                 "--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json")]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err == "error: seed must be nonnegative, got -3\n"
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -3\n"
 
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"

@@ -112,6 +112,31 @@ class TestKnn:
                 idx.knn(query, 3), brute_knn_ids(pts, query[0], query[1], 3)
             )
 
+    def test_tied_lattice_matches_brute_force(self):
+        # a shuffled integer lattice: every query below has equidistant
+        # points on both sides of split lines, so ties decide the answer
+        rng = np.random.default_rng(11)
+        pts = rng.permutation(np.stack(np.meshgrid(np.arange(40.0), np.arange(30.0)), -1).reshape(-1, 2))
+        idx = PlanarIndex(pts)
+        queries = np.concatenate([pts[:200], pts[:200] + 0.5, rng.integers(-2, 42, size=(200, 2))])
+        for q in queries:
+            for k in (1, 2, 4, 5, 9, 13, 40):
+                np.testing.assert_array_equal(idx.knn(q, k), brute_knn_ids(pts, q[0], q[1], k))
+
+    def test_queries_on_split_values_match_brute_force(self):
+        # every split value is some point's coordinate, so pairing each
+        # point's x with another point's y puts queries on every split line
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(0, 1, size=(3000, 2))
+        idx = PlanarIndex(pts)
+        queries = np.concatenate([
+            np.column_stack([pts[:, 0], rng.permutation(pts[:, 1])]),
+            np.column_stack([rng.uniform(0, 1, 3000), pts[:, 1]]),
+        ])
+        for i, q in enumerate(queries):
+            k = (1, 2, 10, 33)[i % 4]
+            np.testing.assert_array_equal(idx.knn(q, k), brute_knn_ids(pts, q[0], q[1], k))
+
     def test_visit_count_returned(self):
         rng = np.random.default_rng(3)
         idx = PlanarIndex(rng.uniform(0, 1, size=(256, 2)))

@@ -467,6 +467,17 @@ class TestFit:
         with pytest.raises(ValueError, match="the mean square of 1500 values overflows the float range"):
             fit(cloud, FitConfig())
 
+    @pytest.mark.parametrize("signs", ["same", "alternating"])
+    def test_heights_whose_sum_overflows_are_refused(self, signs):
+        # the mean of the training heights overflows (to inf, or to NaN when
+        # partial sums overflow both ways); it used to warn before the refusal
+        cloud = hemisphere_cloud(300, seed=1)
+        cloud[:, 2] = 0.5e308 + 0.5e308 * cloud[:, 2]
+        if signs == "alternating":
+            cloud[1::2, 2] *= -1.0
+        with pytest.raises(ValueError, match="^the mean square of 150 values overflows the float range$"):
+            fit(cloud, FitConfig())
+
     def test_heights_just_below_the_overflow_scale_exactly(self):
         cloud = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2)
         base_surface, base = fit(cloud, FitConfig())
@@ -567,7 +578,7 @@ class TestFitConfig:
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
     def test_negative_or_nan_epsilon_rejected(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        with pytest.raises(ValueError, match="^epsilon must be None, or finite and >= 0"):
             FitConfig(epsilon=epsilon)
 
     def test_default_grid_is_knn_one_to_ten(self):

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wqisa.cli import cli_main
 from wqisa.clouds import as_cloud
-from wqisa.io import load_surface, parse_config
+from wqisa.io import load_surface, parse_config, write_cloud
 from wqisa.kdtree import PlanarIndex
 from wqisa.metrics import ErrorStats, surface_sample_points
 from wqisa.pipeline import FitConfig, knn_parameter_grid, split, tune_parameters
@@ -38,12 +39,12 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: FitConfig(max_iterations=0),
-        "max_iterations must be >= 1",
+        "max_iterations must be an integer >= 1, got 0",
         id="fit-config-iterations",
     ),
     pytest.param(
         lambda: FitConfig(degrees=(-1, 2)),
-        "degrees must be nonnegative",
+        "degrees[0] must be an integer >= 0, got -1",
         id="fit-config-degrees",
     ),
     pytest.param(lambda: knn_parameter_grid(0), "max_k must be >= 1", id="knn-grid-empty"),
@@ -152,3 +153,39 @@ def test_refusal(tmp_path, monkeypatch, call, message):
     monkeypatch.chdir(tmp_path)  # where the surface file is written
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# one invalid value per probe: the FitConfig field and value, and the same
+# value as run-config text, whose key the CLI must name
+CONFIG_PROBES = [
+    pytest.param("seed", -1, "seed = -1", id="seed-negative"),
+    pytest.param("seed", 1.5, "seed = 1.5", id="seed-fractional"),
+    pytest.param("seed", True, "seed = true", id="seed-bool"),
+    pytest.param("epsilon", np.inf, "epsilon = inf", id="epsilon-inf"),
+    pytest.param("fractions", (np.nan, 0.25, 0.25), "train_fraction = nan", id="fraction-nan"),
+    pytest.param("fractions", (1.0, 0.25, 0.25), "train_fraction = 1.0", id="fractions-sum"),
+    pytest.param("degrees", (2.5, 2), "degree_x = 2.5", id="degree-fractional"),
+    pytest.param("degrees", (True, 2), "degree_x = true", id="degree-bool"),
+    pytest.param("degrees", (2,), "degree_y =", id="degrees-one"),
+    pytest.param("max_iterations", 2.5, "max_iterations = 2.5", id="iterations-fractional"),
+]
+
+
+@pytest.mark.parametrize("name, value, line", CONFIG_PROBES)
+def test_fit_config_refuses_by_field(name, value, line):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}\b"):
+        FitConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value, line", CONFIG_PROBES)
+def test_run_config_text_refused_by_key(tmp_path, capsys, name, value, line):
+    write_cloud(tmp_path / "cloud.xyz", CLOUD)
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    argv = ["fit", "--cloud", str(tmp_path / "cloud.xyz"), "--config", str(tmp_path / "run.cfg"),
+            "--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    key = line.partition(" ")[0]
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cloud.xyz", "run.cfg"]

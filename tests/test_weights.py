@@ -54,16 +54,16 @@ class TestWeightSpec:
             WeightSpec.knn(0)
         for bad in (WeightSpec.knn, WeightSpec.truncated_idw):
             for value in (2.5, True):
-                with pytest.raises(ValueError, match="positive integer"):
+                with pytest.raises(ValueError, match="must be an integer >= 1"):
                     bad(value)
             assert bad(np.int64(3)).parameter == 3
         # NaN fails every comparison, so it must not slip past a `< 0` test
         for value in (-1.0, np.nan):
             with pytest.raises(ValueError, match="fence multiplier"):
                 WeightSpec.knn(3, outlier_filter=True, fence=value)
-            with pytest.raises(ValueError, match="coincidence tolerance"):
+            with pytest.raises(ValueError, match="^coincidence_tol must be nonnegative"):
                 WeightSpec.idw(coincidence_tol=value)
-            with pytest.raises(ValueError, match="coincidence tolerance"):
+            with pytest.raises(ValueError, match="^coincidence_tol must be nonnegative"):
                 WeightSpec.truncated_idw(5, coincidence_tol=value)
         # in a window of equal heights q1 - inf * 0 is NaN, which rejects every height
         with pytest.raises(ValueError, match="^fence multiplier must be finite and nonnegative"):
@@ -179,7 +179,7 @@ class TestWeightFunctions:
         cloud = random_cloud(np.random.default_rng(4), 5)
         with pytest.raises(ZeroWeightError, match="exceeds cloud size"):
             estimate_control_point(cloud, 0.0, 0.0, WeightSpec.knn(6))
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
             WeightSpec.knn(0)
 
     def test_idw_reciprocal_distance(self):
