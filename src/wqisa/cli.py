@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import __version__
 from .clouds import bounding_box
@@ -63,7 +64,9 @@ def _resolution(text: str) -> tuple[int, int]:
     return rx, ry
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The one parser of the process: building it costs more than a parse."""
     parser = _Parser(prog="wqisa", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -128,9 +131,10 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cloud = read_cloud(args.cloud)
+    # the config first: a refused key is named without parsing the cloud
     run_config = read_config(args.config)
     fit_config = run_config.to_fit_config()
+    cloud = read_cloud(args.cloud)
     data = split(cloud, fit_config.fractions, fit_config.seed)
     surface, report = fit_split(data, fit_config, domain=bounding_box(cloud))
     save_surface(surface, args.surface_out)
@@ -169,9 +173,9 @@ def _assess(surface, test, density: int) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    cloud = read_cloud(args.cloud)
     run_config = read_config(args.config)
     fit_config = run_config.to_fit_config()
+    cloud = read_cloud(args.cloud)
     domain = bounding_box(cloud)
     data = split(cloud, fit_config.fractions, fit_config.seed)
 
@@ -228,7 +232,7 @@ def _cmd_synth(args) -> int:
 
 def cli_main(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit status."""
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

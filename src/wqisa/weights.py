@@ -13,17 +13,20 @@ closest points.  ``_window`` is the one definition of each kernel.  The
 kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 ``PlanarIndex`` at every cloud size; the others weigh the whole cloud.
 
-Coefficients are estimated in batches.  A ``NeighbourTable`` runs one
-neighbor query per knot average, and that query serves every entry of a
-weight grid of one kind.  The table makes its rows once, a batch of at most
-``TABLE_BUDGET`` candidates at a time, and estimates each of its specs on a
-batch before it makes the next.  The kernels, the Tukey fences (quartiles
-from one sort of the rows of each length), the sums and the clamp act on
-all rows of a batch at once.  Each quotient's numerator ``z * w`` and
-denominator ``w`` are summed by ``np.add.reduceat`` over one row in
-ascending id order, so a coefficient depends neither on its batch nor on
-the machine's BLAS.  ``pipeline.tune_parameters`` builds one table per mesh
-and reads every entry of its grid with ``NeighbourTable.coefficients``;
+Coefficients are estimated in batches.  A ``NeighbourTable`` queries its
+knot averages a block at a time, through one ``PlanarIndex`` call per
+block, and each centre's row serves every entry of a weight grid of one
+kind.  The table makes its rows once, in batches of at most
+``TABLE_BUDGET`` candidates, and runs one pass per batch for the specs
+still going (for a wide grid, one per stack of specs that keeps to the
+budget): the specs' windows are stacked, and the kernels, the Tukey fences
+(quartiles from one sort of the rows of each length, a fence per row), the
+sums and the clamp act on all of them at once.  Each quotient's numerator
+``z * w`` and denominator ``w`` are summed by ``np.add.reduceat`` over one
+row in ascending id order, so a coefficient depends neither on its batch,
+nor on the other specs, nor on the machine's BLAS.
+``pipeline.tune_parameters`` builds one table per mesh and reads every
+entry of its grid with ``NeighbourTable.coefficients``;
 ``fit_surface`` is a table of one spec read the same way, and
 ``estimate_control_point`` a table of one centre.  An empty window is a
 ``ZeroWeightError`` naming its centre; ``coefficients`` adds its (i, j).
@@ -41,15 +44,12 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .clouds import as_cloud, bbox_diagonal, bounding_box, check_integer
+from . import kdtree
 from .kdtree import PlanarIndex, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 
 # default coincidence tolerance: this fraction of the bounding-box diagonal
 COINCIDENCE_SCALE = 1e-12
-# most candidates in one batch of NeighbourTable rows (an id and a squared
-# distance, 16 bytes each), unless a single row holds more; a table makes
-# each batch once and estimates every spec of its grid on it
-TABLE_BUDGET = 1 << 20
 
 
 class Kernel(NamedTuple):
@@ -168,11 +168,9 @@ class Neighbours(NamedTuple):
     starts: np.ndarray
 
 
-def _neighbours(cloud: np.ndarray, centres: np.ndarray, rows: list[np.ndarray]) -> Neighbours:
-    sizes = [row.size for row in rows]
-    starts = np.zeros(len(rows) + 1, dtype=np.intp)
+def _neighbours(cloud: np.ndarray, centres: np.ndarray, ids: np.ndarray, sizes) -> Neighbours:
+    starts = np.zeros(len(centres) + 1, dtype=np.intp)
     np.cumsum(sizes, out=starts[1:])
-    ids = np.concatenate(rows)
     # the arithmetic of a full scan, so distances tie exactly as they do there
     du = cloud[ids, 0] - np.repeat(centres[:, 0], sizes)
     dv = cloud[ids, 1] - np.repeat(centres[:, 1], sizes)
@@ -182,17 +180,19 @@ def _neighbours(cloud: np.ndarray, centres: np.ndarray, rows: list[np.ndarray]) 
 class NeighbourTable:
     """Every spec of a weight grid estimated at many window centres.
 
-    One query per centre serves every spec of the grid's kind.  Under the
+    One row per centre serves every spec of the grid's kind.  Under the
     (distance, id) order the k nearest points are a prefix of the K nearest,
     so knn and idw_truncated rows hold the ``K = min(largest size, n)``
     nearest; a closed ball holds every smaller ball about its centre, so
     indicator rows hold the ball of the largest radius; Gaussian and plain
     IDW rows hold every point.  ``_rows`` makes the rows once, in batches of
-    at most ``TABLE_BUDGET`` candidates, and every spec still going is
-    estimated on a batch before the next.  ``estimates`` maps each spec to
-    its coefficients in centre order or to the ``ZeroWeightError`` of its
-    first empty window; filter fallbacks warn while the table is built.
-    An *index* over the cloud's planar points serves an indexed kind.
+    at most ``TABLE_BUDGET`` candidates.  One pass per batch estimates the
+    specs still going, stacking their windows, as many at a time as keep
+    the stack within ``TABLE_BUDGET``.  ``estimates`` maps each spec to its
+    coefficients in centre order or to the ``ZeroWeightError`` of its first
+    empty window; filter fallbacks warn while the table is built, spec by
+    spec in grid order.  An *index* over the cloud's planar points serves
+    an indexed kind.
     """
 
     def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
@@ -216,14 +216,25 @@ class NeighbourTable:
         else:
             self._box = bounding_box(self.cloud)
         self.estimates: dict[WeightSpec, np.ndarray | ZeroWeightError] = {}
-        going = {spec: np.empty(len(self.centres)) for spec in grid}
-        for first, rows in self._rows():
-            for spec, out in list(going.items()):
-                try:
-                    out[first : first + rows.starts.size - 1] = _estimates(self, first, rows, spec)
-                except ZeroWeightError as exc:
-                    self.estimates[spec] = exc.with_traceback(None)
-                    del going[spec]
+        going: dict[WeightSpec, np.ndarray] = {}
+        n = self.cloud.shape[0]
+        for spec in grid:
+            if spec.kind == "knn" and spec.k > n:
+                self.estimates[spec] = ZeroWeightError(f"k={spec.k} exceeds cloud size {n}")
+            else:
+                going[spec] = np.empty(len(self.centres))
+        for first, rows in self._rows() if going else ():
+            # a spec's window holds at most the batch's candidates, so a pass
+            # that stacks `step` windows keeps to the budget
+            specs, step = tuple(going), max(1, kdtree.TABLE_BUDGET // max(1, rows.ids.size))
+            for at in range(0, len(specs), step):
+                stack = specs[at : at + step]
+                for spec, estimate in zip(stack, _estimates(self, first, rows, stack)):
+                    if isinstance(estimate, ZeroWeightError):
+                        self.estimates[spec] = estimate
+                        del going[spec]
+                    else:
+                        going[spec][first : first + estimate.size] = estimate
             if not going:
                 break
         self.estimates.update(going)
@@ -246,28 +257,47 @@ class NeighbourTable:
             return min(max(spec.parameter for spec in grid), self.cloud.shape[0])
         return None
 
-    def _query(self, centre) -> np.ndarray:
-        """The ids of one row: every point the grid can weigh about *centre*."""
+    def _query(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the rows about a *block* of centres, concatenated, and
+        each row's size: every point the grid can weigh about its centre."""
         if self.kind == "indicator":
-            return self._index.within_radius(centre, self.reach)
+            rows = self._index.within_radius(block, self.reach)
+            return np.concatenate(rows), np.array([row.size for row in rows])
         if self.reach is not None:
-            return self._index.knn(centre, self.reach)
-        query_point(centre, self._box)  # as PlanarIndex checks its queries
-        return np.arange(self.cloud.shape[0])
+            return self._index.knn(block, self.reach).ravel(), np.full(len(block), self.reach)
+        query_point(block, self._box)  # as PlanarIndex checks its queries
+        n = self.cloud.shape[0]
+        return np.tile(np.arange(n), len(block)), np.full(len(block), n)
 
     def _rows(self) -> Iterator[tuple[int, Neighbours]]:
-        """``(first row, rows)`` pairs that cover every centre in order; a
-        batch closes before it would pass ``TABLE_BUDGET`` candidates, so
-        only a single larger row makes a larger batch."""
-        first, rows, total = 0, [], 0
-        for r in range(len(self.centres)):
-            row = self._query(self.centres[r])
-            if rows and total + row.size > TABLE_BUDGET:
-                yield first, _neighbours(self.cloud, self.centres[first:r], rows)
-                first, rows, total = r, [], 0
-            rows.append(row)
-            total += row.size
-        yield first, _neighbours(self.cloud, self.centres[first:], rows)
+        """``(first row, rows)`` batches that cover every centre in order.
+
+        The centres are queried in blocks of ``TABLE_BUDGET`` over the
+        widest row: the reach of a knn kind, every point for a full scan,
+        and for a ball the widest seen so far (every point before the
+        first).  A ball's width is known only once it is queried, so a
+        block at most doubles the one before it: a run of narrow balls
+        cannot open a block of the whole mesh.  A batch closes before
+        it would pass ``TABLE_BUDGET`` candidates, so only a single larger
+        row makes a larger batch.
+        """
+        count, n, budget = len(self.centres), self.cloud.shape[0], kdtree.TABLE_BUDGET
+        widest = n if self.kind == "indicator" or self.reach is None else self.reach
+        first, size, seen = 0, count, 1
+        while first < count:
+            size = min(2 * size, max(1, budget // widest))
+            block = self.centres[first : first + size]
+            ids, sizes = self._query(block)
+            seen = widest = max(seen, int(sizes.max()))
+            ends = np.cumsum(sizes)
+            lo = 0
+            while lo < len(block):
+                taken = ends[lo - 1] if lo else 0
+                hi = max(lo + 1, int(np.searchsorted(ends, taken + budget, side="right")))
+                rows = _neighbours(self.cloud, block[lo:hi], ids[taken : ends[hi - 1]], sizes[lo:hi])
+                yield first + lo, rows
+                lo = hi
+            first += len(block)
 
 
 def _subset(keep: np.ndarray, starts: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -325,16 +355,19 @@ def _quantile(ordered: np.ndarray, q: float) -> np.ndarray:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.ndarray, np.ndarray]:
+def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence) -> tuple[np.ndarray, np.ndarray]:
     """Which heights lie inside their row's Tukey fences (quartiles by linear
     interpolation of order statistics), and which rows' fences reject every
-    height; those rows keep all of theirs."""
+    height; those rows keep all of theirs.  *fence* is the multiplier of
+    every row or one per row, NaN for a row that is not filtered."""
     sizes = np.diff(starts)
+    fence = np.broadcast_to(np.asarray(fence, dtype=float), sizes.shape)
+    filtered = ~np.isnan(fence)
     keep = np.ones(z.size, dtype=bool)
     rejected = np.zeros(sizes.size, dtype=bool)
     # the rows of one length form a matrix whose quartiles come from one sort
-    for size in np.unique(sizes[sizes > 1]):
-        rows = np.flatnonzero(sizes == size)
+    for size in np.unique(sizes[filtered & (sizes > 1)]):
+        rows = np.flatnonzero(filtered & (sizes == size))
         cols = starts[rows][:, None] + np.arange(size)
         heights = z[cols]
         ordered = np.sort(heights, axis=1)
@@ -344,7 +377,7 @@ def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.n
         with np.errstate(over="ignore"):
             scale = np.where(np.isinf(ordered[:, -1] - ordered[:, 0]), 2.0, 1.0)
             q1, q3 = (_quantile(ordered / scale[:, None], q) for q in (0.25, 0.75))
-            reach = fence * (q3 - q1)
+            reach = fence[rows] * (q3 - q1)
             lo, hi = (q1 - reach) * scale, (q3 + reach) * scale
         inside = (heights >= lo[:, None]) & (heights <= hi[:, None])
         none = ~inside.any(axis=1)
@@ -354,44 +387,57 @@ def _tukey_fences(z: np.ndarray, starts: np.ndarray, fence: float) -> tuple[np.n
     return keep, rejected
 
 
-def _estimates(table: NeighbourTable, first: int, rows: Neighbours, spec: WeightSpec) -> np.ndarray:
-    """Clamped weighted mean at each centre of *rows*, the batch of *table*
-    that starts at centre *first*.
+def _estimates(
+    table: NeighbourTable, first: int, rows: Neighbours, specs: tuple[WeightSpec, ...]
+) -> list[np.ndarray | ZeroWeightError]:
+    """Each spec's clamped weighted mean at every centre of *rows*, the batch
+    of *table* that starts at centre *first*, or the ``ZeroWeightError`` of
+    its first row without positive weight.
 
-    Each quotient is ``add.reduceat(z * w) / add.reduceat(w)`` over one
-    row in ascending id order, so it does not depend on how many rows share
-    a batch.  The first row without positive weight raises, after the
-    fallback warnings of the filter's rejected rows before it.
+    The specs' windows are stacked and pass through one gather of heights,
+    one Tukey filter and one set of sums.  Each quotient is
+    ``add.reduceat(z * w) / add.reduceat(w)`` over one row in ascending id
+    order, so it depends neither on the batch nor on the other specs.  In
+    spec order, each spec then warns for its filter's rejected rows up to
+    its first bad row.
     """
-    cloud = table.cloud
-    if spec.kind == "knn" and spec.k > cloud.shape[0]:
-        raise ZeroWeightError(f"k={spec.k} exceeds cloud size {cloud.shape[0]}")
-    ids, w, starts = _window(rows, spec, cloud)
+    cloud, count = table.cloud, rows.starts.size - 1
+    windows = [_window(rows, spec, cloud) for spec in specs]
+    ids, w = (np.concatenate([window[part] for window in windows]) for part in (0, 1))
+    offsets = np.cumsum([0] + [window[0].size for window in windows])
+    starts = np.concatenate([window[2][:-1] + at for window, at in zip(windows, offsets)] + [[ids.size]])
     z = cloud[ids, 2]
     rejected = np.zeros(starts.size - 1, dtype=bool)
-    if spec.outlier_filter:
-        keep, rejected = _tukey_fences(z, starts, spec.fence)
+    fences = np.repeat([spec.fence if spec.outlier_filter else np.nan for spec in specs], count)
+    if not np.isnan(fences).all():
+        keep, rejected = _tukey_fences(z, starts, fences)
         z, w, starts = _subset(keep, starts, z, w)
     heads, full = starts[:-1], starts[:-1] < starts[1:]
     # an empty row has no sum; the full rows' heads delimit exactly them
-    total = np.zeros(heads.size)
-    total[full] = np.add.reduceat(w, heads[full])
-    bad = np.flatnonzero(~(total > 0.0))
-    stop = bad[0] if bad.size else heads.size
-    for _ in range(np.count_nonzero(rejected[: stop + 1])):
-        warnings.warn(
-            "outlier filter rejected every contributing point; "
-            "falling back to the unfiltered estimate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if bad.size:
-        row = first + stop
-        why = "total weight underflowed to zero" if full[stop] else "no point has positive weight"
-        raise ZeroWeightError("{} at (u, v)=({}, {})".format(why, *table.centres[row]), row)
-    lo, hi = np.minimum.reduceat(z, heads), np.maximum.reduceat(z, heads)
-    quotient = np.add.reduceat(z * w, heads) / total
-    return np.minimum(np.maximum(quotient, lo), hi)
+    total, numerator, lo, hi = np.zeros((4, heads.size))
+    if full.any():
+        total[full] = np.add.reduceat(w, heads[full])
+        numerator[full] = np.add.reduceat(z * w, heads[full])
+        lo[full], hi[full] = np.minimum.reduceat(z, heads[full]), np.maximum.reduceat(z, heads[full])
+    out: list[np.ndarray | ZeroWeightError] = []
+    for at in range(0, len(specs) * count, count):
+        mine = slice(at, at + count)
+        bad = np.flatnonzero(~(total[mine] > 0.0))
+        stop = bad[0] if bad.size else count
+        for _ in range(np.count_nonzero(rejected[mine][: stop + 1])):
+            warnings.warn(
+                "outlier filter rejected every contributing point; "
+                "falling back to the unfiltered estimate",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        if bad.size:
+            row = first + stop
+            why = "total weight underflowed to zero" if full[mine][stop] else "no point has positive weight"
+            out.append(ZeroWeightError("{} at (u, v)=({}, {})".format(why, *table.centres[row]), row))
+        else:
+            out.append(np.minimum(np.maximum(numerator[mine] / total[mine], lo[mine]), hi[mine]))
+    return out
 
 
 def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float:

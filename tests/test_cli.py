@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wqisa import cli
 from wqisa.cli import cli_main
 from wqisa.io import RunConfig, read_cloud, save_surface, write_cloud, write_config
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
@@ -374,6 +375,19 @@ class TestExitCodes:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -3\n"
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_a_refused_config_is_named_before_the_cloud_is_read(self, tmp_path, capsys, command):
+        # the config is read first, so its refused key is the error even
+        # beside a cloud that does not exist
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -1\n")
+        outputs = {"fit": ["--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json")],
+                   "compare": ["--out", str(tmp_path / "c.json")]}[command]
+        argv = [command, "--cloud", str(tmp_path / "missing.xyz"), "--config", str(config), *outputs]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"
         bad.write_text("1 2 fish\n")
@@ -432,6 +446,25 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "wqisa" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_command_of_a_process(self, tmp_path, capsys):
+        # built once, the parser keeps nothing of one command for the next:
+        # the second split takes its default format and seed again
+        cloud = tmp_path / "c.xyz"
+        assert cli_main(["synth", "--n", "40", "--seed", "3", "--out", str(cloud)]) == 0
+        argv = ["split", "--cloud", str(cloud), "--out-prefix"]
+        assert cli_main([*argv, str(tmp_path / "a"), "--format", "csv", "--seed", "5"]) == 0
+        assert cli_main([*argv, str(tmp_path / "b")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a_test.csv", "a_train.csv", "a_validation.csv",
+            "b_test.xyz", "b_train.xyz", "b_validation.xyz", "c.xyz",
+        ]
+        assert read_cloud(tmp_path / "b_train.xyz").tolist() != read_cloud(tmp_path / "a_train.csv").tolist()
+        assert cli_main(["split", "--cloud", str(cloud)]) == 1
+        assert "the following arguments are required: --out-prefix" in capsys.readouterr().err
+        assert cli_main(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("wqisa ")
+        assert cli._parser.cache_info().misses == 1
 
 
 # children import the source tree, whatever the session's working directory

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqisa import kdtree
 from wqisa.kdtree import LEAF_SIZE, PlanarIndex
 
 from oracles import brute_knn_ids, brute_radius_ids, graded_plane, holed_plane, uniform_plane
@@ -185,6 +186,100 @@ class TestWithinRadius:
         idx = PlanarIndex(np.random.default_rng(2).uniform(0, 1, size=(200, 2)))
         with pytest.raises(ValueError, match=r"query point \(.*\) is too far"):
             idx.within_radius(query, 1e300)
+
+
+class TestBlocks:
+    """A block of queries gets, row by row, what each query gets alone, and
+    both equal a full scan's answer."""
+
+    @staticmethod
+    def assert_rows_match_brute_force(pts, queries, ks=(), radii=()):
+        idx = PlanarIndex(pts)
+        for k in ks:
+            block = idx.knn(queries, k)
+            assert block.shape == (len(queries), k)
+            for q, row in zip(queries, block):
+                want = brute_knn_ids(pts, q[0], q[1], k)
+                np.testing.assert_array_equal(row, want)
+                np.testing.assert_array_equal(idx.knn(q, k), want)
+        for r in radii:
+            rows = idx.within_radius(queries, r)
+            assert len(rows) == len(queries)
+            for q, row in zip(queries, rows):
+                want = brute_radius_ids(pts, q[0], q[1], r)
+                np.testing.assert_array_equal(row, want)
+                np.testing.assert_array_equal(idx.within_radius(q, r), want)
+
+    @staticmethod
+    def ks(n):
+        return sorted({k for k in (1, 2, 10, 33, 256, n) if k <= n})
+
+    # a small budget splits the walk's candidates into many slices
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_tied_lattice(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
+        rng = np.random.default_rng(31)
+        pts = rng.permutation(np.stack(np.meshgrid(np.arange(40.0), np.arange(30.0)), -1).reshape(-1, 2))
+        queries = np.concatenate([pts[:40], pts[:40] + 0.5, rng.integers(-2, 42, size=(40, 2))])
+        self.assert_rows_match_brute_force(pts, queries, self.ks(len(pts)), (0.0, 1.0, 1.5, 7.0))
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_queries_on_split_values(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
+        rng = np.random.default_rng(32)
+        pts = rng.uniform(0, 1, size=(3000, 2))
+        queries = np.column_stack([pts[:60, 0], rng.permutation(pts[:, 1])[:60]])
+        self.assert_rows_match_brute_force(pts, queries, self.ks(len(pts)), (0.0, 0.01, 0.2))
+
+    @pytest.mark.parametrize("cloud", ["duplicates", "collinear", "one point", "coincident"])
+    def test_degenerate_clouds(self, cloud):
+        rng = np.random.default_rng(33)
+        pts = {
+            "duplicates": rng.integers(0, 5, size=(2000, 2)).astype(float),
+            "collinear": np.column_stack([rng.uniform(0, 1, 500), np.full(500, 0.25)]),
+            "one point": np.array([[0.5, 0.5]]),
+            "coincident": np.tile([[1.0, 2.0]], (300, 1)),
+        }[cloud]
+        queries = np.concatenate([pts[:20], rng.uniform(-1, 5, size=(20, 2))])
+        self.assert_rows_match_brute_force(pts, queries, self.ks(len(pts)), (0.0, 1.0, 3.0))
+
+    def test_centres_outside_the_box(self):
+        rng = np.random.default_rng(34)
+        pts = rng.uniform(0, 1, size=(2000, 2))
+        queries = np.concatenate([rng.uniform(-3, -1, size=(20, 2)), rng.uniform(2, 4, size=(20, 2)),
+                                  [[1e6, 0.5], [0.5, -1e9]]])
+        self.assert_rows_match_brute_force(pts, queries, self.ks(len(pts)), (0.5, 2.5, 1e10))
+
+    def test_an_empty_block_has_no_rows(self):
+        idx = PlanarIndex(np.random.default_rng(35).uniform(0, 1, size=(100, 2)))
+        assert idx.knn(np.empty((0, 2)), 3).shape == (0, 3)
+        assert idx.within_radius(np.empty((0, 2)), 0.1) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((np.nan, 0.5), r"must be finite, got \(nan, 0\.5\)"),
+         ((1e200, 0.5), r"query point \(1e\+200, 0\.5\) is too far")],
+    )
+    def test_a_refused_row_is_named(self, bad, message):
+        idx = PlanarIndex(np.random.default_rng(36).uniform(0, 1, size=(200, 2)))
+        block = np.full((6, 2), 0.5)
+        block[3] = bad
+        block[5] = (-np.inf, 7.0)  # a later bad row is not the one named
+        with pytest.raises(ValueError, match=message):
+            idx.knn(block, 3)
+        with pytest.raises(ValueError, match=message):
+            idx.within_radius(block, 0.1)
+
+    def test_visit_count_covers_the_block(self):
+        rng = np.random.default_rng(37)
+        idx = PlanarIndex(rng.uniform(0, 1, size=(4096, 2)))
+        queries = rng.uniform(0, 1, size=(50, 2))
+        ids, visited = idx.knn(queries, 4, with_count=True)
+        assert ids.shape == (50, 4)
+        assert isinstance(visited, int)  # the benchmark's tracer writes it as JSON
+        assert visited == sum(idx.knn(q, 4, with_count=True)[1] for q in queries)
 
 
 @pytest.mark.parametrize("plane", [uniform_plane, holed_plane, graded_plane])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wqisa import metrics, weights
+from wqisa import kdtree, metrics, weights
 from wqisa.clouds import bounding_box
 from wqisa.mba import fit_mba
 from wqisa.metrics import ElementErrorMap, gmse, lmse, residuals
@@ -216,7 +216,7 @@ class TestTuneParameters:
         grids = ([WeightSpec.indicator(r) for r in (1.0, 1.5, 3.0)], [WeightSpec.knn(k) for k in (2, 5)])
         defaults = [tune_parameters(self.training, self.validation, space, grid) for grid in grids]
         # a few rows to a batch, and one row of the widest ball
-        monkeypatch.setattr(weights, "TABLE_BUDGET", 12)
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 12)
         for grid, default in zip(grids, defaults):
             small = tune_parameters(self.training, self.validation, space, grid)
             assert small.spec is default.spec

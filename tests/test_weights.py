@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqisa import weights
+from wqisa import kdtree, weights
 from wqisa.kdtree import PlanarIndex
 from wqisa.splines import KnotVector, TensorSplineSpace, knot_average_grid, knot_averages
 from wqisa.weights import (
@@ -404,7 +405,7 @@ class TestSharedNeighbourTable:
     def test_every_coefficient_matches_brute_force(self, monkeypatch, kind, outlier_filter, budget):
         # a small budget makes the rows one (50) or several (2000) to a batch
         if budget is not None:
-            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
         cloud = random_cloud(np.random.default_rng(14), 300, dupes=True)
         space = _mesh(cloud, 4, 3)
         centres = knot_average_grid(space)
@@ -433,15 +434,17 @@ class TestSharedNeighbourTable:
     def test_building_queries_each_centre_once(self, monkeypatch, kind, budget):
         # reading every entry afterwards queries nothing more
         if budget is not None:
-            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
         cloud = random_cloud(np.random.default_rng(14), 300, dupes=True)
         space = _mesh(cloud, 4, 3)
         centres = knot_average_grid(space)
-        queries = []
+        queried = [np.empty((0, 2))]  # the points of every query, one point or a block
         for name in ("knn", "within_radius"):
             query = getattr(PlanarIndex, name)
             monkeypatch.setattr(
-                PlanarIndex, name, lambda *args, query=query: queries.append(0) or query(*args)
+                PlanarIndex, name,
+                lambda index, points, *args, query=query: queried.append(np.reshape(points, (-1, 2)))
+                or query(index, points, *args),
             )
         table = NeighbourTable(cloud, centres, self.GRIDS[kind])
         for spec in self.GRIDS[kind]:
@@ -449,7 +452,8 @@ class TestSharedNeighbourTable:
                 table.coefficients(spec, space.shape)
             except ZeroWeightError:
                 pass
-        assert len(queries) == (len(centres) if weights.KERNELS[kind].indexed else 0)
+        expected = centres if weights.KERNELS[kind].indexed else np.empty((0, 2))
+        np.testing.assert_array_equal(np.concatenate(queried), expected)
 
     # fence 0 rejects both heights of a two-point window unless they are
     # equal; heights from {0, 1} make some windows fall back, not all
@@ -486,7 +490,7 @@ class TestSharedNeighbourTable:
     @pytest.mark.parametrize("budget", [None, 50])
     def test_fallback_warns_once_per_falling_back_coefficient(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
         cloud, centres = self._binary_cloud()
         grid = [WeightSpec.knn(k, outlier_filter=True, fence=0.0) for k in (2, 3)]
         expected = [
@@ -499,7 +503,7 @@ class TestSharedNeighbourTable:
     @pytest.mark.parametrize("budget", [None, 50])
     def test_an_empty_window_ends_a_specs_fallback_warnings(self, monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(weights, "TABLE_BUDGET", budget)
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
         cloud, centres = self._binary_cloud()
         # the small ball is empty at some centre; the large one never is
         grid = [WeightSpec.indicator(r, outlier_filter=True, fence=0.0) for r in (0.06, 2.0)]
@@ -514,6 +518,65 @@ class TestSharedNeighbourTable:
         assert caught == sum(expected)
         assert table.estimates[grid[0]].row == empty
         assert table.estimates[grid[1]].shape == (len(centres),)
+
+    @pytest.mark.parametrize("budget", [None, 50])
+    def test_specs_with_their_own_filters_share_one_pass(self, monkeypatch, budget):
+        # the stacked pass fences each spec's rows with its own multiplier,
+        # or leaves them unfiltered
+        if budget is not None:
+            monkeypatch.setattr(kdtree, "TABLE_BUDGET", budget)
+        cloud = random_cloud(np.random.default_rng(18), 300, dupes=True)
+        space = _mesh(cloud, 4, 3)
+        centres = knot_average_grid(space)
+        grid = [WeightSpec.knn(9), WeightSpec.knn(9, outlier_filter=True, fence=0.0),
+                WeightSpec.knn(4, outlier_filter=True), WeightSpec.knn(30, outlier_filter=True, fence=3.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = NeighbourTable(cloud, centres, grid)
+            for spec in grid:
+                expected = [brute_estimate(cloud, u, v, spec) for u, v in centres]
+                assert table.coefficients(spec, space.shape).ravel().tolist() == expected
+
+    def test_a_knn_table_queries_blocks_within_the_budget(self, monkeypatch):
+        # with a small budget a block is a few centres, not the 3,600 of the
+        # mesh: beyond the estimates themselves the build's peak traced
+        # allocation stays small (a whole-mesh block takes about 19 MB here)
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 2000)
+        cloud = random_cloud(np.random.default_rng(19), 20_000)
+        centres = knot_average_grid(_mesh(cloud, 20, 20))
+        grid = [WeightSpec.knn(k, outlier_filter=True) for k in range(1, 11)]
+        index = PlanarIndex(cloud[:, :2])
+        NeighbourTable(cloud, centres[:3], grid, index)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            NeighbourTable(cloud, centres, grid, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(grid) * len(centres) + (1 << 20)
+
+    def test_narrow_first_balls_open_no_wide_block(self, monkeypatch):
+        # the first centres lie in a sparse corner, where a ball holds about
+        # 6 points, and the interior balls about 600: a block sized from the
+        # narrow balls alone would hold 333 interior balls (107,000 ids)
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 2000)
+        rng = np.random.default_rng(20)
+        lattice = np.stack(np.meshgrid(np.arange(0, 0.3, 0.05), np.arange(0, 0.3, 0.05)), -1).reshape(-1, 2)
+        dense = rng.uniform(0, 1, size=(20_000, 2))
+        xy = np.concatenate([lattice[np.hypot(*lattice.T) < 0.3], dense[np.hypot(*dense.T) >= 0.3]])
+        cloud = np.column_stack([xy, rng.uniform(-3, 3, len(xy))])
+        centres = knot_average_grid(_mesh(cloud, 20, 20))
+        grid = [WeightSpec.indicator(r) for r in (0.05, 0.1)]
+        index = PlanarIndex(cloud[:, :2])
+        NeighbourTable(cloud, centres[:3], grid, index)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            table = NeighbourTable(cloud, centres, grid, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(table.estimates[spec].shape == (len(centres),) for spec in grid)
+        assert peak <= 8 * len(grid) * len(centres) + (1 << 20)
 
     def test_table_reads_only_its_own_grid(self):
         cloud = random_cloud(np.random.default_rng(16), 100)
