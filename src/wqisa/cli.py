@@ -130,13 +130,20 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    # the config first: a refused key is named without parsing the cloud
+def _fit_run(args):
+    """The configs, split, box and fit of ``fit`` and ``compare``; the config
+    first, so a refused key is named without parsing the cloud."""
     run_config = read_config(args.config)
     fit_config = run_config.to_fit_config()
     cloud = read_cloud(args.cloud)
+    domain = bounding_box(cloud)
     data = split(cloud, fit_config.fractions, fit_config.seed)
-    surface, report = fit_split(data, fit_config, domain=bounding_box(cloud))
+    surface, report = fit_split(data, fit_config, domain=domain)
+    return run_config, fit_config, data, domain, surface, report
+
+
+def _cmd_fit(args) -> int:
+    run_config, _, _, _, surface, report = _fit_run(args)
     save_surface(surface, args.surface_out)
     write_report(
         {
@@ -173,13 +180,7 @@ def _assess(surface, test, density: int) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    run_config = read_config(args.config)
-    fit_config = run_config.to_fit_config()
-    cloud = read_cloud(args.cloud)
-    domain = bounding_box(cloud)
-    data = split(cloud, fit_config.fractions, fit_config.seed)
-
-    wq_surface, wq_report = fit_split(data, fit_config, domain=domain)
+    run_config, fit_config, data, domain, wq_surface, wq_report = _fit_run(args)
     wq_errors = _assess(wq_surface, data.test, args.density)
 
     mba_surface, mba_history = fit_mba(

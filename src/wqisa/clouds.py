@@ -51,17 +51,20 @@ def joint_bounding_box(*clouds: np.ndarray) -> tuple[float, float, float, float]
 
 def check_planar_extent(domain: tuple[float, float, float, float]) -> None:
     """Raise ``ValueError`` naming each axis along which *domain*, an
-    ``(xmin, xmax, ymin, ymax)`` box, has no width."""
+    ``(xmin, xmax, ymin, ymax)`` box, has no width, or a width below 2**-511,
+    whose square is below the smallest normal float: squared planar distances
+    across it go subnormal and would tie points that are not tied."""
     xmin, xmax, ymin, ymax = domain
-    flat = [axis for axis, lo, hi in (("x", xmin, xmax), ("y", ymin, ymax)) if not lo < hi]
+    axes = (("x", xmin, xmax), ("y", ymin, ymax))
+    flat = [axis for axis, lo, hi in axes if not lo < hi]
     if flat:
         raise ValueError(
             f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} has zero "
             f"width in {' and '.join(flat)}; a surface needs points spread along both x and y"
         )
-
-
-def bbox_diagonal(cloud: np.ndarray) -> float:
-    """Diagonal length of the planar bounding box (0 for a single point)."""
-    xmin, xmax, ymin, ymax = bounding_box(cloud)
-    return float(np.hypot(xmax - xmin, ymax - ymin))
+    narrow = [axis for axis, lo, hi in axes if float(hi) - float(lo) < np.sqrt(np.finfo(float).tiny)]
+    if narrow:
+        raise ValueError(
+            f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} is too narrow in "
+            f"{' and '.join(narrow)}: the square of its width is below the smallest normal float"
+        )

@@ -9,23 +9,23 @@ the least depth at which none holds more than ``LEAF_SIZE`` points splits, so
 all leaves lie at that depth.  Each node keeps its start, size and split
 value, and the bounding box of its points.
 
-Both queries take one point ``(2,)`` or a block ``(m, 2)``, and one
-vectorised walk answers every query of a block.  A k-nearest query first
-descends, a level at a time, to each query's bound subtree: the smallest
-subtree on its side that holds 2k points.  Its k-th squared distance bounds
-the true one from above.  A radius query's bound is ``r**2``.  The walk then
-goes down a level at a time over (query, node) pairs and keeps a pair while
-the node's box lies within its query's bound.  The kept leaves' points are
-scanned by numpy in slices of at most ``TABLE_BUDGET`` candidates.
+Both queries take one point ``(2,)`` or a block ``(m, 2)``, and one vectorised
+walk answers every query of a block.  A k-nearest query first descends, a
+level at a time, to each query's bound subtree: the smallest subtree on its
+side that holds 2k points.  Its k-th squared distance bounds the true one from
+above.  A radius query's bound is ``r**2``.  The walk then goes down a level
+at a time over (query, node) pairs and keeps a pair while the node's box lies
+within its query's bound.  The kept leaves' points are scanned in
+``budget_runs``, as tables cut rows.
 
 Built once, then immutable, so an index can be shared across threads.
-Squared distances are computed as a full scan computes them, ``(x - u)**2 +
-(y - v)**2``, and a box's squared gap the same way from its nearest sides.
-Subtraction and squaring are monotone in floating point, so a point in a box
-beyond the bound can neither reach nor tie it, and results equal a full
-scan's.  Ties at the k-th distance keep the lower point id.  ``query_point``
-rejects a query whose squared distance to the far corner of the points'
-bounding box overflows, since a distance that overflows would rank as a tie.
+``planar_d2`` is the squared distance of the tree and the tables, and a box's
+squared gap is taken the same way from its nearest sides.  Subtraction and
+squaring are monotone in floating point, so a point in a box beyond the bound
+can neither reach nor tie it, and results equal a full scan's.  Ties at the
+k-th distance keep the lower point id.  ``query_point`` rejects a query whose
+squared distance to the far corner of the points' bounding box overflows,
+since a distance that overflows would rank as a tie.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import numpy as np
 
 # most points per leaf: a leaf costs one numpy pass, not a Python step per point
 LEAF_SIZE = 64
-# most entries in one candidate array: a slice of a tree walk here, and in
-# weights.NeighbourTable a batch's stacked windows; only one query's
-# candidates (one row) may make a larger one
+# most entries in one candidate array: a run of budget_runs, here a slice of
+# a tree walk, in weights.NeighbourTable a batch or a stack of windows; only
+# one row may make a larger one
 TABLE_BUDGET = 1 << 15
 _CHILDREN = np.arange(2)
 
@@ -46,7 +46,7 @@ _CHILDREN = np.arange(2)
 class PlanarIndex:
     """Balanced bucketed 2-d tree over planar points, alternating axes."""
 
-    __slots__ = ("points", "_order", "_depth", "_x", "_y", "_start", "_size", "_split", "_box", "_bounds")
+    __slots__ = ("points", "_order", "_depth", "_x", "_y", "_start", "_size", "_split", "box", "_bounds")
 
     def __init__(self, points: np.ndarray):
         raw = np.asarray(points, dtype=float)
@@ -61,7 +61,7 @@ class PlanarIndex:
         pts.flags.writeable = False
         self.points = pts
         (xmin, ymin), (xmax, ymax) = pts.min(axis=0), pts.max(axis=0)
-        self._box = (float(xmin), float(xmax), float(ymin), float(ymax))
+        self.box = (float(xmin), float(xmax), float(ymin), float(ymax))
         n = pts.shape[0]
         # every node above the least depth at which none holds more than
         # LEAF_SIZE points splits, so all leaves lie at that depth
@@ -116,7 +116,7 @@ class PlanarIndex:
         n = self.size
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        queries = query_point(query, self._box)
+        queries = query_point(query, self.box)
         block = queries.reshape(-1, 2)
         bound, visited = self._bound(block, k)
         leaf_q, leaf, more = self._walk(block, bound)
@@ -138,7 +138,7 @@ class PlanarIndex:
         an array for one point, a list of *m* arrays for a block of *m*."""
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r}")
-        queries = query_point(query, self._box)
+        queries = query_point(query, self.box)
         block = queries.reshape(-1, 2)
         r2 = r * r
         leaf_q, leaf, _ = self._walk(block, np.full(len(block), r2))
@@ -170,12 +170,10 @@ class PlanarIndex:
         bound = np.empty(len(block))
         width = int(self._size[node].max(initial=1))
         cols = np.arange(width)
-        step = max(1, TABLE_BUDGET // width)
-        for first in range(0, len(block), step):
-            rows = slice(first, first + step)
+        for rows in budget_runs(np.full(len(block), width)):
             inside = cols < self._size[node[rows], None]
             pos = np.where(inside, self._start[node[rows], None] + cols, 0)
-            d2 = self._d2(pos, block[rows, 0, None], block[rows, 1, None])
+            d2 = planar_d2(self._x, self._y, pos, block[rows, 0, None], block[rows, 1, None])
             d2[~inside] = np.inf
             bound[rows] = np.partition(d2, k - 1, axis=1)[:, k - 1]
         return bound, visited
@@ -206,33 +204,39 @@ class PlanarIndex:
         return cq, node, visited
 
     def _scan(self, block: np.ndarray, cq: np.ndarray, node: np.ndarray):
-        """``(rows, cq, positions, d2)`` for consecutive slices of *block*: each
-        candidate's query, tree position and squared distance, in query order,
-        from the (query, leaf) pairs *cq*, *node*.  A slice holds at most
-        ``TABLE_BUDGET`` candidates unless one query's candidates pass it."""
+        """``(rows, cq, positions, d2)`` for the ``budget_runs`` of *block*:
+        each candidate's query, tree position and squared distance, in query
+        order, from the (query, leaf) pairs *cq*, *node*."""
         sizes = self._size[node]
-        ends = np.cumsum(np.bincount(cq, weights=sizes, minlength=len(block)))
-        first = 0
-        while first < len(block):
-            taken = ends[first - 1] if first else 0.0
-            last = max(first + 1, int(np.searchsorted(ends, taken + TABLE_BUDGET, side="right")))
-            pairs = slice(*np.searchsorted(cq, (first, last)))
+        for rows in budget_runs(np.bincount(cq, weights=sizes, minlength=len(block))):
+            pairs = slice(*np.searchsorted(cq, (rows.start, rows.stop)))
             size = sizes[pairs]
-            rows = np.repeat(cq[pairs], size)
-            pos = np.arange(rows.size) + np.repeat(self._start[node[pairs]] - np.cumsum(size) + size, size)
-            yield slice(first, last), rows, pos, self._d2(pos, block[rows, 0], block[rows, 1])
-            first = last
+            owner = np.repeat(cq[pairs], size)
+            pos = np.arange(owner.size) + np.repeat(self._start[node[pairs]] - np.cumsum(size) + size, size)
+            yield rows, owner, pos, planar_d2(self._x, self._y, pos, block[owner, 0], block[owner, 1])
 
-    def _d2(self, pos: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Squared distances of the points at tree positions *pos* from the
-        centres ``(u, v)``, broadcast against *pos*, as a full scan computes
-        them: ``(x - u)**2 + (y - v)**2``, in place."""
-        d2 = self._x[pos] - u
-        d2 *= d2
-        dv = self._y[pos] - v
-        dv *= dv
-        d2 += dv
-        return d2
+
+def planar_d2(x: np.ndarray, y: np.ndarray, at: np.ndarray, u, v) -> np.ndarray:
+    """``(x[at] - u)**2 + (y[at] - v)**2``, broadcast, in place: the one squared
+    distance, so a pair has the same bits, and ties alike, on every path."""
+    d2 = x[at] - u
+    d2 *= d2
+    dv = y[at] - v
+    dv *= dv
+    d2 += dv
+    return d2
+
+
+def budget_runs(sizes: np.ndarray):
+    """Slices that cut rows of *sizes* entries, in order, into runs of at most
+    ``TABLE_BUDGET`` entries (read at each call) or of a single larger row."""
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < len(ends):
+        taken = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, taken + TABLE_BUDGET, side="right")))
+        yield slice(first, last)
+        first = last
 
 
 def query_point(query, box: tuple[float, float, float, float]) -> np.ndarray:

@@ -14,22 +14,22 @@ kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 ``PlanarIndex`` at every cloud size; the others weigh the whole cloud.
 
 Coefficients are estimated in batches.  A ``NeighbourTable`` queries its
-knot averages a block at a time, through one ``PlanarIndex`` call per
-block, and each centre's row serves every entry of a weight grid of one
-kind.  The table makes its rows once, in batches of at most
-``TABLE_BUDGET`` candidates, and runs one pass per batch for the specs
-still going (for a wide grid, one per stack of specs that keeps to the
-budget): the specs' windows are stacked, and the kernels, the Tukey fences
-(quartiles from one sort of the rows of each length, a fence per row), the
-sums and the clamp act on all of them at once.  Each quotient's numerator
-``z * w`` and denominator ``w`` are summed by ``np.add.reduceat`` over one
-row in ascending id order, so a coefficient depends neither on its batch,
-nor on the other specs, nor on the machine's BLAS.
-``pipeline.tune_parameters`` builds one table per mesh and reads every
-entry of its grid with ``NeighbourTable.coefficients``;
-``fit_surface`` is a table of one spec read the same way, and
-``estimate_control_point`` a table of one centre.  An empty window is a
-``ZeroWeightError`` naming its centre; ``coefficients`` adds its (i, j).
+knot averages a block at a time, through one ``PlanarIndex`` call per block,
+and each centre's row serves every entry of a weight grid of one kind.  The
+table takes the cloud's box once (its index's, or one ``bounding_box`` for a
+full scan), makes its rows once with the tree's ``planar_d2``, and runs one
+pass per batch for the specs still going, both cut by ``budget_runs``: the
+specs' windows are stacked, and the kernels, the Tukey fences (quartiles
+from one sort of the rows of each length, a fence per row), the sums and the
+clamp act on them at once.  Each quotient's numerator ``z * w`` and
+denominator ``w`` are summed by ``np.add.reduceat`` over one row in
+ascending id order, so a coefficient depends neither on its batch, nor on
+the other specs, nor on the machine's BLAS.  ``pipeline.tune_parameters``
+builds one table per mesh and reads every entry of its grid with
+``NeighbourTable.coefficients``; ``fit_surface`` is a table of one spec read
+the same way, and ``estimate_control_point`` a table of one centre.  An
+empty window is a ``ZeroWeightError`` naming its centre; ``coefficients``
+adds its (i, j).
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -43,9 +43,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .clouds import as_cloud, bbox_diagonal, bounding_box, check_integer
+from .clouds import as_cloud, bounding_box, check_integer
 from . import kdtree
-from .kdtree import PlanarIndex, query_point
+from .kdtree import PlanarIndex, budget_runs, planar_d2, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 
 # default coincidence tolerance: this fraction of the bounding-box diagonal
@@ -150,10 +150,11 @@ class WeightSpec:
         return cls(kind="idw_truncated", truncation=truncation, coincidence_tol=coincidence_tol, **common)
 
 
-def _coincidence_tol(spec: WeightSpec, cloud: np.ndarray) -> float:
+def _coincidence_tol(spec: WeightSpec, box: tuple[float, float, float, float]) -> float:
     if spec.coincidence_tol is not None:
         return spec.coincidence_tol
-    return COINCIDENCE_SCALE * bbox_diagonal(cloud)
+    xmin, xmax, ymin, ymax = box
+    return COINCIDENCE_SCALE * float(np.hypot(xmax - xmin, ymax - ymin))
 
 
 class Neighbours(NamedTuple):
@@ -168,15 +169,6 @@ class Neighbours(NamedTuple):
     starts: np.ndarray
 
 
-def _neighbours(cloud: np.ndarray, centres: np.ndarray, ids: np.ndarray, sizes) -> Neighbours:
-    starts = np.zeros(len(centres) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=starts[1:])
-    # the arithmetic of a full scan, so distances tie exactly as they do there
-    du = cloud[ids, 0] - np.repeat(centres[:, 0], sizes)
-    dv = cloud[ids, 1] - np.repeat(centres[:, 1], sizes)
-    return Neighbours(ids, du**2 + dv**2, starts)
-
-
 class NeighbourTable:
     """Every spec of a weight grid estimated at many window centres.
 
@@ -185,10 +177,9 @@ class NeighbourTable:
     so knn and idw_truncated rows hold the ``K = min(largest size, n)``
     nearest; a closed ball holds every smaller ball about its centre, so
     indicator rows hold the ball of the largest radius; Gaussian and plain
-    IDW rows hold every point.  ``_rows`` makes the rows once, in batches of
-    at most ``TABLE_BUDGET`` candidates.  One pass per batch estimates the
-    specs still going, stacking their windows, as many at a time as keep
-    the stack within ``TABLE_BUDGET``.  ``estimates`` maps each spec to its
+    IDW rows hold every point.  ``_rows`` makes the rows once, and one pass
+    per batch estimates the specs still going, both in ``budget_runs``.
+    ``estimates`` maps each spec to its
     coefficients in centre order or to the ``ZeroWeightError`` of its first
     empty window; filter fallbacks warn while the table is built, spec by
     spec in grid order.  An *index* over the cloud's planar points serves
@@ -213,6 +204,7 @@ class NeighbourTable:
             elif not np.array_equal(index.points, self.cloud[:, :2]):
                 raise ValueError("the planar index was built over other points than the cloud's")
             self._index = index
+            self._box = index.box
         else:
             self._box = bounding_box(self.cloud)
         self.estimates: dict[WeightSpec, np.ndarray | ZeroWeightError] = {}
@@ -224,11 +216,11 @@ class NeighbourTable:
             else:
                 going[spec] = np.empty(len(self.centres))
         for first, rows in self._rows() if going else ():
-            # a spec's window holds at most the batch's candidates, so a pass
-            # that stacks `step` windows keeps to the budget
-            specs, step = tuple(going), max(1, kdtree.TABLE_BUDGET // max(1, rows.ids.size))
-            for at in range(0, len(specs), step):
-                stack = specs[at : at + step]
+            # a spec's window holds at most the batch's candidates, so a
+            # stack of windows keeps to the budget as a run of specs that size
+            specs = tuple(going)
+            for run in budget_runs(np.full(len(specs), rows.ids.size)):
+                stack = specs[run]
                 for spec, estimate in zip(stack, _estimates(self, first, rows, stack)):
                     if isinstance(estimate, ZeroWeightError):
                         self.estimates[spec] = estimate
@@ -277,26 +269,23 @@ class NeighbourTable:
         and for a ball the widest seen so far (every point before the
         first).  A ball's width is known only once it is queried, so a
         block at most doubles the one before it: a run of narrow balls
-        cannot open a block of the whole mesh.  A batch closes before
-        it would pass ``TABLE_BUDGET`` candidates, so only a single larger
-        row makes a larger batch.
+        cannot open a block of the whole mesh.
         """
-        count, n, budget = len(self.centres), self.cloud.shape[0], kdtree.TABLE_BUDGET
+        count, n = len(self.centres), self.cloud.shape[0]
         widest = n if self.kind == "indicator" or self.reach is None else self.reach
         first, size, seen = 0, count, 1
         while first < count:
-            size = min(2 * size, max(1, budget // widest))
+            size = min(2 * size, max(1, kdtree.TABLE_BUDGET // widest))
             block = self.centres[first : first + size]
             ids, sizes = self._query(block)
             seen = widest = max(seen, int(sizes.max()))
-            ends = np.cumsum(sizes)
-            lo = 0
-            while lo < len(block):
-                taken = ends[lo - 1] if lo else 0
-                hi = max(lo + 1, int(np.searchsorted(ends, taken + budget, side="right")))
-                rows = _neighbours(self.cloud, block[lo:hi], ids[taken : ends[hi - 1]], sizes[lo:hi])
-                yield first + lo, rows
-                lo = hi
+            starts = np.concatenate(([0], np.cumsum(sizes)))
+            for run in budget_runs(sizes):
+                lo, hi = starts[run.start], starts[run.stop]
+                # the centres repeated per candidate live only through the call
+                centres = (np.repeat(block[run, axis], sizes[run]) for axis in (0, 1))
+                d2 = planar_d2(self.cloud[:, 0], self.cloud[:, 1], ids[lo:hi], *centres)
+                yield first + run.start, Neighbours(ids[lo:hi], d2, starts[run.start : run.stop + 1] - lo)
             first += len(block)
 
 
@@ -308,7 +297,7 @@ def _subset(keep: np.ndarray, starts: np.ndarray, *arrays: np.ndarray) -> tuple[
     return (*(a[kept] for a in arrays), np.searchsorted(kept, starts))
 
 
-def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.ndarray, ...]:
+def _window(rows: Neighbours, spec: WeightSpec, table: NeighbourTable) -> tuple[np.ndarray, ...]:
     """Each row's points with positive weight, ascending id (a reproducible
     summation order), their weights, and the row starts: the one definition
     of every kernel."""
@@ -324,7 +313,7 @@ def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.n
     if spec.kind in ("knn", "idw_truncated"):
         # each row's first `size` in (distance, id) order, re-sorted by id
         count = starts.size - 1
-        size = min(spec.parameter, cloud.shape[0])
+        size = min(spec.parameter, table.cloud.shape[0])
         nearest = ids.reshape(count, -1)[:, :size]
         order = np.argsort(nearest, axis=1)
         ids = np.take_along_axis(nearest, order, axis=1).ravel()
@@ -334,7 +323,7 @@ def _window(rows: Neighbours, spec: WeightSpec, cloud: np.ndarray) -> tuple[np.n
         d2 = np.take_along_axis(d2.reshape(count, -1)[:, :size], order, axis=1).ravel()
     # the two inverse-distance kinds share the coincidence case split: a row
     # with coincident points gives them equal weight and the others none
-    tol = _coincidence_tol(spec, cloud)
+    tol = _coincidence_tol(spec, table._box)
     coincident = d2 <= tol * tol
     if not coincident.any():
         return ids, 1.0 / np.sqrt(d2), starts
@@ -402,7 +391,7 @@ def _estimates(
     its first bad row.
     """
     cloud, count = table.cloud, rows.starts.size - 1
-    windows = [_window(rows, spec, cloud) for spec in specs]
+    windows = [_window(rows, spec, table) for spec in specs]
     ids, w = (np.concatenate([window[part] for window in windows]) for part in (0, 1))
     offsets = np.cumsum([0] + [window[0].size for window in windows])
     starts = np.concatenate([window[2][:-1] + at for window, at in zip(windows, offsets)] + [[ids.size]])

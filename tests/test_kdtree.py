@@ -282,6 +282,43 @@ class TestBlocks:
         assert visited == sum(idx.knn(q, 4, with_count=True)[1] for q in queries)
 
 
+class TestBudgetRuns:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [],
+            [3, 4, 2, 5, 1, 1, 9, 0, 0, 4],
+            [11, 2, 30, 10, 10, 0, 25],  # rows of exactly, and above, the budget
+            [0, 0, 0],
+            [6.0, 7.0, 3.0, 12.0],  # the tree walk's candidate counts are floats
+            list(range(1, 40)),
+        ],
+    )
+    def test_runs_cover_every_row_in_order_within_the_budget(self, monkeypatch, sizes):
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 10)  # read at each call
+        runs = list(kdtree.budget_runs(np.array(sizes)))
+        covered = [row for run in runs for row in range(run.start, run.stop)]
+        assert covered == list(range(len(sizes)))
+        for at, run in enumerate(runs):
+            total = sum(sizes[run])
+            if run.stop - run.start > 1:
+                assert total <= 10
+            else:
+                assert total <= 10 or sizes[run.start] > 10  # a larger row alone
+            if at + 1 < len(runs):
+                # a run ends only where the next row would pass the budget
+                assert total + sizes[run.stop] > 10
+        if not sizes:
+            assert runs == []
+
+    def test_a_fixed_width_gives_equal_runs(self, monkeypatch):
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 100)
+        runs = list(kdtree.budget_runs(np.full(25, 30)))
+        assert [run.stop - run.start for run in runs] == [3] * 8 + [1]
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 20)
+        assert [(run.start, run.stop) for run in kdtree.budget_runs(np.full(3, 30))] == [(0, 1), (1, 2), (2, 3)]
+
+
 @pytest.mark.parametrize("plane", [uniform_plane, holed_plane, graded_plane])
 def test_large_random_cloud_agrees_with_brute_force(plane):
     # the holed and graded clouds give leaf cells of uneven size and bound

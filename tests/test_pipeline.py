@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from wqisa import kdtree, metrics, weights
+from wqisa.cli import cli_main
 from wqisa.clouds import bounding_box
+from wqisa.io import RunConfig, write_cloud, write_config
 from wqisa.mba import fit_mba
 from wqisa.metrics import ElementErrorMap, gmse, lmse, residuals
 from wqisa.pipeline import (
@@ -407,6 +409,34 @@ class TestFit:
         for domain in (None, bounding_box(cloud)):
             with pytest.raises(ValueError, match=f"zero width in {names};"):
                 fit_mba(data.training, 3, data.validation, domain=domain)
+
+    @pytest.mark.parametrize("exponent", [510, 511, 512, 530])
+    def test_a_box_whose_squared_width_is_subnormal_is_refused(self, tmp_path, capsys, exponent):
+        # the cloud's sides are just under 1, so 2**-511 already squares
+        # below the smallest normal float; at 2**-530 the squared distances
+        # used to tie and silently change the neighbours, and at 2**-560
+        # the stop reason
+        base = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2)
+        config = FitConfig(weight_grid=knn_parameter_grid(5), max_iterations=5)
+        cloud = base * [2.0**-exponent, 2.0**-exponent, 1.0]
+        if exponent == 510:
+            surface, _ = fit(cloud, config)
+            assert surface.coefficients.tobytes() == fit(base, config)[0].coefficients.tobytes()
+            return
+        with pytest.raises(ValueError, match="too narrow in x and y: the square of its width"):
+            fit(cloud, config)
+        data = split(cloud, seed=0)
+        with pytest.raises(ValueError, match="too narrow in x and y: the square of its width"):
+            fit_mba(data.training, 3, data.validation)
+        write_cloud(tmp_path / "cloud.xyz", cloud)
+        write_config(RunConfig(weight="knn", k_grid=(1, 2, 3, 4, 5), max_iterations=5), tmp_path / "run.cfg")
+        paths = [str(tmp_path / name) for name in ("cloud.xyz", "run.cfg", "surf.json", "report.json")]
+        for argv in (["fit", "--cloud", paths[0], "--config", paths[1], "--surface-out", paths[2],
+                      "--report-out", paths[3]],
+                     ["compare", "--cloud", paths[0], "--config", paths[1], "--out", paths[3]]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "too narrow in x and y" in err and err.count("\n") == 1
 
     def test_zero_weight_failure_names_iteration(self):
         cloud = random_cloud(np.random.default_rng(11), 60)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqisa import kdtree, weights
+from wqisa import clouds, kdtree, weights
 from wqisa.kdtree import PlanarIndex
 from wqisa.splines import KnotVector, TensorSplineSpace, knot_average_grid, knot_averages
 from wqisa.weights import (
@@ -577,6 +577,27 @@ class TestSharedNeighbourTable:
             tracemalloc.stop()
         assert all(table.estimates[spec].shape == (len(centres),) for spec in grid)
         assert peak <= 8 * len(grid) * len(centres) + (1 << 20)
+
+    def test_a_table_takes_the_clouds_box_once(self, monkeypatch):
+        # 300-point full-scan rows make 6 rows to a batch, 7 batches for the
+        # 42 centres; each spec's coincidence tolerance used to take the box
+        # again in every batch.  An indexed table reads its tree's box.
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 2000)
+        cloud = random_cloud(np.random.default_rng(21), 300)
+        centres = np.concatenate([cloud[:6, :2], knot_average_grid(_mesh(cloud, 4, 1))])
+        boxes = []
+        for module in (weights, clouds):
+            box = module.bounding_box
+            monkeypatch.setattr(module, "bounding_box", lambda c, box=box: boxes.append(1) or box(c))
+        grid = [WeightSpec.idw(), WeightSpec.idw(outlier_filter=True)]
+        table = NeighbourTable(cloud, centres, grid)
+        assert len(boxes) == 1
+        truncated = [WeightSpec.truncated_idw(len(cloud)), WeightSpec.truncated_idw(len(cloud), outlier_filter=True)]
+        by_tree = NeighbourTable(cloud, centres, truncated, PlanarIndex(cloud[:, :2]))
+        assert len(boxes) == 1
+        # every point, ascending id, under the same tolerance: the same bits
+        for full, indexed in zip(grid, truncated):
+            assert table.estimates[full].tobytes() == by_tree.estimates[indexed].tobytes()
 
     def test_table_reads_only_its_own_grid(self):
         cloud = random_cloud(np.random.default_rng(16), 100)
