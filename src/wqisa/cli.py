@@ -28,7 +28,7 @@ from .io import (
     write_surface_grid,
 )
 from .mba import fit_mba
-from .metrics import hausdorff, punctual_errors, surface_sample_points
+from .metrics import DEFAULT_DENSITY, hausdorff, punctual_errors, surface_sample_points
 from .pipeline import DEFAULT_FRACTIONS, fit_split, split
 from .synthetic import hemisphere_cloud, perturb
 
@@ -90,14 +90,14 @@ def _parser() -> _Parser:
     p.add_argument("--surface", required=True)
     p.add_argument("--cloud", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--density", type=int, default=4, help="surface samples per element edge")
+    p.add_argument("--density", type=int, default=DEFAULT_DENSITY, help="surface samples per element edge")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("compare", help="side-by-side report against the multilevel baseline")
     p.add_argument("--cloud", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--density", type=int, default=4)
+    p.add_argument("--density", type=int, default=DEFAULT_DENSITY)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sample", help="sample a surface onto a uniform grid of x,y,z points")

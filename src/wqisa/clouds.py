@@ -27,7 +27,8 @@ def as_cloud(points) -> np.ndarray:
 
 def check_integer(name: str, value, minimum: int) -> int:
     """*value* as an ``int``; ``ValueError`` naming *name* unless it is an
-    integer >= *minimum*.  A bool is an int subclass, but never a count here."""
+    integer >= *minimum*.  The one check of every count, seed and degree the
+    library takes; a bool is an int subclass, but never a count here."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
@@ -49,20 +50,21 @@ def joint_bounding_box(*clouds: np.ndarray) -> tuple[float, float, float, float]
     return bounding_box(np.concatenate(clouds))
 
 
-def check_planar_extent(domain: tuple[float, float, float, float]) -> None:
+def check_planar_extent(domain: tuple[float, float, float, float], flat_ok: bool = False) -> None:
     """Raise ``ValueError`` naming each axis along which *domain*, an
     ``(xmin, xmax, ymin, ymax)`` box, has no width, or a width below 2**-511,
     whose square is below the smallest normal float: squared planar distances
-    across it go subnormal and would tie points that are not tied."""
+    across it go subnormal and would tie points that are not tied.  With
+    *flat_ok*, as for a neighbour table, a side of no width passes."""
     xmin, xmax, ymin, ymax = domain
     axes = (("x", xmin, xmax), ("y", ymin, ymax))
     flat = [axis for axis, lo, hi in axes if not lo < hi]
-    if flat:
+    if flat and not flat_ok:
         raise ValueError(
             f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} has zero "
             f"width in {' and '.join(flat)}; a surface needs points spread along both x and y"
         )
-    narrow = [axis for axis, lo, hi in axes if float(hi) - float(lo) < np.sqrt(np.finfo(float).tiny)]
+    narrow = [axis for axis, lo, hi in axes if 0 < float(hi) - float(lo) < np.sqrt(np.finfo(float).tiny)]
     if narrow:
         raise ValueError(
             f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} is too narrow in "

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .clouds import as_cloud
-from .pipeline import DEFAULT_FRACTIONS, FitConfig
+from .clouds import as_cloud, check_integer
+from .pipeline import FitConfig
 from .splines import KnotVector, TensorSplineSpace, WqisaSurface
 from .weights import KERNELS, Kernel, WeightSpec
 
@@ -339,9 +339,7 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
     re-reading the grid with ``read_cloud`` and re-evaluating the surface
     reproduces the z column exactly.
     """
-    rx, ry = resolution
-    if rx < 2 or ry < 2:
-        raise ValueError(f"resolution must be at least 2 per axis, got {resolution}")
+    rx, ry = (check_integer(f"resolution[{i}]", r, 2) for i, r in enumerate(resolution))
     xmin, xmax, ymin, ymax = surface.space.domain
     xs, ys = np.linspace(xmin, xmax, rx), np.linspace(ymin, ymax, ry)
     z = surface.evaluate_lattice(xs, ys)
@@ -381,6 +379,8 @@ _FIT_KEYS = {
     "degrees[1]": "degree_y",
     "fractions": "train_fraction, validation_fraction, test_fraction",
 }
+# the defaults of a run config are FitConfig's and WeightSpec's
+_DEFAULT = FitConfig()
 
 
 @dataclass(frozen=True)
@@ -394,23 +394,23 @@ class RunConfig:
     every key and holds no NaN or infinity.
     """
 
-    degree_x: int = 2
-    degree_y: int = 2
-    weight: str = "knn"
-    k_grid: tuple[int, ...] = tuple(range(1, 11))
+    degree_x: int = _DEFAULT.degrees[0]
+    degree_y: int = _DEFAULT.degrees[1]
+    weight: str = _DEFAULT.weight_kind
+    k_grid: tuple[int, ...] = tuple(spec.k for spec in _DEFAULT.weight_grid)
     radius_grid: tuple[float, ...] = ()
     sigma_grid: tuple[float, ...] = ()
     truncation: int = 500
-    coincidence_tolerance: float | None = None
-    gaussian_squared: bool = False
-    outlier_filter: bool = False
-    fence: float = 1.5
-    epsilon: float | None = None
-    max_iterations: int = 15
-    train_fraction: float = DEFAULT_FRACTIONS[0]
-    validation_fraction: float = DEFAULT_FRACTIONS[1]
-    test_fraction: float = DEFAULT_FRACTIONS[2]
-    seed: int = 0
+    coincidence_tolerance: float | None = WeightSpec.coincidence_tol
+    gaussian_squared: bool = WeightSpec.gaussian_squared
+    outlier_filter: bool = WeightSpec.outlier_filter
+    fence: float = WeightSpec.fence
+    epsilon: float | None = _DEFAULT.epsilon
+    max_iterations: int = _DEFAULT.max_iterations
+    train_fraction: float = _DEFAULT.fractions[0]
+    validation_fraction: float = _DEFAULT.fractions[1]
+    test_fraction: float = _DEFAULT.fractions[2]
+    seed: int = _DEFAULT.seed
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():  # reports carry it, and hold no NaN

@@ -34,6 +34,8 @@ from math import isfinite
 
 import numpy as np
 
+from .clouds import check_integer
+
 # most points per leaf: a leaf costs one numpy pass, not a Python step per point
 LEAF_SIZE = 64
 # most entries in one candidate array: a run of budget_runs, here a slice of
@@ -113,9 +115,9 @@ class PlanarIndex:
         With ``with_count=True`` also returns the number of (query, node)
         pairs visited, which instruments the sublinear-growth contract.
         """
-        n = self.size
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
+        k = check_integer("k", k, 1)
+        if k > self.size:
+            raise ValueError(f"k must be in [1, {self.size}], got {k}")
         queries = query_point(query, self.box)
         block = queries.reshape(-1, 2)
         bound, visited = self._bound(block, k)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clouds import as_cloud, check_planar_extent, joint_bounding_box
+from .clouds import as_cloud, check_integer, check_planar_extent, joint_bounding_box
 from .metrics import mean_square
-from .pipeline import STAGNATION_TOL
+from .pipeline import STAGNATION_TOL, FitConfig
 from .splines import TensorSplineSpace, WqisaSurface, tensor_rows
 
 
@@ -79,7 +79,7 @@ def fit_mba(
     cloud,
     max_levels: int,
     validation,
-    degrees: tuple[int, int] = (2, 2),
+    degrees: tuple[int, int] = FitConfig.degrees,
     domain: tuple[float, float, float, float] | None = None,
 ) -> tuple[MbaSurface, list[float]]:
     """Fit levels until validation GMSE rises or stagnates, or *max_levels*
@@ -99,8 +99,7 @@ def fit_mba(
     when one occurred).  The default domain is the joint bounding box of
     the training and validation clouds so both stay evaluable.
     """
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
+    max_levels = check_integer("max_levels", max_levels, 1)
     cloud = as_cloud(cloud)
     validation = as_cloud(validation)
     if domain is None:

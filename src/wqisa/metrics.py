@@ -7,7 +7,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .clouds import as_cloud
+from .clouds import as_cloud, check_integer
 from .splines import TensorSplineSpace, locate_spans
 
 # point pairs per distance block: bounds peak memory in either argument
@@ -15,6 +15,8 @@ from .splines import TensorSplineSpace, locate_spans
 _BLOCK_PAIRS = 1 << 15
 # points of either set that one step of the cell sweep takes at once
 _BLOCK_ROWS = 1 << 12
+# surface samples per element edge that stand in for a surface's image
+DEFAULT_DENSITY = 4
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ def _directed(a: np.ndarray, b: np.ndarray, box: tuple, best: float) -> float:
         cell, out = cells(block), np.full(block.shape[0], np.inf)
         for step in (-ny - 3, -ny - 2, -ny - 1, -1, 0, 1, ny + 1, ny + 2, ny + 3):
             r = keep[cell + step]
-            np.minimum(out, (block[:, 0] - bx[r]) ** 2 + (block[:, 1] - by[r]) ** 2
-                       + (block[:, 2] - bz[r]) ** 2, out=out)
+            np.minimum(out, _squared(block.T, (bx[r], by[r], bz[r])), out=out)
         return out
 
     # each cell keeps its lowest-id point of b, an empty one a sentinel at
@@ -166,28 +167,28 @@ def _directed(a: np.ndarray, b: np.ndarray, box: tuple, best: float) -> float:
         batch = order[start : start + rows]
         batch = batch[bound[batch] > best]  # a prefix: the bounds descend
         # no name holds the block, so it is freed before the next is made
-        best = max(best, float(_pair_squared(a[batch], bx[:n], by[:n], bz[:n]).min(axis=1).max()))
+        best = max(best, float(_squared(a[batch].T[..., None], (bx[:n], by[:n], bz[:n])).min(axis=1).max()))
         start += rows
     return best
 
 
-def _pair_squared(rows: np.ndarray, bx, by, bz) -> np.ndarray:
-    """Squared distances from each of *rows* (axis 0) to each point ``(bx, by, bz)``."""
-    d2 = np.square(rows[:, 0:1] - bx)
+def _squared(a, b) -> np.ndarray:
+    """``dx**2 + dy**2 + dz**2`` from points *a* to *b*, each three broadcast
+    coordinate arrays: the one 3-d squared distance, of a bound and a scan."""
+    d2 = np.square(a[0] - b[0])
     term = np.empty_like(d2)  # the other terms are made in place: two blocks live at a time
-    for axis, other in ((1, by), (2, bz)):
-        d2 += np.square(np.subtract(rows[:, axis : axis + 1], other, out=term), out=term)
+    for u, v in zip(a[1:], b[1:]):
+        d2 += np.square(np.subtract(u, v, out=term), out=term)
     return d2
 
 
-def surface_sample_points(surface, density: int = 4) -> np.ndarray:
+def surface_sample_points(surface, density: int = DEFAULT_DENSITY) -> np.ndarray:
     """Sample the surface on a uniform grid, ``density`` points per element edge.
 
     The sampled set stands in for the surface image when computing the
     Hausdorff distance; the density is explicit so results are reproducible.
     """
-    if density < 1:
-        raise ValueError("density must be >= 1")
+    density = check_integer("density", density, 1)
     xmin, xmax, ymin, ymax = surface.space.domain
     ex, ey = surface.space.element_counts
     xs = np.linspace(xmin, xmax, density * ex + 1)

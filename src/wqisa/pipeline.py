@@ -62,6 +62,7 @@ def split(cloud, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS, seed
     for a fixed seed.
     """
     cloud = as_cloud(cloud)
+    seed = check_integer("seed", seed, 0)
     n = cloud.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 points to split, got {n}")
@@ -97,8 +98,9 @@ def kfold_splits(cloud, k: int, seed: int = 0) -> list[DataSplit]:
     ``k == len(cloud)`` is leave-one-out.
     """
     cloud = as_cloud(cloud)
+    k, seed = check_integer("k", k, 2), check_integer("seed", seed, 0)
     n = cloud.shape[0]
-    if not 2 <= k <= n:
+    if k > n:
         raise ValueError(f"k must be in [2, {n}], got {k}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -116,6 +118,12 @@ def kfold_splits(cloud, k: int, seed: int = 0) -> list[DataSplit]:
             )
         )
     return out
+
+
+def knn_parameter_grid(max_k: int = 10, **common) -> tuple[WeightSpec, ...]:
+    """k-nearest-neighbor specs for ``k = 1..max_k`` (ascending)."""
+    max_k = check_integer("max_k", max_k, 1)
+    return tuple(WeightSpec.knn(k, **common) for k in range(1, max_k + 1))
 
 
 @dataclass(frozen=True)
@@ -138,9 +146,7 @@ class FitConfig:
     A bool is no integer here, and no real value either.
     """
 
-    weight_grid: tuple[WeightSpec, ...] = field(
-        default_factory=lambda: knn_parameter_grid(10)
-    )
+    weight_grid: tuple[WeightSpec, ...] = field(default_factory=knn_parameter_grid)
     degrees: tuple[int, int] = (2, 2)
     epsilon: float | None = None
     max_iterations: int = 15
@@ -180,13 +186,6 @@ class FitConfig:
 def _real(value) -> bool:
     """Whether *value* is a real number and not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def knn_parameter_grid(max_k: int = 10, **common) -> tuple[WeightSpec, ...]:
-    """k-nearest-neighbor specs for ``k = 1..max_k`` (ascending)."""
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
-    return tuple(WeightSpec.knn(k, **common) for k in range(1, max_k + 1))
 
 
 class TuneResult(NamedTuple):

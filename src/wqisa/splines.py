@@ -115,8 +115,7 @@ class KnotVector:
         cls, degree: int, num_elements: int, lo: float = 0.0, hi: float = 1.0
     ) -> "KnotVector":
         """Open knot vector with *num_elements* equal spans on ``[lo, hi]``."""
-        if num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
+        num_elements = check_integer("num_elements", num_elements, 1)
         if not lo < hi:
             raise ValueError("lo must be < hi")
         interior = np.linspace(lo, hi, num_elements + 1)[1:-1]

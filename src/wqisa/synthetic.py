@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clouds import as_cloud
+from .clouds import as_cloud, check_integer
 
 
 def hemisphere_height(x, y):
@@ -20,9 +20,8 @@ def hemisphere_height(x, y):
 def hemisphere_cloud(n: int, seed: int = 0) -> np.ndarray:
     """*n* exact samples of the hemisphere cap, planar positions uniform on
     the unit square (which lies inside the cap's support disc)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    n = check_integer("n", n, 1)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))
     xy = rng.uniform(0.0, 1.0, size=(n, 2))
     return np.column_stack([xy, hemisphere_height(xy[:, 0], xy[:, 1])])
 
@@ -47,7 +46,7 @@ def perturb(
     for name, value in (("noise_std", noise_std), ("outlier_scale", outlier_scale)):
         if not 0.0 <= value < np.inf:
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, 0))
     out = cloud.copy()
     z = out[:, 2]
     zmin, zmax = float(z.min()), float(z.max())

@@ -17,9 +17,10 @@ Coefficients are estimated in batches.  A ``NeighbourTable`` queries its
 knot averages a block at a time, through one ``PlanarIndex`` call per block,
 and each centre's row serves every entry of a weight grid of one kind.  The
 table takes the cloud's box once (its index's, or one ``bounding_box`` for a
-full scan), makes its rows once with the tree's ``planar_d2``, and runs one
-pass per batch for the specs still going, both cut by ``budget_runs``: the
-specs' windows are stacked, and the kernels, the Tukey fences (quartiles
+full scan), checks it with ``check_planar_extent`` and each centre against it
+with ``query_point``, makes its rows once with the tree's ``planar_d2``, and
+runs one pass per batch for the specs still going, both in ``budget_runs``:
+the specs' windows are stacked, and the kernels, the Tukey fences (quartiles
 from one sort of the rows of each length, a fence per row), the sums and the
 clamp act on them at once.  Each quotient's numerator ``z * w`` and
 denominator ``w`` are summed by ``np.add.reduceat`` over one row in
@@ -43,7 +44,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box, check_integer
+from .clouds import as_cloud, bounding_box, check_integer, check_planar_extent
 from . import kdtree
 from .kdtree import PlanarIndex, budget_runs, planar_d2, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
@@ -188,11 +189,9 @@ class NeighbourTable:
 
     def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
         self.cloud = as_cloud(cloud)
-        self.centres = np.array(centres, dtype=float).reshape(-1, 2)
-        if self.centres.size == 0:
+        centres = np.array(centres, dtype=float)  # a private copy
+        if centres.size == 0:
             raise ValueError("a neighbour table needs at least one window centre, got none")
-        if not np.isfinite(self.centres).all():
-            raise ValueError("window centres must be finite")
         kinds = {spec.kind for spec in grid}
         if len(kinds) != 1:
             raise ValueError(f"a neighbour table serves one weight kind, got {sorted(kinds)}")
@@ -207,6 +206,8 @@ class NeighbourTable:
             self._box = index.box
         else:
             self._box = bounding_box(self.cloud)
+        check_planar_extent(self._box, flat_ok=True)
+        self.centres = query_point(centres, self._box).reshape(-1, 2)
         self.estimates: dict[WeightSpec, np.ndarray | ZeroWeightError] = {}
         going: dict[WeightSpec, np.ndarray] = {}
         n = self.cloud.shape[0]
@@ -257,7 +258,6 @@ class NeighbourTable:
             return np.concatenate(rows), np.array([row.size for row in rows])
         if self.reach is not None:
             return self._index.knn(block, self.reach).ravel(), np.full(len(block), self.reach)
-        query_point(block, self._box)  # as PlanarIndex checks its queries
         n = self.cloud.shape[0]
         return np.tile(np.arange(n), len(block)), np.full(len(block), n)
 

@@ -68,18 +68,20 @@ def hausdorff_cases():
 def scanned(monkeypatch):
     """Pairs compared in full by each directed distance, in call order."""
     pairs = []
-    directed, pair_squared = metrics._directed, metrics._pair_squared
+    directed, squared = metrics._directed, metrics._squared
 
     def counting_directed(a, b, *args):
         pairs.append(0)
         return directed(a, b, *args)
 
-    def counting_pair_squared(rows, *columns):
-        pairs[-1] += len(rows) * len(columns[0])
-        return pair_squared(rows, *columns)
+    def counting_squared(a, b):
+        d2 = squared(a, b)
+        if d2.ndim == 2:  # a block of pairs scanned, not the cell bounds of a block
+            pairs[-1] += d2.size
+        return d2
 
     monkeypatch.setattr(metrics, "_directed", counting_directed)
-    monkeypatch.setattr(metrics, "_pair_squared", counting_pair_squared)
+    monkeypatch.setattr(metrics, "_squared", counting_squared)
     return pairs
 
 

@@ -410,21 +410,31 @@ class TestFit:
             with pytest.raises(ValueError, match=f"zero width in {names};"):
                 fit_mba(data.training, 3, data.validation, domain=domain)
 
-    @pytest.mark.parametrize("exponent", [510, 511, 512, 530])
+    @pytest.mark.parametrize("exponent", [510, 511, 512, 530, 560])
     def test_a_box_whose_squared_width_is_subnormal_is_refused(self, tmp_path, capsys, exponent):
         # the cloud's sides are just under 1, so 2**-511 already squares
         # below the smallest normal float; at 2**-530 the squared distances
-        # used to tie and silently change the neighbours, and at 2**-560
-        # the stop reason
+        # used to tie and silently change the neighbours (of a fit, and of
+        # a library table by up to 0.075), and at 2**-560 the stop reason
         base = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2)
         config = FitConfig(weight_grid=knn_parameter_grid(5), max_iterations=5)
         cloud = base * [2.0**-exponent, 2.0**-exponent, 1.0]
+        mesh = TensorSplineSpace.uniform((2, 2), (0.0, 2.0**-exponent, 0.0, 2.0**-exponent), 16)
         if exponent == 510:
             surface, _ = fit(cloud, config)
             assert surface.coefficients.tobytes() == fit(base, config)[0].coefficients.tobytes()
+            unscaled = fit_surface(base, TensorSplineSpace.uniform((2, 2), (0.0, 1.0, 0.0, 1.0), 16),
+                                   WeightSpec.knn(3))
+            scaled = fit_surface(cloud, mesh, WeightSpec.knn(3))
+            assert scaled.coefficients.tobytes() == unscaled.coefficients.tobytes()
             return
         with pytest.raises(ValueError, match="too narrow in x and y: the square of its width"):
             fit(cloud, config)
+        # a library table checks the same box
+        with pytest.raises(ValueError, match="too narrow in x and y: the square of its width"):
+            fit_surface(cloud, mesh, WeightSpec.knn(3))
+        with pytest.raises(ValueError, match="too narrow in x and y: the square of its width"):
+            weights.estimate_control_point(cloud, *cloud[0, :2], WeightSpec.knn(3))
         data = split(cloud, seed=0)
         with pytest.raises(ValueError, match="too narrow in x and y: the square of its width"):
             fit_mba(data.training, 3, data.validation)

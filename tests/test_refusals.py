@@ -10,13 +10,17 @@ import pytest
 
 from wqisa.cli import cli_main
 from wqisa.clouds import as_cloud
-from wqisa.io import load_surface, parse_config, write_cloud
+from wqisa.io import load_surface, parse_config, write_cloud, write_surface_grid
 from wqisa.kdtree import PlanarIndex
+from wqisa.mba import fit_mba
 from wqisa.metrics import ErrorStats, surface_sample_points
-from wqisa.pipeline import FitConfig, knn_parameter_grid, split, tune_parameters
+from wqisa.pipeline import FitConfig, cross_validate, kfold_splits, knn_parameter_grid, split, tune_parameters
 from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
+from wqisa.synthetic import hemisphere_cloud, perturb
+from wqisa.weights import NeighbourTable, WeightSpec
 
 UNIT = TensorSplineSpace(KnotVector.uniform_open(1, 1), KnotVector.uniform_open(1, 1))
+FLAT = WqisaSurface(UNIT, np.zeros((2, 2)))
 CLOUD = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 1.0, 4.0]])
 KNOTS = [0.0, 0.0, 1.0, 1.0]
 # the fields that mark a file as a surface, and a whole payload of the unit surface
@@ -47,7 +51,7 @@ REFUSALS = [
         "degrees[0] must be an integer >= 0, got -1",
         id="fit-config-degrees",
     ),
-    pytest.param(lambda: knn_parameter_grid(0), "max_k must be >= 1", id="knn-grid-empty"),
+    pytest.param(lambda: knn_parameter_grid(0), "max_k must be an integer >= 1, got 0", id="knn-grid-empty"),
     pytest.param(
         lambda: tune_parameters(CLOUD, CLOUD, UNIT, []),
         "parameter grid must be nonempty",
@@ -75,7 +79,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: KnotVector.uniform_open(2, 0),
-        "num_elements must be >= 1",
+        "num_elements must be an integer >= 1, got 0",
         id="uniform-no-elements",
     ),
     pytest.param(
@@ -95,7 +99,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: TensorSplineSpace.uniform((2, 2), (0.0, 1.0, 0.0, 1.0), 0),
-        "num_elements must be >= 1",
+        "num_elements must be an integer >= 1, got 0",
         id="space-uniform-no-elements",
     ),
     pytest.param(
@@ -105,7 +109,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: surface_sample_points(WqisaSurface(UNIT, np.zeros((2, 2))), density=0),
-        "density must be >= 1",
+        "density must be an integer >= 1, got 0",
         id="sample-density-zero",
     ),
     pytest.param(
@@ -145,6 +149,46 @@ REFUSALS = [
         "points must have shape (N, 2), got (4,)",
         id="index-shape",
     ),
+    pytest.param(
+        lambda: NeighbourTable(CLOUD, np.zeros((4, 3)), [WeightSpec.knn(1)]),
+        "a query is one point (2,) or a block (m, 2), got shape (4, 3)",
+        id="table-centres-4x3",
+    ),
+    pytest.param(
+        lambda: NeighbourTable(CLOUD, np.zeros((1, 3)), [WeightSpec.idw()]),
+        "a query is one point (2,) or a block (m, 2), got shape (1, 3)",
+        id="table-centres-1x3",
+    ),
+]
+
+# every count and seed argument of the library, by its name, its minimum and
+# a call that passes it: a bool, a fraction and a value below the minimum
+# are each refused by name, as FitConfig's integer fields are
+COUNTS = [
+    ("fit-mba", "max_levels", 1, lambda v: fit_mba(CLOUD, v, CLOUD)),
+    ("knn-grid", "max_k", 1, knn_parameter_grid),
+    ("kfold", "k", 2, lambda v: kfold_splits(CLOUD, v)),
+    ("kfold-seed", "seed", 0, lambda v: kfold_splits(CLOUD, 2, seed=v)),
+    ("cross-validate", "k", 2, lambda v: cross_validate(CLOUD, FitConfig(), v)),
+    ("uniform", "num_elements", 1, lambda v: KnotVector.uniform_open(2, v)),
+    ("space-uniform", "num_elements", 1, lambda v: TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), v)),
+    ("hemisphere", "n", 1, hemisphere_cloud),
+    ("hemisphere-seed", "seed", 0, lambda v: hemisphere_cloud(4, v)),
+    ("sample-density", "density", 1, lambda v: surface_sample_points(FLAT, v)),
+    ("grid-x", "resolution[0]", 2, lambda v: write_surface_grid(FLAT, (v, 5), "g.xyz")),
+    ("grid-y", "resolution[1]", 2, lambda v: write_surface_grid(FLAT, (5, v), "g.xyz")),
+    ("index-knn", "k", 1, lambda v: PlanarIndex(CLOUD[:, :2]).knn((0.5, 0.5), v)),
+    ("split-seed", "seed", 0, lambda v: split(CLOUD, seed=v)),
+    ("perturb-seed", "seed", 0, lambda v: perturb(CLOUD, noise_std=0.1, seed=v)),
+]
+REFUSALS += [
+    pytest.param(
+        lambda call=call, value=value: call(value),
+        f"{name} must be an integer >= {minimum}, got {value!r}",
+        id=f"{label}-{value!r}",
+    )
+    for label, name, minimum, call in COUNTS
+    for value in (True, 2.5, minimum - 1)
 ]
 
 

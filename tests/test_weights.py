@@ -316,6 +316,25 @@ class TestEstimateControlPoint:
         with pytest.raises(ValueError, match=r"query point \(1e\+200, 0\.5\) is too far"):
             NeighbourTable(cloud, [(0.0, 0.0), (1e200, 0.5)], [spec])
 
+    @pytest.mark.parametrize(
+        "centre, message",
+        [((0.5, np.nan), r"query point must be finite, got \(0\.5, nan\)"),
+         ((1e200, 0.5), r"query point \(1e\+200, 0\.5\) is too far")],
+        ids=["nan", "far"],
+    )
+    @pytest.mark.parametrize("kind", ["indicator", "knn"])
+    def test_a_bad_centre_is_refused_before_any_query(self, monkeypatch, kind, centre, message):
+        # every centre is checked once, before the first block is queried
+        monkeypatch.setattr(kdtree, "TABLE_BUDGET", 1)
+        queried = []
+        for name in ("knn", "within_radius"):
+            monkeypatch.setattr(PlanarIndex, name, lambda index, *args: queried.append(args))
+        cloud = random_cloud(np.random.default_rng(14), 40)
+        spec = WeightSpec.indicator(0.5) if kind == "indicator" else WeightSpec.knn(3)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            NeighbourTable(cloud, [(0.0, 0.0), (0.25, 0.25), centre], [spec])
+        assert queried == []
+
     def test_knn_matches_brute_force_bit_for_bit(self):
         rng = np.random.default_rng(10)
         for _ in range(60):
