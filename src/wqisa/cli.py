@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .clouds import bounding_box
+from .clouds import bounding_box, check_integer
 from .io import (
     read_cloud,
     read_config,
@@ -180,6 +180,8 @@ def _assess(surface, test, density: int) -> dict:
 
 
 def _cmd_compare(args) -> int:
+    # the density is checked first, so a bad one costs no fit
+    check_integer("density", args.density, 1)
     run_config, fit_config, data, domain, wq_surface, wq_report = _fit_run(args)
     wq_errors = _assess(wq_surface, data.test, args.density)
 

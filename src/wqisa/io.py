@@ -10,15 +10,20 @@ the line the first bad one starts on.  The walk defines a valid cloud:
 numpy's reader accepts no file the walk refuses.
 
 Clouds and sampled surface grids are written by one row writer, by the same
-extension rule, in blocks of ``_ROWS_PER_BLOCK`` rows.  Each value is
-written as the bytes of ``'%.17g' % v``, whose 17 significant digits
-reproduce it exactly.  numpy formats every value with
-``1e-4 <= |v| < 1e16``; Python's ``%`` formats the others (zeros,
-subnormals, smaller and larger magnitudes), in one call per block.  A grid
-formats each lattice x and y once, and takes its z values from
-``evaluate_lattice``'s row tiles.  Surfaces and reports are JSON, reports
-without NaN or infinity.  Run configs are ``key = value`` lines with finite
-floats, written as ``%.17g``, and round-trip losslessly.
+extension rule, in blocks of at most ``_ROWS_PER_BLOCK`` rows, from one
+line buffer reused for the whole file: its separators are set once, each
+block overwrites the fields it writes, and the buffer's bytes, NUL padding
+dropped, go to the file without a copy.  Each value is written as the bytes
+of ``'%.17g' % v``, whose 17 significant digits reproduce it exactly.
+numpy formats every value with ``1e-4 <= |v| < 1e16``; Python's ``%``
+formats the others (zeros, subnormals, smaller and larger magnitudes), in
+one call per block.  A grid formats each lattice x and y once and takes its
+z values from ``evaluate_lattice``.  A grid block is whole x rows, or a
+slice of one row past ``_ROWS_PER_BLOCK`` y values: the y column is laid
+out once per grid (per block when rows are sliced), and each block
+broadcasts its x text and formats only its z values.  Surfaces and reports
+are JSON, reports without NaN or infinity.  Run configs are ``key = value``
+lines with finite floats, written as ``%.17g``, and round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ _EXPONENTS = range(-4, 16)
 # 0..9999 as four ASCII digits in one word, the first in the low byte, and
 # the trailing zeros of each (the powers 10**j, j = 1..4, that divide it)
 _QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-_QUADS = _QUADS.view("<u4").ravel().astype(np.uint32)
+_QUADS = _QUADS.view("<u4").ravel().astype(np.uint64)
 _TRAILING = sum(np.arange(10000) % 10**j == 0 for j in range(1, 5)).astype(np.int8)
 # the byte of the digit words that holds the first of the 17 digits
 _FIRST = 7
@@ -143,11 +148,9 @@ def _fields(values: np.ndarray) -> np.ndarray:
     q1, q3 = high // 10**4, low // 10**4
     q2, q4 = high - q1 * 10**4, low - q3 * 10**4
     # as ASCII in three little-endian words, the lead digit at byte _FIRST
-    packed = np.zeros((values.size, 6), "<u4")
-    packed[:, 1] = (lead + ord("0")) << 24
-    for j, q in enumerate((q1, q2, q3, q4), 2):
-        packed[:, j] = np.take(_QUADS, q)
-    w0, w1, w2 = packed.view("<u8").T
+    w0 = (lead.astype(np.uint64) + ord("0")) << 8 * _FIRST
+    w1 = np.take(_QUADS, q1) | np.take(_QUADS, q2) << 32
+    w2 = np.take(_QUADS, q3) | np.take(_QUADS, q4) << 32
     # the digits kept run through the last nonzero one
     low_zeros = np.where(q4 == 0, 4 + np.take(_TRAILING, q3), np.take(_TRAILING, q4))
     high_zeros = np.where(q2 == 0, 4 + np.take(_TRAILING, q1), np.take(_TRAILING, q2))
@@ -160,9 +163,10 @@ def _fields(values: np.ndarray) -> np.ndarray:
     further = there[0] << 8, (there[1] << 8) | (there[0] >> 56), (there[2] << 8) | (there[1] >> 56)
     text = np.take(_CONSTANTS, plan, axis=1)
     masks = np.take(_MASKS, plan, axis=2)
+    words = np.empty((values.size, 3), "<u8")
     for j in range(3):
-        text[j] |= (there[j] & masks[0, j]) | (further[j] & masks[1, j])
-    chars = np.ascontiguousarray(text.T, "<u8").view(np.uint8)
+        np.bitwise_or(text[j], (there[j] & masks[0, j]) | (further[j] & masks[1, j]), out=words[:, j])
+    chars = words.view(np.uint8)
     # zeros, subnormals, the two ends and any value refused above
     rest = np.flatnonzero(~fast)
     if rest.size:
@@ -176,19 +180,21 @@ def _cloud_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "xyz"
 
 
-def _write_points(path, n: int, columns) -> None:
-    """Write *n* rows to the point file *path* in its format, the rows
-    ``start:stop`` being the three ``_fields`` columns ``columns(start, stop)``."""
+def _write_points(path, rows: int, blocks) -> None:
+    """Write the point file *path* in its format from one line buffer of
+    *rows* rows, three ``_WIDTH``-byte fields and their separators each,
+    reused block by block; the separators are set once.
+    ``blocks(fields)`` is given the buffer's ``(rows, 3, _WIDTH)`` field
+    bytes and yields the row count of each block once it has filled the
+    first rows; a field it leaves keeps the bytes of the block before."""
     is_csv = _cloud_format(Path(path)) == "csv"
+    line = np.empty((rows, 3, _WIDTH + 1), np.uint8)
+    line[:, :, _WIDTH] = np.frombuffer(b",,\n" if is_csv else b"  \n", np.uint8)
     with Path(path).open("wb") as fh:
         fh.write(",".join(_CSV_COLUMNS).encode() + b"\n" if is_csv else b"")
-        for start in range(0, n, _ROWS_PER_BLOCK):
-            stop = min(start + _ROWS_PER_BLOCK, n)
-            chars = np.zeros((stop - start, 3, _WIDTH + 1), np.uint8)
-            for j, column in enumerate(columns(start, stop)):
-                chars[:, j, :_WIDTH] = column
-            chars[:, :, _WIDTH] = np.frombuffer(b",,\n" if is_csv else b"  \n", np.uint8)
-            fh.write(chars[chars != 0].tobytes())
+        for count in blocks(line[:, :, :_WIDTH]):
+            chars = line[:count]
+            fh.write(chars[chars != 0])
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:
@@ -294,7 +300,15 @@ def read_cloud(path) -> np.ndarray:
 def write_cloud(path, cloud) -> None:
     """Write a cloud as CSV to a ``.csv`` path, else as XYZ ascii."""
     cloud = as_cloud(cloud)
-    _write_points(path, cloud.shape[0], lambda start, stop: [_fields(c) for c in cloud[start:stop].T])
+
+    def blocks(fields):
+        for start in range(0, cloud.shape[0], _ROWS_PER_BLOCK):
+            block = cloud[start : start + _ROWS_PER_BLOCK]
+            for j in range(3):
+                fields[: len(block), j] = _fields(block[:, j])
+            yield len(block)
+
+    _write_points(path, min(cloud.shape[0], _ROWS_PER_BLOCK), blocks)
 
 
 def save_surface(surface: WqisaSurface, path) -> None:
@@ -342,17 +356,33 @@ def write_surface_grid(surface: WqisaSurface, resolution: tuple[int, int], path)
     rx, ry = (check_integer(f"resolution[{i}]", r, 2) for i, r in enumerate(resolution))
     xmin, xmax, ymin, ymax = surface.space.domain
     xs, ys = np.linspace(xmin, xmax, rx), np.linspace(ymin, ymax, ry)
-    z = surface.evaluate_lattice(xs, ys)
+    z = surface.evaluate_lattice(xs, ys).reshape(rx, ry)
     if not np.isfinite(z).all():
         raise ValueError("the sampled surface holds non-finite values")
-    # each lattice x and y is formatted once, and its text gathered per row
-    x_text, y_text = _fields(xs), _fields(ys)
+    # each lattice x and y is formatted once, a block of them at a time; a
+    # block of the grid is whole x rows, or a slice of one row past
+    # _ROWS_PER_BLOCK y values
+    x_text, y_text = (
+        np.concatenate([_fields(t[s : s + _ROWS_PER_BLOCK]) for s in range(0, t.size, _ROWS_PER_BLOCK)])
+        for t in (xs, ys)
+    )
+    height, width = min(rx, max(1, _ROWS_PER_BLOCK // ry)), min(ry, _ROWS_PER_BLOCK)
 
-    def columns(start, stop):
-        i, j = np.divmod(np.arange(start, stop), ry)
-        return np.take(x_text, i, axis=0), np.take(y_text, j, axis=0), _fields(z[start:stop])
+    def blocks(fields):
+        grid = fields.reshape(height, width, 3, _WIDTH)
+        laid = None  # the first y of the slice the y column holds
+        for i in range(0, rx, height):
+            for j in range(0, ry, width):
+                values = z[i : i + height, j : j + width]
+                tile = grid[: values.shape[0], : values.shape[1]]
+                if j != laid:
+                    tile[:, :, 1] = y_text[j : j + width]
+                    laid = j
+                tile[:, :, 0] = x_text[i : i + height, None]
+                tile[:, :, 2] = _fields(values.ravel()).reshape(*values.shape, _WIDTH)
+                yield values.size
 
-    _write_points(path, z.size, columns)
+    _write_points(path, height * width, blocks)
 
 
 def write_report(payload: dict, path) -> None:

@@ -115,6 +115,7 @@ class KnotVector:
         cls, degree: int, num_elements: int, lo: float = 0.0, hi: float = 1.0
     ) -> "KnotVector":
         """Open knot vector with *num_elements* equal spans on ``[lo, hi]``."""
+        degree = check_integer("degree", degree, 0)
         num_elements = check_integer("num_elements", num_elements, 1)
         if not lo < hi:
             raise ValueError("lo must be < hi")
@@ -125,6 +126,7 @@ class KnotVector:
     @classmethod
     def piecewise_bezier(cls, degree: int, breakpoints) -> "KnotVector":
         """Knot vector with every knot at maximum multiplicity ``degree + 1``."""
+        degree = check_integer("degree", degree, 0)
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing with >= 2 values")

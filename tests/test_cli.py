@@ -388,6 +388,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_a_bad_compare_density_is_named_before_the_config_and_cloud_are_read(self, tmp_path, capsys):
+        # neither file exists: the density is checked before either is read,
+        # so a bad one costs no fit
+        argv = ["compare", "--cloud", str(tmp_path / "missing.xyz"), "--config", str(tmp_path / "missing.cfg"),
+                "--out", str(tmp_path / "c.json"), "--density", "0"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: density must be an integer >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_cloud_is_two(self, tmp_path, config_file):
         bad = tmp_path / "bad.xyz"
         bad.write_text("1 2 fish\n")

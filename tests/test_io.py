@@ -1,6 +1,7 @@
 """Tests for cloud files, surface persistence, and run configurations."""
 
 import re
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from wqisa.io import (
     _ROWS_PER_BLOCK,
+    _WIDTH,
     _fields,
     CloudParseError,
     ConfigError,
@@ -342,14 +344,7 @@ class TestWrittenText:
         # the grid formats each lattice x and y once; its bytes are those of
         # the sampled lattice written as a cloud of the same extension, also
         # when y spans chunks
-        if make_surface == "tricky":
-            surface = tricky_surface()
-        else:
-            space = TensorSplineSpace(
-                KnotVector.uniform_open(2, 3, -7.25, -1.0 / 3.0),
-                KnotVector.uniform_open(3, 4, -1e-3, 2.0 / 7.0),
-            )
-            surface = WqisaSurface(space, np.random.default_rng(6).normal(size=space.shape))
+        surface = tricky_surface() if make_surface == "tricky" else negative_surface(6)
         grid, lattice = tmp_path / f"grid{suffix}", tmp_path / f"lattice{suffix}"
         write_surface_grid(surface, resolution, grid)
         write_cloud(lattice, sample_lattice(surface, resolution))
@@ -458,17 +453,12 @@ class TestWrittenBytes:
 
     @pytest.mark.parametrize("resolution", [(2, 2), (3, 1100), (1100, 3), (500, 500)])
     def test_grid_is_the_reference_text(self, tmp_path, resolution):
-        space = TensorSplineSpace(
-            KnotVector.uniform_open(2, 3, -7.25, -1.0 / 3.0),
-            KnotVector.uniform_open(3, 4, -1e-3, 2.0 / 7.0),
-        )
-        surface = WqisaSurface(space, np.random.default_rng(9).normal(size=space.shape))
-        self.assert_grid(tmp_path, surface, resolution)
+        assert_grid_text(tmp_path, negative_surface(9), resolution)
 
     def test_grid_of_zeros_is_the_reference_text(self, tmp_path):
         # every z is formatted by %
         space = TensorSplineSpace(KnotVector.uniform_open(1, 2), KnotVector.uniform_open(2, 2))
-        self.assert_grid(tmp_path, WqisaSurface(space, np.zeros(space.shape)), (40, 30))
+        assert_grid_text(tmp_path, WqisaSurface(space, np.zeros(space.shape)), (40, 30))
 
     def test_non_finite_grid_refused_before_writing(self, tmp_path, monkeypatch):
         space = TensorSplineSpace(KnotVector.uniform_open(1, 2), KnotVector.uniform_open(1, 2))
@@ -480,13 +470,85 @@ class TestWrittenBytes:
             write_surface_grid(WqisaSurface(space, np.zeros(space.shape)), (3, 3), path)
         assert not path.exists()
 
-    def assert_grid(self, tmp_path, surface, resolution):
-        lattice = sample_lattice(surface, resolution)
-        ry = resolution[1]
-        path = tmp_path / "grid.csv"
-        write_surface_grid(surface, resolution, path)
-        expected = reference_grid_text(lattice[::ry, 0], lattice[:ry, 1], lattice[:, 2])
+
+class TestGridWriterBlocks:
+    """Grids and clouds share one row writer, which reuses its line buffer
+    from block to block: each block must overwrite every field it writes,
+    whatever the block before held there."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "resolution",
+        [
+            (2, 2 * _ROWS_PER_BLOCK + 3),  # a block is a slice of one x row
+            (37, 1000),  # eight x rows a block, five in the last
+        ],
+    )
+    def test_grid_blocks_are_the_reference_text(self, tmp_path, resolution, fmt):
+        assert_grid_text(tmp_path, negative_surface(9), resolution, fmt)
+
+    def test_grid_x_texts_shrink_between_blocks(self, tmp_path):
+        # one x row a block: a short x text follows a longer one, so the
+        # reused x column must be overwritten to its last byte
+        resolution = (9, _ROWS_PER_BLOCK // 2 + 1)
+        surface = negative_surface(9)
+        lengths = [len("%.17g" % x) for x in np.linspace(*surface.space.domain[:2], resolution[0])]
+        assert any(b < a for a, b in zip(lengths, lengths[1:]))
+        for fmt in FORMATS:
+            assert_grid_text(tmp_path, surface, resolution, fmt)
+
+    @pytest.mark.parametrize("fmt, sep", [("xyz", " "), ("csv", ",")])
+    def test_cloud_of_many_blocks_is_the_reference_text(self, tmp_path, fmt, sep):
+        # four blocks, the last partial: long texts, then short ones, then
+        # the slow path's zeros and subnormals
+        rng = np.random.default_rng(23)
+        cloud = random_cloud(rng, 3 * _ROWS_PER_BLOCK + 5)
+        cloud[:, 2] *= 10.0 ** rng.integers(-8, 20, cloud.shape[0])
+        cloud[_ROWS_PER_BLOCK : 2 * _ROWS_PER_BLOCK] = np.round(cloud[_ROWS_PER_BLOCK : 2 * _ROWS_PER_BLOCK], 1)
+        cloud[2 * _ROWS_PER_BLOCK :: 2] = (0.0, -0.0, 5e-324)
+        path = tmp_path / f"c.{fmt}"
+        write_cloud(path, cloud)
+        header = "x,y,z\n" if fmt == "csv" else ""
+        assert path.read_text() == header + reference_cloud_text(cloud, sep)
+
+    def test_grid_memory_is_the_lattice_and_a_few_blocks(self, tmp_path):
+        # a 1000 x 1000 grid holds its 8 MB lattice; the text is written a
+        # block at a time, so the peak stays within a fixed number of line
+        # buffers beyond it (a whole grid's text would take 75 MB)
+        knots = KnotVector.uniform_open(2, 8)
+        surface = WqisaSurface(TensorSplineSpace(knots, knots), np.random.default_rng(3).uniform(size=(10, 10)))
+        write_surface_grid(surface, (3, 3), tmp_path / "warm.csv")  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            write_surface_grid(surface, (1000, 1000), tmp_path / "grid.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 1000 * 1000 + 8 * _ROWS_PER_BLOCK * 3 * (_WIDTH + 1)
+
+
+def negative_surface(seed: int) -> WqisaSurface:
+    """Random coefficients over x in [-7.25, -1/3] and y in [-1e-3, 2/7]:
+    lattice texts of many lengths, signs and exponents."""
+    space = TensorSplineSpace(
+        KnotVector.uniform_open(2, 3, -7.25, -1.0 / 3.0),
+        KnotVector.uniform_open(3, 4, -1e-3, 2.0 / 7.0),
+    )
+    return WqisaSurface(space, np.random.default_rng(seed).normal(size=space.shape))
+
+
+def assert_grid_text(tmp_path, surface, resolution, fmt="csv"):
+    """The grid ``write_surface_grid`` writes is the reference text of the
+    sampled lattice, in the format *fmt*."""
+    lattice = sample_lattice(surface, resolution)
+    ry = resolution[1]
+    path = tmp_path / f"grid.{fmt}"
+    write_surface_grid(surface, resolution, path)
+    expected = reference_grid_text(lattice[::ry, 0], lattice[:ry, 1], lattice[:, 2])
+    if fmt == "csv":
         assert path.read_text() == "x,y,z\n" + expected
+    else:
+        assert path.read_text() == expected.replace(",", " ")
 
 
 class TestWriteReport:

@@ -172,6 +172,10 @@ COUNTS = [
     ("cross-validate", "k", 2, lambda v: cross_validate(CLOUD, FitConfig(), v)),
     ("uniform", "num_elements", 1, lambda v: KnotVector.uniform_open(2, v)),
     ("space-uniform", "num_elements", 1, lambda v: TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), v)),
+    ("uniform-degree", "degree", 0, lambda v: KnotVector.uniform_open(v, 2)),
+    ("bezier-degree", "degree", 0, lambda v: KnotVector.piecewise_bezier(v, [0.0, 1.0])),
+    ("space-uniform-degree", "degree", 0, lambda v: TensorSplineSpace.uniform((v, 2), (0, 1, 0, 1), 2)),
+    ("fit-mba-degree", "degree", 0, lambda v: fit_mba(CLOUD, 3, CLOUD, degrees=(v, 2))),
     ("hemisphere", "n", 1, hemisphere_cloud),
     ("hemisphere-seed", "seed", 0, lambda v: hemisphere_cloud(4, v)),
     ("sample-density", "density", 1, lambda v: surface_sample_points(FLAT, v)),
