@@ -70,3 +70,32 @@ def check_planar_extent(domain: tuple[float, float, float, float], flat_ok: bool
             f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} is too narrow in "
             f"{' and '.join(narrow)}: the square of its width is below the smallest normal float"
         )
+
+
+def check_planar_diagonal(domain: tuple[float, float, float, float]) -> None:
+    """Raise ``ValueError`` naming *domain*, an ``(xmin, xmax, ymin, ymax)`` box,
+    if its squared diagonal, in Python floats (an overflow is ``inf``, not a
+    warning), is not finite: squared distances across it would tie."""
+    xmin, xmax, ymin, ymax = map(float, domain)
+    width, height = xmax - xmin, ymax - ymin
+    if not np.isfinite(width * width + height * height):
+        raise ValueError(
+            f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} is too wide: "
+            "the square of its diagonal is not finite"
+        )
+
+
+def squared_distance(columns, at, point) -> np.ndarray:
+    """``sum((column[at] - coordinate)**2)`` over paired *columns* and *point*
+    coordinates, broadcast, in column order: the one squared distance of the
+    k-d tree, the neighbour tables and Hausdorff, so a pair has the same bits
+    on every path.  One reused ``term`` buffer takes each further column."""
+    (first, *rest), (lead, *others) = columns, point
+    d2 = first[at] - lead
+    d2 *= d2
+    term = np.empty_like(d2)
+    for column, coordinate in zip(rest, others):
+        np.subtract(column[at], coordinate, out=term)
+        term *= term
+        d2 += term
+    return d2

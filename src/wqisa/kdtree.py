@@ -19,7 +19,7 @@ within its query's bound.  The kept leaves' points are scanned in
 ``budget_runs``, as tables cut rows.
 
 Built once, then immutable, so an index can be shared across threads.
-``planar_d2`` is the squared distance of the tree and the tables, and a box's
+``clouds.squared_distance`` is the tree's squared distance, and a box's
 squared gap is taken the same way from its nearest sides.  Subtraction and
 squaring are monotone in floating point, so a point in a box beyond the bound
 can neither reach nor tie it, and results equal a full scan's.  Ties at the
@@ -34,7 +34,7 @@ from math import isfinite
 
 import numpy as np
 
-from .clouds import check_integer
+from .clouds import check_integer, squared_distance
 
 # most points per leaf: a leaf costs one numpy pass, not a Python step per point
 LEAF_SIZE = 64
@@ -175,7 +175,7 @@ class PlanarIndex:
         for rows in budget_runs(np.full(len(block), width)):
             inside = cols < self._size[node[rows], None]
             pos = np.where(inside, self._start[node[rows], None] + cols, 0)
-            d2 = planar_d2(self._x, self._y, pos, block[rows, 0, None], block[rows, 1, None])
+            d2 = squared_distance((self._x, self._y), pos, (block[rows, 0, None], block[rows, 1, None]))
             d2[~inside] = np.inf
             bound[rows] = np.partition(d2, k - 1, axis=1)[:, k - 1]
         return bound, visited
@@ -215,18 +215,8 @@ class PlanarIndex:
             size = sizes[pairs]
             owner = np.repeat(cq[pairs], size)
             pos = np.arange(owner.size) + np.repeat(self._start[node[pairs]] - np.cumsum(size) + size, size)
-            yield rows, owner, pos, planar_d2(self._x, self._y, pos, block[owner, 0], block[owner, 1])
-
-
-def planar_d2(x: np.ndarray, y: np.ndarray, at: np.ndarray, u, v) -> np.ndarray:
-    """``(x[at] - u)**2 + (y[at] - v)**2``, broadcast, in place: the one squared
-    distance, so a pair has the same bits, and ties alike, on every path."""
-    d2 = x[at] - u
-    d2 *= d2
-    dv = y[at] - v
-    dv *= dv
-    d2 += dv
-    return d2
+            centres = (block[owner, 0], block[owner, 1])  # contiguous, not strided columns
+            yield rows, owner, pos, squared_distance((self._x, self._y), pos, centres)
 
 
 def budget_runs(sizes: np.ndarray):

@@ -5,7 +5,8 @@ elements in both directions and fits the residuals left by the accumulated
 surface.  Level coefficients come from the explicit local least-squares
 formula: for each data point the minimum-norm coefficients reproducing it
 are computed, then blended per basis function with its squared basis values
-as blending weights.  No linear system is solved.
+as blending weights.  No linear system is solved.  A level's one set of
+training ``tensor_rows`` gives its coefficients and the next residual.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .clouds import as_cloud, check_integer, check_planar_extent, joint_bounding_box
 from .metrics import mean_square
 from .pipeline import STAGNATION_TOL, FitConfig
-from .splines import TensorSplineSpace, WqisaSurface, tensor_rows
+from .splines import TensorRows, TensorSplineSpace, WqisaSurface, tensor_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +51,17 @@ class MbaSurface:
         return total
 
 
-def mba_level_coefficients(cloud, space: TensorSplineSpace) -> np.ndarray:
-    """Explicit per-level coefficients for the residual cloud on *space*.
+def mba_level_coefficients(rows: TensorRows, z) -> np.ndarray:
+    """Explicit per-level coefficients for the heights *z* at the points of *rows*.
 
     A basis function with no data point in its support gets coefficient 0,
-    which keeps the operation total.
+    which keeps the operation total.  *z* must be one finite height a point.
     """
-    cloud = as_cloud(cloud)
-    rows = tensor_rows(space, cloud[:, 0], cloud[:, 1])
+    z = np.asarray(z, dtype=float)
+    if z.shape != rows.base.shape:
+        raise ValueError(f"z must hold one height per point, shape {rows.base.shape}, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
     bx, by = rows.bx, rows.by
     # sum of squared active basis values factorizes over the tensor product
     ssq = (bx**2).sum(axis=0) * (by**2).sum(axis=0)
@@ -65,9 +69,9 @@ def mba_level_coefficients(cloud, space: TensorSplineSpace) -> np.ndarray:
     # by slot, and within a slot point by point
     w = bx[:, None, :] * by[None, :, :]
     flat = (rows.offsets[:, :, None] + rows.base).ravel()
-    nx, ny = space.shape
+    nx, ny = rows.shape
     # w * w * w, not w**3: numpy's power rounds by the SIMD variant it dispatches
-    numerator = np.bincount(flat, (w * w * w * cloud[:, 2] / ssq).ravel(), minlength=nx * ny)
+    numerator = np.bincount(flat, (w * w * w * z / ssq).ravel(), minlength=nx * ny)
     denominator = np.bincount(flat, (w**2).ravel(), minlength=nx * ny)
     grid = np.zeros(nx * ny)
     touched = denominator > 0.0
@@ -113,9 +117,8 @@ def fit_mba(
         space = TensorSplineSpace.uniform(degrees, domain, 2**level)
         if level > 0 and space.shape[0] * space.shape[1] > cloud.shape[0]:
             break
-        grid = mba_level_coefficients(
-            np.column_stack([cloud[:, 0], cloud[:, 1], residual]), space
-        )
+        rows = tensor_rows(space, cloud[:, 0], cloud[:, 1])
+        grid = mba_level_coefficients(rows, residual)
         surface = WqisaSurface(space, grid)
         candidate_val = val_pred + surface.evaluate_many(validation[:, 0], validation[:, 1])
         gmse = mean_square(validation[:, 2] - candidate_val)
@@ -127,5 +130,5 @@ def fit_mba(
         if previous is not None and previous - gmse <= STAGNATION_TOL * previous:
             break
         val_pred = candidate_val
-        residual = residual - surface.evaluate_many(cloud[:, 0], cloud[:, 1])
+        residual = residual - rows.values(grid)
     return MbaSurface(tuple(levels)), gmse_history

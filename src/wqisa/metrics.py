@@ -1,4 +1,5 @@
-"""Evaluation measures: mean squares, punctual error statistics, LMSE maps, exact pruned Hausdorff."""
+"""Evaluation measures: mean squares, punctual error statistics, LMSE maps, exact pruned Hausdorff,
+whose squared distances are ``clouds.squared_distance``, as the k-d tree's are."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .clouds import as_cloud, check_integer
+from .clouds import as_cloud, check_integer, squared_distance
 from .splines import TensorSplineSpace, locate_spans
 
 # point pairs per distance block: bounds peak memory in either argument
@@ -149,12 +150,12 @@ def _directed(a: np.ndarray, b: np.ndarray, box: tuple, best: float) -> float:
         cell, out = cells(block), np.full(block.shape[0], np.inf)
         for step in (-ny - 3, -ny - 2, -ny - 1, -1, 0, 1, ny + 1, ny + 2, ny + 3):
             r = keep[cell + step]
-            np.minimum(out, _squared(block.T, (bx[r], by[r], bz[r])), out=out)
+            np.minimum(out, squared_distance(columns, r, block.T), out=out)
         return out
 
     # each cell keeps its lowest-id point of b, an empty one a sentinel at
     # infinity; both sets go a block at a time, so no temporary grows with them
-    bx, by, bz = np.hstack([b.T, np.full((3, 1), np.inf)])  # contiguous rows
+    columns = np.hstack([b.T, np.full((3, 1), np.inf)])  # contiguous x, y and z rows
     keep = np.full((nx + 2) * (ny + 2), n)
     for start in range(0, n, _BLOCK_ROWS):
         block = b[start : start + _BLOCK_ROWS]
@@ -167,19 +168,9 @@ def _directed(a: np.ndarray, b: np.ndarray, box: tuple, best: float) -> float:
         batch = order[start : start + rows]
         batch = batch[bound[batch] > best]  # a prefix: the bounds descend
         # no name holds the block, so it is freed before the next is made
-        best = max(best, float(_squared(a[batch].T[..., None], (bx[:n], by[:n], bz[:n])).min(axis=1).max()))
+        best = max(best, float(squared_distance(columns, slice(n), a[batch].T[..., None]).min(axis=1).max()))
         start += rows
     return best
-
-
-def _squared(a, b) -> np.ndarray:
-    """``dx**2 + dy**2 + dz**2`` from points *a* to *b*, each three broadcast
-    coordinate arrays: the one 3-d squared distance, of a bound and a scan."""
-    d2 = np.square(a[0] - b[0])
-    term = np.empty_like(d2)  # the other terms are made in place: two blocks live at a time
-    for u, v in zip(a[1:], b[1:]):
-        d2 += np.square(np.subtract(u, v, out=term), out=term)
-    return d2
 
 
 def surface_sample_points(surface, density: int = DEFAULT_DENSITY) -> np.ndarray:

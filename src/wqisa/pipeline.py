@@ -26,7 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box, check_integer, check_planar_extent, joint_bounding_box
+from .clouds import as_cloud, bounding_box, check_integer, check_planar_diagonal, check_planar_extent
+from .clouds import joint_bounding_box
 from .metrics import mean_square, residuals
 # the fit calls neither `lmse` nor `fit_surface`; perfbench's tracer wraps both at these names
 from .metrics import ElementErrorMap, ErrorStats, _error_map, gmse as surface_gmse, lmse  # noqa: F401
@@ -66,10 +67,7 @@ def split(cloud, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS, seed
     n = cloud.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 points to split, got {n}")
-    ft, fv, fu = fractions
-    # written so that a NaN fraction, which fails every comparison, is rejected
-    if not (min(ft, fv, fu) > 0 and ft + fv + fu <= 1 + 1e-9):
-        raise ValueError(f"fractions must be positive and sum to at most 1, got {fractions}")
+    ft, fv, fu = _check_fractions(fractions)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     n_train = int(round(n * ft))
@@ -167,14 +165,7 @@ class FitConfig:
         object.__setattr__(self, "degrees", degrees)
         if not (self.epsilon is None or _real(self.epsilon) and 0 <= self.epsilon < inf):
             raise ValueError(f"epsilon must be None, or finite and >= 0, got {self.epsilon!r}")
-        fractions = self.fractions
-        if not (
-            isinstance(fractions, (tuple, list)) and len(fractions) == 3
-            and all(_real(f) and 0 < f < inf for f in fractions) and sum(fractions) <= 1 + 1e-9
-        ):
-            raise ValueError(
-                f"fractions must be three finite positive values that sum to at most 1, got {fractions!r}"
-            )
+        _check_fractions(self.fractions)
         for name, minimum in (("max_iterations", 1), ("seed", 0)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
 
@@ -186,6 +177,19 @@ class FitConfig:
 def _real(value) -> bool:
     """Whether *value* is a real number and not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_fractions(fractions) -> tuple[float, float, float]:
+    """*fractions*, the shares of a split, as ``FitConfig`` and ``split`` take
+    them; ``ValueError`` unless three finite positive reals sum to at most 1."""
+    if not (
+        isinstance(fractions, (tuple, list)) and len(fractions) == 3
+        and all(_real(f) and 0 < f < inf for f in fractions) and sum(fractions) <= 1 + 1e-9
+    ):
+        raise ValueError(
+            f"fractions must be three finite positive values that sum to at most 1, got {fractions!r}"
+        )
+    return tuple(fractions)
 
 
 class TuneResult(NamedTuple):
@@ -308,6 +312,7 @@ def fit_split(
     if domain is None:
         domain = joint_bounding_box(data.training, data.validation, data.test)
     check_planar_extent(domain)
+    check_planar_diagonal(domain)
     epsilon = config.epsilon
     if epsilon is None:
         z = data.training[:, 2]

@@ -22,7 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +53,13 @@ class KnotVector:
     """An open knot vector: a degree plus a nondecreasing knot sequence.
 
     For ``len(knots) == n + degree + 1`` the vector spans ``n`` basis
-    functions over the domain ``[knots[degree], knots[n]]``.
+    functions over the domain ``[knots[degree], knots[n]]``.  ``breakpoints``,
+    the distinct knots (element edges), is found once and kept read-only.
     """
 
     degree: int
     knots: np.ndarray
+    breakpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree", check_integer("degree", self.degree, 0))
@@ -78,20 +80,19 @@ class KnotVector:
         a, b = knots[p], knots[n]
         if a == b:
             raise ValueError("domain is empty: boundary knots coincide")
+        edges, counts = np.unique(knots, return_counts=True)
+        edges.flags.writeable = False
+        object.__setattr__(self, "breakpoints", edges)
         # a subnormal span would overflow the recurrence and make NaN values
-        gaps = np.diff(knots)
-        narrowest = float(gaps[gaps > 0].min())
+        narrowest = float(np.diff(edges).min())
         if narrowest < _NARROWEST_SPAN:
             raise ValueError(f"knot span of width {narrowest!r} is too narrow to evaluate")
-        if np.count_nonzero(knots == a) != p + 1 or knots[0] != a:
+        if edges[0] != a or counts[0] != p + 1:
             raise ValueError(f"left boundary knot must occur exactly {p + 1} times")
-        if np.count_nonzero(knots == b) != p + 1 or knots[-1] != b:
+        if edges[-1] != b or counts[-1] != p + 1:
             raise ValueError(f"right boundary knot must occur exactly {p + 1} times")
-        interior = knots[(knots > a) & (knots < b)]
-        if interior.size:
-            _, counts = np.unique(interior, return_counts=True)
-            if counts.max() > p + 1:
-                raise ValueError(f"interior knot multiplicity exceeds {p + 1}")
+        if counts[1:-1].max(initial=0) > p + 1:
+            raise ValueError(f"interior knot multiplicity exceeds {p + 1}")
 
     @property
     def num_basis(self) -> int:
@@ -100,11 +101,6 @@ class KnotVector:
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.knots[self.degree]), float(self.knots[self.num_basis])
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Distinct knot values, i.e. the element edges of the mesh."""
-        return np.unique(self.knots)
 
     @property
     def num_elements(self) -> int:
@@ -193,11 +189,12 @@ def knot_averages(kv: KnotVector) -> np.ndarray:
     """
     p = kv.degree
     knots = kv.knots
-    if p == 0:
-        return (knots[:-1] + knots[1:]) / 2.0
-    n = kv.num_basis
-    windows = np.lib.stride_tricks.sliding_window_view(knots, p)
-    return windows[1 : n + 1].mean(axis=1)
+    with np.errstate(over="ignore"):  # a sum that overflows gives inf, which a table refuses
+        if p == 0:
+            return (knots[:-1] + knots[1:]) / 2.0
+        n = kv.num_basis
+        windows = np.lib.stride_tricks.sliding_window_view(knots, p)
+        return windows[1 : n + 1].mean(axis=1)
 
 
 def knot_average_grid(space: TensorSplineSpace) -> np.ndarray:

@@ -13,24 +13,24 @@ closest points.  ``_window`` is the one definition of each kernel.  The
 kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
 ``PlanarIndex`` at every cloud size; the others weigh the whole cloud.
 
-Coefficients are estimated in batches.  A ``NeighbourTable`` queries its
-knot averages a block at a time, through one ``PlanarIndex`` call per block,
-and each centre's row serves every entry of a weight grid of one kind.  The
-table takes the cloud's box once (its index's, or one ``bounding_box`` for a
-full scan), checks it with ``check_planar_extent`` and each centre against it
-with ``query_point``, makes its rows once with the tree's ``planar_d2``, and
-runs one pass per batch for the specs still going, both in ``budget_runs``:
-the specs' windows are stacked, and the kernels, the Tukey fences (quartiles
-from one sort of the rows of each length, a fence per row), the sums and the
-clamp act on them at once.  Each quotient's numerator ``z * w`` and
-denominator ``w`` are summed by ``np.add.reduceat`` over one row in
-ascending id order, so a coefficient depends neither on its batch, nor on
-the other specs, nor on the machine's BLAS.  ``pipeline.tune_parameters``
-builds one table per mesh and reads every entry of its grid with
-``NeighbourTable.coefficients``; ``fit_surface`` is a table of one spec read
-the same way, and ``estimate_control_point`` a table of one centre.  An
-empty window is a ``ZeroWeightError`` naming its centre; ``coefficients``
-adds its (i, j).
+Coefficients are estimated in batches.  A ``NeighbourTable`` queries its knot
+averages a block at a time, through one ``PlanarIndex`` call per block, and
+each centre's row serves every entry of a weight grid of one kind.  The table
+takes the cloud's box once (its index's, or one ``bounding_box`` for a full
+scan), checks it with ``check_planar_extent`` and ``check_planar_diagonal``
+and each centre with ``query_point``, makes its rows once with
+``clouds.squared_distance``, and runs one pass per batch for the specs still
+going, both in ``budget_runs``: the specs' windows are stacked, and the
+kernels, the Tukey fences (quartiles from one sort of the rows of each
+length, a fence per row), the sums and the clamp act on them at once.  Each
+quotient's numerator ``z * w`` and denominator ``w`` are summed by
+``np.add.reduceat`` over one row in ascending id order, so a coefficient
+depends neither on its batch, nor on the other specs, nor on the machine's
+BLAS.  ``pipeline.tune_parameters`` builds one table per mesh and reads every
+entry of its grid with ``NeighbourTable.coefficients``; ``fit_surface`` is a
+table of one spec read the same way, and ``estimate_control_point`` a table
+of one centre.  An empty window is a ``ZeroWeightError`` naming its centre;
+``coefficients`` adds its (i, j).
 
 The estimate is a convex combination of the contributing heights, so it is
 clamped onto their closed range; the clamp only removes floating-point spill.
@@ -44,9 +44,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .clouds import as_cloud, bounding_box, check_integer, check_planar_extent
+from .clouds import as_cloud, bounding_box, check_integer, check_planar_diagonal, check_planar_extent
+from .clouds import squared_distance
 from . import kdtree
-from .kdtree import PlanarIndex, budget_runs, planar_d2, query_point
+from .kdtree import PlanarIndex, budget_runs, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
 
 # default coincidence tolerance: this fraction of the bounding-box diagonal
@@ -207,6 +208,7 @@ class NeighbourTable:
         else:
             self._box = bounding_box(self.cloud)
         check_planar_extent(self._box, flat_ok=True)
+        check_planar_diagonal(self._box)
         self.centres = query_point(centres, self._box).reshape(-1, 2)
         self.estimates: dict[WeightSpec, np.ndarray | ZeroWeightError] = {}
         going: dict[WeightSpec, np.ndarray] = {}
@@ -284,7 +286,7 @@ class NeighbourTable:
                 lo, hi = starts[run.start], starts[run.stop]
                 # the centres repeated per candidate live only through the call
                 centres = (np.repeat(block[run, axis], sizes[run]) for axis in (0, 1))
-                d2 = planar_d2(self.cloud[:, 0], self.cloud[:, 1], ids[lo:hi], *centres)
+                d2 = squared_distance((self.cloud[:, 0], self.cloud[:, 1]), ids[lo:hi], centres)
                 yield first + run.start, Neighbours(ids[lo:hi], d2, starts[run.start : run.stop + 1] - lo)
             first += len(block)
 

@@ -23,6 +23,7 @@ from wqisa.splines import (
     WqisaSurface,
     basis_rows,
     knot_averages,
+    tensor_rows,
 )
 from wqisa.synthetic import hemisphere_cloud, hemisphere_height, perturb
 from wqisa.weights import (
@@ -309,12 +310,12 @@ def test_criterion_08_mba_baseline():
     # hand-derived single-point oracle: only one bilinear basis is 1 at a corner
     corner = np.array([[0.0, 0.0, 4.25]])
     space = TensorSplineSpace.uniform((1, 1), (0, 1, 0, 1), 1)
-    grid = mba_level_coefficients(corner, space)
+    grid = mba_level_coefficients(tensor_rows(space, corner[:, 0], corner[:, 1]), corner[:, 2])
     np.testing.assert_allclose(grid, [[4.25, 0.0], [0.0, 0.0]], atol=1e-12)
 
     # hand-derived two-point oracle on the same bilinear element
     pts = np.array([[0.25, 0.5, 2.0], [0.75, 0.25, -1.0]])
-    grid = mba_level_coefficients(pts, space)
+    grid = mba_level_coefficients(tensor_rows(space, pts[:, 0], pts[:, 1]), pts[:, 2])
     expected = np.zeros((2, 2))
     weights = []
     for x, y, _ in pts:

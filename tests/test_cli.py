@@ -307,7 +307,7 @@ class TestExitCodes:
             "--surface-out", str(tmp_path / "s.json"), "--report-out", str(tmp_path / "r.json"),
         ]
         assert cli_main(argv) == 2
-        assert re.search(r"query point \(.*\) is too far", capsys.readouterr().err)
+        assert re.search(r"the planar bounding box \(.*\) is too wide", capsys.readouterr().err)
 
     def test_overflowing_hausdorff_is_two(self, tmp_path, capsys):
         # heights and stats are finite, but the surface spans 1e200 in x, so

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 import warnings
 from decimal import Decimal
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ from oracles import (
 
 
 FORMATS = ["xyz", "csv"]
+
+
+def assert_same_text(path, expected: str) -> None:
+    """The text of the file at *path* equals *expected*; a failure names the
+    first line that differs and shows both versions of it, where pytest's
+    diff of two multi-megabyte texts would run for minutes."""
+    got = path.read_text()
+    if got == expected:
+        return
+    pairs = zip_longest(got.splitlines(keepends=True), expected.splitlines(keepends=True))
+    number, (line, wanted) = next((i, pair) for i, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    pytest.fail(f"{path.name} differs first at line {number}: got {line!r}, expected {wanted!r}", pytrace=False)
 
 
 def assert_rejected(path, text, message):
@@ -314,26 +327,27 @@ class TestWrittenText:
         cloud = np.array([[0.1, 1.0 / 3.0, -0.0], [5e-324, 1e22, -2.5]])
         write_cloud(tmp_path / "c.xyz", cloud)
         write_cloud(tmp_path / "c.csv", cloud)
-        assert (tmp_path / "c.xyz").read_text() == TRICKY_ROWS.format(" ")
-        assert (tmp_path / "c.csv").read_text() == "x,y,z\n" + TRICKY_ROWS.format(",")
+        assert_same_text(tmp_path / "c.xyz", TRICKY_ROWS.format(" "))
+        assert_same_text(tmp_path / "c.csv", "x,y,z\n" + TRICKY_ROWS.format(","))
 
     def test_many_rows_match_row_by_row_formatting(self, tmp_path):
         cloud = random_cloud(np.random.default_rng(4), 10_000)
         path = tmp_path / "c.xyz"
         write_cloud(path, cloud)
-        assert path.read_text() == "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in cloud)
+        assert_same_text(path, "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in cloud))
 
     def test_surface_grid_rows(self, tmp_path):
         path = tmp_path / "grid.csv"
         write_surface_grid(tricky_surface(), (3, 2), path)
-        assert path.read_text() == (
+        assert_same_text(
+            path,
             "x,y,z\n"
             "0.10000000000000001,0,0.10000000000000001\n"
             "0.10000000000000001,1e+22,4.9406564584124654e-324\n"
             "0.21666666666666667,0,5.000000000000001e+21\n"
             "0.21666666666666667,1e+22,-0\n"
             "0.33333333333333331,0,1e+22\n"
-            "0.33333333333333331,1e+22,-0\n"
+            "0.33333333333333331,1e+22,-0\n",
         )
 
 
@@ -449,7 +463,7 @@ class TestWrittenBytes:
         path = tmp_path / f"c.{fmt}"
         write_cloud(path, cloud)
         header = "x,y,z\n" if fmt == "csv" else ""
-        assert path.read_text() == header + reference_cloud_text(cloud, sep)
+        assert_same_text(path, header + reference_cloud_text(cloud, sep))
 
     @pytest.mark.parametrize("resolution", [(2, 2), (3, 1100), (1100, 3), (500, 500)])
     def test_grid_is_the_reference_text(self, tmp_path, resolution):
@@ -509,7 +523,7 @@ class TestGridWriterBlocks:
         path = tmp_path / f"c.{fmt}"
         write_cloud(path, cloud)
         header = "x,y,z\n" if fmt == "csv" else ""
-        assert path.read_text() == header + reference_cloud_text(cloud, sep)
+        assert_same_text(path, header + reference_cloud_text(cloud, sep))
 
     def test_grid_memory_is_the_lattice_and_a_few_blocks(self, tmp_path):
         # a 1000 x 1000 grid holds its 8 MB lattice; the text is written a
@@ -546,18 +560,19 @@ def assert_grid_text(tmp_path, surface, resolution, fmt="csv"):
     write_surface_grid(surface, resolution, path)
     expected = reference_grid_text(lattice[::ry, 0], lattice[:ry, 1], lattice[:, 2])
     if fmt == "csv":
-        assert path.read_text() == "x,y,z\n" + expected
+        assert_same_text(path, "x,y,z\n" + expected)
     else:
-        assert path.read_text() == expected.replace(",", " ")
+        assert_same_text(path, expected.replace(",", " "))
 
 
 class TestWriteReport:
     def test_sorted_and_indented(self, tmp_path):
         path = tmp_path / "r.json"
         write_report({"b": [1, 0.1], "a": {"d": None, "c": -0.0}}, path)
-        assert path.read_text() == (
+        assert_same_text(
+            path,
             '{\n  "a": {\n    "c": -0.0,\n    "d": null\n  },\n'
-            '  "b": [\n    1,\n    0.1\n  ]\n}\n'
+            '  "b": [\n    1,\n    0.1\n  ]\n}\n',
         )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

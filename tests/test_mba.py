@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from wqisa import mba
 from wqisa.mba import MbaSurface, fit_mba, mba_level_coefficients
-from wqisa.splines import TensorSplineSpace, WqisaSurface
+from wqisa.splines import TensorSplineSpace, WqisaSurface, tensor_rows
 from wqisa.synthetic import hemisphere_cloud
 from wqisa.weights import fit_surface  # noqa: F401  (namespace sanity)
 
@@ -15,22 +16,27 @@ def bilinear_unit_space() -> TensorSplineSpace:
     return TensorSplineSpace.uniform((1, 1), (0.0, 1.0, 0.0, 1.0), 1)
 
 
+def level_coefficients(cloud: np.ndarray, space: TensorSplineSpace) -> np.ndarray:
+    """The level coefficients of *cloud*'s heights from its rows on *space*."""
+    return mba_level_coefficients(tensor_rows(space, cloud[:, 0], cloud[:, 1]), cloud[:, 2])
+
+
 class TestLevelCoefficients:
     def test_single_point_at_interpolatory_corner(self):
         # at the (0, 0) corner exactly one bilinear basis function is 1
         cloud = np.array([[0.0, 0.0, 4.25]])
-        grid = mba_level_coefficients(cloud, bilinear_unit_space())
+        grid = level_coefficients(cloud, bilinear_unit_space())
         np.testing.assert_array_equal(grid, [[4.25, 0.0], [0.0, 0.0]])
 
     def test_zero_cloud_gives_zero_grid(self):
         rng = np.random.default_rng(0)
         cloud = np.column_stack([rng.uniform(0, 1, size=(20, 2)), np.zeros(20)])
-        grid = mba_level_coefficients(cloud, TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 4))
+        grid = level_coefficients(cloud, TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 4))
         np.testing.assert_array_equal(grid, 0.0)
 
     def test_two_point_bilinear_hand_oracle(self):
         pts = np.array([[0.25, 0.5, 2.0], [0.75, 0.25, -1.0]])
-        grid = mba_level_coefficients(pts, bilinear_unit_space())
+        grid = level_coefficients(pts, bilinear_unit_space())
 
         # hand evaluation of the explicit formulas on the bilinear element
         basis = []
@@ -57,17 +63,30 @@ class TestLevelCoefficients:
         # the minimum-norm solve makes the level exact on an isolated point
         cloud = np.array([[0.37, 0.61, 1.5]])
         space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 1)
-        surface = WqisaSurface(space, mba_level_coefficients(cloud, space))
+        surface = WqisaSurface(space, level_coefficients(cloud, space))
         assert surface.evaluate(0.37, 0.61) == pytest.approx(1.5, abs=1e-12)
 
     def test_untouched_supports_stay_zero(self):
         # all data in one corner: far-away basis functions keep coefficient 0
         cloud = np.column_stack([np.full(5, 0.05), np.full(5, 0.05), np.arange(5.0) + 1])
         space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 8)
-        grid = mba_level_coefficients(cloud, space)
+        grid = level_coefficients(cloud, space)
         assert np.all(grid[4:, :] == 0.0)
         assert np.all(grid[:, 4:] == 0.0)
         assert grid[0, 0] != 0.0
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [(np.ones(4), r"^z must hold one height per point, shape \(5,\), got shape \(4,\)$"),
+         (np.ones((5, 1)), r"^z must hold one height per point, shape \(5,\), got shape \(5, 1\)$"),
+         ([1.0, 2.0, np.nan, 4.0, 5.0], r"^z must be finite$"),
+         ([1.0, 2.0, 3.0, -np.inf, 5.0], r"^z must be finite$")],
+        ids=["short", "2-d", "nan", "inf"],
+    )
+    def test_bad_heights_are_refused_naming_z(self, z, message):
+        rows = tensor_rows(bilinear_unit_space(), np.linspace(0, 1, 5), np.linspace(1, 0, 5))
+        with pytest.raises(ValueError, match=message):
+            mba_level_coefficients(rows, z)
 
 
 class TestMbaSurface:
@@ -162,6 +181,22 @@ class TestFitMba:
         cloud = hemisphere_cloud(4, seed=1)
         surface, history = fit_mba(cloud, 5, cloud)
         assert len(surface.levels) == len(history) == 1
+
+    def test_each_level_builds_the_training_rows_once(self, monkeypatch):
+        # the rows of a level give both its coefficients and the residual
+        # the next level fits; the validation points are evaluated apart
+        cloud = hemisphere_cloud(2000, seed=6)
+        validation = hemisphere_cloud(500, seed=7)
+        built = []
+
+        def recording(space, xs, ys):
+            training = np.array_equal(xs, cloud[:, 0]) and np.array_equal(ys, cloud[:, 1])
+            built.append((space.element_counts, training))
+            return tensor_rows(space, xs, ys)
+
+        monkeypatch.setattr(mba, "tensor_rows", recording)
+        _, history = fit_mba(cloud, 4, validation)
+        assert built == [((2**level, 2**level), True) for level in range(len(history))]
 
     def test_invalid_max_levels(self):
         cloud = hemisphere_cloud(10, seed=0)

@@ -68,20 +68,20 @@ def hausdorff_cases():
 def scanned(monkeypatch):
     """Pairs compared in full by each directed distance, in call order."""
     pairs = []
-    directed, squared = metrics._directed, metrics._squared
+    directed, squared = metrics._directed, metrics.squared_distance
 
     def counting_directed(a, b, *args):
         pairs.append(0)
         return directed(a, b, *args)
 
-    def counting_squared(a, b):
-        d2 = squared(a, b)
+    def counting_squared(columns, at, point):
+        d2 = squared(columns, at, point)
         if d2.ndim == 2:  # a block of pairs scanned, not the cell bounds of a block
             pairs[-1] += d2.size
         return d2
 
     monkeypatch.setattr(metrics, "_directed", counting_directed)
-    monkeypatch.setattr(metrics, "_squared", counting_squared)
+    monkeypatch.setattr(metrics, "squared_distance", counting_squared)
     return pairs
 
 

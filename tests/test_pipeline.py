@@ -1,6 +1,7 @@
 """Tests for splitting, tuning, refinement, and the full fitting loop."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from wqisa import kdtree, metrics, weights
 from wqisa.cli import cli_main
-from wqisa.clouds import bounding_box
+from wqisa.clouds import bounding_box, joint_bounding_box
 from wqisa.io import RunConfig, write_cloud, write_config
 from wqisa.mba import fit_mba
 from wqisa.metrics import ElementErrorMap, gmse, lmse, residuals
@@ -80,7 +81,7 @@ class TestSplit:
         cloud = random_cloud(np.random.default_rng(5), 50)
         fractions = [0.5, 0.25, 0.25]
         fractions[position] = float("nan")
-        with pytest.raises(ValueError, match="fractions must be positive"):
+        with pytest.raises(ValueError, match="fractions must be three finite positive values"):
             split(cloud, fractions=tuple(fractions))
 
 
@@ -359,12 +360,12 @@ class TestFit:
         [(1e300, WeightSpec.idw()), (1e170, WeightSpec.gaussian(0.3e170))],
         ids=["idw", "gaussian"],
     )
-    def test_overflowing_distances_name_the_query_point(self, width, spec):
+    def test_overflowing_distances_name_the_box(self, width, spec):
         # squared distances across the cloud overflow: unchecked, idw weighs
         # the far points 0 and gaussian finds no point with positive weight
         rng = np.random.default_rng(11)
         cloud = np.column_stack([rng.uniform(0, width, 50), rng.uniform(0, 1, size=(50, 2))])
-        with pytest.raises(ValueError, match=r"query point \(.*\) is too far"):
+        with pytest.raises(ValueError, match=r"the planar bounding box \(.*\) is too wide"):
             fit(cloud, FitConfig(weight_grid=(spec,), max_iterations=3))
 
     def test_iteration_budget_respected(self):
@@ -447,6 +448,56 @@ class TestFit:
             assert cli_main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "too narrow in x and y" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [(2.0**511, 2.0**511), (2.0**512, 2.0**512), (1.7e308, 1.0)],
+                             ids=["2**511", "2**512", "x-1.7e308"])
+    def test_a_box_whose_squared_diagonal_overflows_is_refused(self, tmp_path, capsys, scale):
+        # the cloud's sides are just under 1, so at 2**511 the squared
+        # diagonal stays finite; at 2**512 a knot average the caller never
+        # gave used to be named as a query point too far from the points,
+        # and at x * 1.7e308 the knot averages overflowed with a warning
+        base = perturb(hemisphere_cloud(3000, seed=1), noise_std=0.05, seed=2)
+        config = FitConfig(weight_grid=knn_parameter_grid(5), max_iterations=5)
+        cloud = base * [*scale, 1.0]
+        mesh = TensorSplineSpace.uniform((2, 2), (0.0, scale[0], 0.0, scale[1]), 16)
+        data = split(cloud, seed=0)
+        # the baseline weighs no distances: it fits at every scale, and a
+        # power-of-two scale keeps its coefficients' bits
+        surface, history = fit_mba(data.training, 3, data.validation)
+        assert len(history) == 3 and all(np.isfinite(history))
+        if scale[1] != 1.0:
+            unscaled = split(base, seed=0)
+            plain, _ = fit_mba(unscaled.training, 3, unscaled.validation)
+            for level, reference in zip(surface.levels, plain.levels, strict=True):
+                assert level.coefficients.tobytes() == reference.coefficients.tobytes()
+        if scale[0] == 2.0**511:
+            assert fit(cloud, config)[0].coefficients.tobytes() == fit(base, config)[0].coefficients.tobytes()
+            unscaled = fit_surface(base, TensorSplineSpace.uniform((2, 2), (0.0, 1.0, 0.0, 1.0), 16),
+                                   WeightSpec.knn(3))
+            scaled = fit_surface(cloud, mesh, WeightSpec.knn(3))
+            assert scaled.coefficients.tobytes() == unscaled.coefficients.tobytes()
+            return
+        whole = re.escape(str(bounding_box(cloud)))
+        split_box = re.escape(str(joint_bounding_box(data.training, data.validation, data.test)))
+        for box, call in [
+            (whole, lambda: fit(cloud, config)),
+            (split_box, lambda: fit_split(data, config)),
+            (whole, lambda: fit_surface(cloud, mesh, WeightSpec.knn(3))),
+            (whole, lambda: weights.estimate_control_point(cloud, *cloud[0, :2], WeightSpec.knn(3))),
+        ]:
+            message = rf"^the planar bounding box \(xmin, xmax, ymin, ymax\) = {box} is too wide: the square"
+            with pytest.raises(ValueError, match=message):
+                call()
+        write_cloud(tmp_path / "cloud.xyz", cloud)
+        write_config(RunConfig(weight="knn", k_grid=(1, 2, 3, 4, 5), max_iterations=5), tmp_path / "run.cfg")
+        paths = [str(tmp_path / name) for name in ("cloud.xyz", "run.cfg", "surf.json", "report.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = cli_main(["fit", "--cloud", paths[0], "--config", paths[1], "--surface-out", paths[2],
+                               "--report-out", paths[3]])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: the planar bounding box ") and "is too wide" in err and err.count("\n") == 1
 
     def test_zero_weight_failure_names_iteration(self):
         cloud = random_cloud(np.random.default_rng(11), 60)

@@ -161,6 +161,16 @@ REFUSALS = [
     ),
 ]
 
+# split checks its fractions as FitConfig does, whatever their number or type
+REFUSALS += [
+    pytest.param(
+        lambda fractions=fractions: split(CLOUD, fractions),
+        f"fractions must be three finite positive values that sum to at most 1, got {fractions!r}",
+        id=f"split-fractions-{label}",
+    )
+    for label, fractions in [("two", (0.5, 0.5)), ("four", (0.5, 0.25, 0.25, 0.0)), ("text", (0.5, "0.25", 0.25))]
+]
+
 # every count and seed argument of the library, by its name, its minimum and
 # a call that passes it: a bool, a fraction and a value below the minimum
 # are each refused by name, as FitConfig's integer fields are

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqisa import splines
 from wqisa.splines import (
@@ -71,6 +73,22 @@ class TestKnotVector:
         kv = KnotVector(1, [0, 0, 1, 1])
         with pytest.raises(ValueError):
             kv.knots[0] = 3.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_breakpoints_are_the_distinct_knots_found_once(self, data):
+        # any valid vector: interior knots of multiplicity 1..p+1, on a
+        # dyadic grid of [-1, 1] so that every span is wide enough
+        p = data.draw(st.integers(0, 3), label="degree")
+        values = data.draw(st.lists(st.integers(-1023, 1023), unique=True, max_size=8), label="interior")
+        counts = data.draw(st.lists(st.integers(1, p + 1), min_size=len(values), max_size=len(values)))
+        interior = np.repeat(np.sort(values) / 1024.0, counts)
+        kv = KnotVector(p, np.concatenate([np.full(p + 1, -1.0), interior, np.full(p + 1, 1.0)]))
+        assert kv.breakpoints.tobytes() == np.unique(kv.knots).tobytes()
+        assert kv.num_elements == len(values) + 1
+        assert kv.breakpoints is kv.breakpoints  # stored, not found again on each read
+        with pytest.raises(ValueError, match="read-only"):
+            kv.breakpoints[0] = 3.0
 
     def test_uniform_open(self):
         kv = KnotVector.uniform_open(2, 4)
