@@ -72,13 +72,19 @@ def check_planar_extent(domain: tuple[float, float, float, float], flat_ok: bool
         )
 
 
+def diagonal_is_finite(*boxes: tuple[float, float, float, float]) -> bool:
+    """Whether the box joining *boxes*, each ``(xmin, xmax, ymin, ymax)``,
+    has a finite squared diagonal in Python floats (an overflow is ``inf``,
+    not a warning)."""
+    xmins, xmaxs, ymins, ymaxs = zip(*boxes)
+    width, height = float(max(xmaxs)) - float(min(xmins)), float(max(ymaxs)) - float(min(ymins))
+    return bool(np.isfinite(width * width + height * height))
+
+
 def check_planar_diagonal(domain: tuple[float, float, float, float]) -> None:
     """Raise ``ValueError`` naming *domain*, an ``(xmin, xmax, ymin, ymax)`` box,
-    if its squared diagonal, in Python floats (an overflow is ``inf``, not a
-    warning), is not finite: squared distances across it would tie."""
-    xmin, xmax, ymin, ymax = map(float, domain)
-    width, height = xmax - xmin, ymax - ymin
-    if not np.isfinite(width * width + height * height):
+    unless ``diagonal_is_finite(domain)``: squared distances across it would tie."""
+    if not diagonal_is_finite(domain):
         raise ValueError(
             f"the planar bounding box (xmin, xmax, ymin, ymax) = {tuple(domain)} is too wide: "
             "the square of its diagonal is not finite"

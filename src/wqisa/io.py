@@ -2,11 +2,11 @@
 
 Clouds travel as XYZ ascii (three whitespace-separated numbers per line) or
 CSV whose header names the ``x``, ``y`` and ``z`` columns.  The extension is
-the format: ``.csv`` is CSV, any other is XYZ.  Cloud and config files are
-UTF-8, with or without a byte-order mark; a byte that is not UTF-8 is
-refused with its line.  A cloud is read by one ``np.loadtxt`` call; a file
-it refuses is walked record by record, which skips blank records and names
-the line the first bad one starts on.  The walk defines a valid cloud:
+the format: ``.csv`` is CSV, any other is XYZ.  Cloud, config and surface
+files are UTF-8, with or without a byte-order mark, read by one reader; a
+byte that is not UTF-8 is refused with its file and line.  A cloud is read
+by one ``np.loadtxt`` call; a file it refuses is walked record by record,
+which skips blank records and names the line the first bad one starts on.  The walk defines a valid cloud:
 numpy's reader accepts no file the walk refuses.
 
 Clouds and sampled surface grids are written by one row writer, by the same
@@ -325,7 +325,12 @@ def save_surface(surface: WqisaSurface, path) -> None:
 
 
 def load_surface(path) -> WqisaSurface:
-    payload = json.loads(Path(path).read_text())
+    """Read a surface that ``save_surface`` wrote, through the one UTF-8 reader."""
+    path = Path(path)
+    try:
+        payload = json.loads(_read_text(path, ValueError))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"surface payload must be a JSON object, got {type(payload).__name__}")
     for name, expected in (("format", "wqisa-surface"), ("version", 1)):

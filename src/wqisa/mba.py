@@ -6,7 +6,10 @@ surface.  Level coefficients come from the explicit local least-squares
 formula: for each data point the minimum-norm coefficients reproducing it
 are computed, then blended per basis function with its squared basis values
 as blending weights.  No linear system is solved.  A level's one set of
-training ``tensor_rows`` gives its coefficients and the next residual.
+training ``tensor_rows`` gives its coefficients and the next residual.  The
+level sums walk the slots in ``(a, b)`` order: per slot ``w = bx[a] * by[b]``,
+and ``np.add.at`` adds the points' terms, in point order, into one numerator
+and one denominator.
 """
 
 from __future__ import annotations
@@ -62,21 +65,17 @@ def mba_level_coefficients(rows: TensorRows, z) -> np.ndarray:
         raise ValueError(f"z must hold one height per point, shape {rows.base.shape}, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    bx, by = rows.bx, rows.by
     # sum of squared active basis values factorizes over the tensor product
-    ssq = (bx**2).sum(axis=0) * (by**2).sum(axis=0)
-    # slot-major (a, b, point) order: each coefficient adds its terms slot
-    # by slot, and within a slot point by point
-    w = bx[:, None, :] * by[None, :, :]
-    flat = (rows.offsets[:, :, None] + rows.base).ravel()
+    ssq = (rows.bx**2).sum(axis=0) * (rows.by**2).sum(axis=0)
     nx, ny = rows.shape
-    # w * w * w, not w**3: numpy's power rounds by the SIMD variant it dispatches
-    numerator = np.bincount(flat, (w * w * w * z / ssq).ravel(), minlength=nx * ny)
-    denominator = np.bincount(flat, (w**2).ravel(), minlength=nx * ny)
-    grid = np.zeros(nx * ny)
-    touched = denominator > 0.0
-    grid[touched] = numerator[touched] / denominator[touched]
-    return grid.reshape(nx, ny)
+    numerator, denominator = np.zeros((2, nx * ny))
+    # each coefficient adds its terms slot by slot, then point by point
+    for (a, b), offset in np.ndenumerate(rows.offsets):
+        w, flat = rows.bx[a] * rows.by[b], rows.base + offset
+        # w * w * w, not w**3: numpy's power rounds by the SIMD variant it dispatches
+        np.add.at(numerator, flat, w * w * w * z / ssq)
+        np.add.at(denominator, flat, w * w)
+    return np.divide(numerator, denominator, out=np.zeros(nx * ny), where=denominator > 0.0).reshape(nx, ny)
 
 
 def fit_mba(

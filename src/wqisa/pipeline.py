@@ -31,9 +31,9 @@ from .clouds import joint_bounding_box
 from .metrics import mean_square, residuals
 # the fit calls neither `lmse` nor `fit_surface`; perfbench's tracer wraps both at these names
 from .metrics import ElementErrorMap, ErrorStats, _error_map, gmse as surface_gmse, lmse  # noqa: F401
-from .splines import TensorSplineSpace, WqisaSurface, insert_knot, knot_average_grid, tensor_rows
+from .splines import TensorSplineSpace, WqisaSurface, insert_knot, tensor_rows
 from . import weights
-from .weights import KERNELS, NeighbourTable, WeightSpec, ZeroWeightError, fit_surface  # noqa: F401
+from .weights import KERNELS, WeightSpec, ZeroWeightError, fit_surface  # noqa: F401
 
 DEFAULT_FRACTIONS = (0.5, 0.25, 0.25)
 
@@ -208,7 +208,8 @@ def tune_parameters(
 ) -> TuneResult:
     """Exhaustive search of *grid*: fit on training, score GMSE on validation.
 
-    One neighbour table and one set of validation basis rows serve every
+    One ``weights.mesh_table``, which refuses a mesh far wider than the
+    training cloud, and one set of validation basis rows serve every
     entry of the grid on this mesh, so the grid holds one weight kind, as
     ``FitConfig`` requires; *index*, a ``PlanarIndex`` over the training
     points, spares a table of an indexed kind its own.  Each entry is scored
@@ -224,7 +225,7 @@ def tune_parameters(
         raise ValueError("parameter grid must be nonempty")
     validation = as_cloud(validation)
     rows = tensor_rows(space, validation[:, 0], validation[:, 1])
-    table = NeighbourTable(training, knot_average_grid(space), grid, index)
+    table = weights.mesh_table(training, space, grid, index)
     best: tuple[float, WeightSpec, np.ndarray, np.ndarray] | None = None
     failure: ZeroWeightError | None = None
     for spec in grid:

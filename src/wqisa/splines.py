@@ -10,6 +10,9 @@ Conventions used throughout:
   on the closed domain rectangle.
 * Knot values are compared exactly.  Knot vectors are constructed, not
   measured, so no tolerance is appropriate.
+* Basis values are slot-major: ``basis_rows`` gives one contiguous row per
+  active basis function, ``(p+1, m)`` for ``m`` points, which ``TensorRows``,
+  ``evaluate_lattice`` and the MBA level sums read as they are.
 * A surface value sums ``c * bx[a] * by[b]`` from 0.0 over the slots in
   ``(a, b)`` order, then takes ``np.maximum`` with the slots' least
   coefficient and ``np.minimum`` with their greatest (``np.clip`` may give
@@ -153,29 +156,29 @@ def locate_spans(knots: np.ndarray, last: int, ts: np.ndarray) -> np.ndarray:
 def basis_rows(kv: KnotVector, ts) -> tuple[np.ndarray, np.ndarray]:
     """All nonzero basis values at each point of *ts*.
 
-    Returns ``(spans, values)`` where ``values[m, r]`` is the value of basis
-    ``spans[m] - degree + r`` at ``ts[m]``.  Uses the standard triangular
-    recurrence, so each row is nonnegative and sums to one up to rounding.
+    Returns ``(spans, values)`` where ``values[r, m]`` is the value of basis
+    ``spans[m] - degree + r`` at ``ts[m]``: one contiguous row per active
+    basis function.  Uses the standard triangular recurrence, so each column
+    is nonnegative and sums to one up to rounding.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     p = kv.degree
     spans = locate_spans(kv.knots, kv.num_basis - 1, ts)
     m = ts.shape[0]
-    values = np.ones((m, 1))
+    values = np.ones((1, m))
     if p == 0:
         return spans, values
-    left = np.empty((m, p + 1))
-    right = np.empty((m, p + 1))
+    left, right = np.empty((2, p + 1, m))
     for j in range(1, p + 1):
-        left[:, j] = ts - kv.knots[spans + 1 - j]
-        right[:, j] = kv.knots[spans + j] - ts
-        nxt = np.empty((m, j + 1))
+        left[j] = ts - kv.knots[spans + 1 - j]
+        right[j] = kv.knots[spans + j] - ts
+        nxt = np.empty((j + 1, m))
         saved = np.zeros(m)
         for r in range(j):
-            temp = values[:, r] / (right[:, r + 1] + left[:, j - r])
-            nxt[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        nxt[:, j] = saved
+            temp = values[r] / (right[r + 1] + left[j - r])
+            nxt[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        nxt[j] = saved
         values = nxt
     return spans, values
 
@@ -302,7 +305,7 @@ def tensor_rows(space: TensorSplineSpace, xs, ys) -> TensorRows:
     if spans_x.shape != spans_y.shape:
         raise ValueError(f"got {spans_x.size} x values but {spans_y.size} y values")
     (px, py), ny = space.degrees, space.shape[1]
-    return TensorRows((spans_x - px) * ny + (spans_y - py), space.shape, bx.T.copy(), by.T.copy())
+    return TensorRows((spans_x - px) * ny + (spans_y - py), space.shape, bx, by)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +339,7 @@ class WqisaSurface:
         """Evaluate at paired coordinate arrays ``xs``, ``ys``, in slices of
         at most ``_BLOCK_POINTS`` points; the slices bound the memory of the
         rows and change no value."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        xs, ys = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (xs, ys))
         if xs.shape != ys.shape:
             raise ValueError(f"got {xs.size} x values but {ys.size} y values")
         values = np.empty(xs.shape[0])
@@ -363,7 +365,7 @@ class WqisaSurface:
             met[spans_y] = True
             column = np.cumsum(met)[spans_y] - 1  # each y's span, numbered among those met
             first_y = np.flatnonzero(met) - py + np.arange(py + 1)[:, None]
-            by_rows = np.repeat(by.T[:, None, :], min(height, xs.size), axis=1)
+            by_rows = np.repeat(by[:, None, :], min(height, xs.size), axis=1)
             for i in range(0, xs.size, height):
                 rows = slice(i, i + height)
                 spans_x, bx = basis_rows(self.space.knots_x, xs[rows])
@@ -371,14 +373,13 @@ class WqisaSurface:
                 # tables[a, b, e, r]: slot (a, b)'s coefficient at met span e, row r
                 tables = self.coefficients[first_x[:, None, None, :], first_y[:, :, None]]
                 lo, hi = np.full(tables.shape[2:], np.inf), np.full(tables.shape[2:], -np.inf)
-                for a, b in np.ndindex(px + 1, py + 1):
-                    np.minimum(lo, tables[a, b], out=lo)
-                    np.maximum(hi, tables[a, b], out=hi)
-                tables *= bx.T[:, None, None, :]
                 # point (r, m) reads entry (column[m], r) of a table
                 index = column * spans_x.size + np.arange(spans_x.size)[:, None]
                 total, term = np.zeros((2, *index.shape))
                 for a, b in np.ndindex(px + 1, py + 1):
+                    np.minimum(lo, tables[a, b], out=lo)
+                    np.maximum(hi, tables[a, b], out=hi)
+                    tables[a, b] *= bx[a]
                     np.take(tables[a, b], index, out=term, mode="clip")
                     term *= by_rows[b, : spans_x.size]
                     total += term

@@ -26,10 +26,11 @@ length, a fence per row), the sums and the clamp act on them at once.  Each
 quotient's numerator ``z * w`` and denominator ``w`` are summed by
 ``np.add.reduceat`` over one row in ascending id order, so a coefficient
 depends neither on its batch, nor on the other specs, nor on the machine's
-BLAS.  ``pipeline.tune_parameters`` builds one table per mesh and reads every
-entry of its grid with ``NeighbourTable.coefficients``; ``fit_surface`` is a
-table of one spec read the same way, and ``estimate_control_point`` a table
-of one centre.  An empty window is a ``ZeroWeightError`` naming its centre;
+BLAS.  ``pipeline.tune_parameters`` builds one ``mesh_table`` per mesh, which
+refuses a mesh too far from its cloud, and reads every entry of its grid
+with ``NeighbourTable.coefficients``; ``fit_surface`` is a mesh table of one
+spec read the same way, and ``estimate_control_point`` a table of one
+centre.  An empty window is a ``ZeroWeightError`` naming its centre;
 ``coefficients`` adds its (i, j).
 
 The estimate is a convex combination of the contributing heights, so it is
@@ -45,7 +46,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .clouds import as_cloud, bounding_box, check_integer, check_planar_diagonal, check_planar_extent
-from .clouds import squared_distance
+from .clouds import diagonal_is_finite, squared_distance
 from . import kdtree
 from .kdtree import PlanarIndex, budget_runs, query_point
 from .splines import TensorSplineSpace, WqisaSurface, knot_average_grid
@@ -448,8 +449,23 @@ def estimate_control_point(cloud, u: float, v: float, spec: WeightSpec) -> float
     return float(estimate[0])
 
 
+def mesh_table(cloud, space: TensorSplineSpace, grid, index: PlanarIndex | None = None) -> NeighbourTable:
+    """The ``NeighbourTable`` of *grid* centred at every pair of *space*'s knot
+    averages.  Before any centre is queried, a mesh far wider than the cloud
+    is refused, naming both boxes: the box joining the mesh's domain and the
+    cloud's planar box (its *index*'s, if given) has a squared diagonal that
+    is not finite.  A cloud whose own box fails is left to the table."""
+    box = bounding_box(cloud) if index is None else index.box
+    if diagonal_is_finite(box) and not diagonal_is_finite(space.domain, box):
+        raise ValueError(
+            f"the mesh domain (xmin, xmax, ymin, ymax) = {space.domain} is too far from the cloud's "
+            f"planar bounding box {box}: the square of the diagonal of the box joining them is not finite"
+        )
+    return NeighbourTable(cloud, knot_average_grid(space), grid, index)
+
+
 def fit_surface(cloud, space: TensorSplineSpace, spec: WeightSpec) -> WqisaSurface:
     """Surface on *space* with a coefficient at every pair of knot averages: a
-    table of one spec.  Zero-weight failures name the offending grid entry."""
-    table = NeighbourTable(cloud, knot_average_grid(space), (spec,))
+    ``mesh_table`` of one spec.  Zero-weight failures name the offending grid entry."""
+    table = mesh_table(cloud, space, (spec,))
     return WqisaSurface(space, table.coefficients(spec, space.shape))

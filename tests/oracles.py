@@ -240,6 +240,27 @@ def brute_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return max(brute_directed_hausdorff(a, b), brute_directed_hausdorff(b, a))
 
 
+def reference_level_coefficients(rows, z) -> np.ndarray:
+    """One MBA level's coefficients from a ``TensorRows`` *rows* and heights
+    *z*, in plain Python floats: each point's ``ssq`` is the sum of its
+    squared x values times that of its y values, and each coefficient sums
+    its ``w * w * w * z / ssq`` and ``w * w`` from 0.0, slots outermost in
+    ``(a, b)`` order and within a slot the points in order; a coefficient
+    with no term is 0.0."""
+    bx, by, base, z = rows.bx.tolist(), rows.by.tolist(), rows.base.tolist(), list(map(float, z))
+    ssq = [sum(v[m] * v[m] for v in bx) * sum(v[m] * v[m] for v in by) for m in range(len(base))]
+    nx, ny = rows.shape
+    numerator, denominator = [0.0] * (nx * ny), [0.0] * (nx * ny)
+    for a, row_x in enumerate(bx):
+        for b, row_y in enumerate(by):
+            for m, first in enumerate(base):
+                w = row_x[m] * row_y[m]
+                numerator[first + a * ny + b] += w * w * w * z[m] / ssq[m]
+                denominator[first + a * ny + b] += w * w
+    grid = [num / den if den > 0.0 else 0.0 for num, den in zip(numerator, denominator)]
+    return np.array(grid).reshape(nx, ny)
+
+
 def random_cloud(rng: np.random.Generator, n: int, scale: float = 1.0, dupes: bool = False) -> np.ndarray:
     """Random cloud on a random box; optionally duplicate a few rows."""
     origin = rng.uniform(-5, 5, size=2)

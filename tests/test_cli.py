@@ -452,6 +452,14 @@ class TestExitCodes:
             assert cli_main(argv) == 2
             assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_utf8_surface_is_two(self, tmp_path, cloud_file, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"format":\n"wqisa-surface\xff"}\n')
+        argv = ["eval", "--surface", str(path), "--cloud", str(cloud_file), "--out", str(tmp_path / "e.json")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: not UTF-8: byte 0xff") and err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "wqisa" in capsys.readouterr().out

@@ -605,6 +605,28 @@ class TestSurfacePersistence:
         ys = rng.uniform(ymin, ymax, size=1000)
         np.testing.assert_array_equal(loaded.evaluate_many(xs, ys), surface.evaluate_many(xs, ys))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        surface = self.make_surface()
+        path = tmp_path / "s.json"
+        save_surface(surface, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_surface(path)
+        assert loaded.coefficients.tobytes() == surface.coefficients.tobytes()
+        assert loaded.space.knots_x.knots.tobytes() == surface.space.knots_x.knots.tobytes()
+        assert loaded.space.knots_y.knots.tobytes() == surface.space.knots_y.knots.tobytes()
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"format":\n"wqisa-surface\xff"}\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: not UTF-8: byte 0xff"):
+            load_surface(path)
+
+    def test_json_syntax_error_names_the_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"format": "wqisa-surface",\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Expecting property name .*line 2"):
+            load_surface(path)
+
     def test_grid_roundtrip_is_exact(self, tmp_path):
         surface = self.make_surface()
         path = tmp_path / "grid.csv"

@@ -1,15 +1,21 @@
 """Tests for the multilevel B-spline baseline."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_level_coefficients
 from wqisa import mba
 from wqisa.mba import MbaSurface, fit_mba, mba_level_coefficients
 from wqisa.splines import TensorSplineSpace, WqisaSurface, tensor_rows
-from wqisa.synthetic import hemisphere_cloud
+from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import fit_surface  # noqa: F401  (namespace sanity)
+
+UNIT_SQUARE = (0.0, 1.0, 0.0, 1.0)
 
 
 def bilinear_unit_space() -> TensorSplineSpace:
@@ -87,6 +93,38 @@ class TestLevelCoefficients:
         rows = tensor_rows(bilinear_unit_space(), np.linspace(0, 1, 5), np.linspace(1, 0, 5))
         with pytest.raises(ValueError, match=message):
             mba_level_coefficients(rows, z)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(degrees=st.sampled_from([(0, 0), (1, 1), (2, 2), (3, 2)]), elements=st.integers(1, 5),
+           data=st.data())
+    def test_level_sums_add_slot_by_slot_then_point_by_point(self, degrees, elements, data):
+        # a few points on a mesh of up to 25 elements leave supports empty;
+        # coordinates drawn from the knots put points on element edges, and
+        # repeated rows give a coefficient equal terms in a row
+        space = TensorSplineSpace.uniform(degrees, UNIT_SQUARE, elements)
+        coordinate = st.one_of(st.floats(0.0, 1.0), st.sampled_from(space.knots_x.breakpoints.tolist()))
+        point = st.tuples(coordinate, coordinate, st.floats(-5.0, 5.0))
+        points = data.draw(st.lists(point, min_size=1, max_size=20))
+        repeats = data.draw(st.lists(st.sampled_from(range(len(points))), max_size=4))
+        cloud = np.array(points + [points[i] for i in repeats])
+        rows = tensor_rows(space, cloud[:, 0], cloud[:, 1])
+        expected = reference_level_coefficients(rows, cloud[:, 2])
+        assert mba_level_coefficients(rows, cloud[:, 2]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (3, 3)])
+    def test_level_sums_take_a_few_floats_a_point(self, degrees):
+        # the slot loop holds a few point-length arrays at a time; arrays
+        # with a slot axis and a point axis took 37 and 65 floats a point
+        cloud = perturb(hemisphere_cloud(5000, 1), noise_std=0.05, seed=2)
+        rows = tensor_rows(TensorSplineSpace.uniform(degrees, UNIT_SQUARE, 8), cloud[:, 0], cloud[:, 1])
+        mba_level_coefficients(rows, cloud[:, 2])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            mba_level_coefficients(rows, cloud[:, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * len(cloud)
 
 
 class TestMbaSurface:
@@ -197,6 +235,21 @@ class TestFitMba:
         monkeypatch.setattr(mba, "tensor_rows", recording)
         _, history = fit_mba(cloud, 4, validation)
         assert built == [((2**level, 2**level), True) for level in range(len(history))]
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (3, 3)])
+    def test_a_fit_takes_a_bounded_number_of_floats_a_training_point(self, degrees):
+        # a level's rows, their slot sums and the validation values: the
+        # level sums' slot-by-point arrays took the fit to 46 and 76
+        cloud = perturb(hemisphere_cloud(5000, 1), noise_std=0.05, seed=2)
+        validation = perturb(hemisphere_cloud(2500, 3), noise_std=0.05, seed=4)
+        fit_mba(cloud, 2, validation, degrees, UNIT_SQUARE)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            fit_mba(cloud, 15, validation, degrees, UNIT_SQUARE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42 * 8 * len(cloud)
 
     def test_invalid_max_levels(self):
         cloud = hemisphere_cloud(10, seed=0)

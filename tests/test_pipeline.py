@@ -368,6 +368,42 @@ class TestFit:
         with pytest.raises(ValueError, match=r"the planar bounding box \(.*\) is too wide"):
             fit(cloud, FitConfig(weight_grid=(spec,), max_iterations=3))
 
+    @pytest.mark.parametrize(
+        "domain",
+        [(0.0, 1.7e308, 0.0, 1.0), (0.0, 1e200, 0.0, 1.0), (0.0, 1.0, -1e200, 1.0)],
+        ids=["x-1.7e308", "x-1e200", "y-1e200"],
+    )
+    @pytest.mark.parametrize("kind", ["knn", "idw"])
+    def test_a_mesh_far_wider_than_its_cloud_is_refused_naming_both_boxes(self, monkeypatch, domain, kind):
+        # a knot average far from every point used to be named as a query
+        # point the caller never gave; the mesh is refused before any table
+        cloud = hemisphere_cloud(500, seed=1)
+        validation = hemisphere_cloud(100, seed=2)
+        mesh = TensorSplineSpace.uniform((2, 2), domain, 4)
+        spec = WeightSpec.knn(3) if kind == "knn" else WeightSpec.idw()
+        tables = []
+        monkeypatch.setattr(weights, "NeighbourTable", lambda *args: tables.append(args))
+        message = (rf"^the mesh domain \(xmin, xmax, ymin, ymax\) = {re.escape(str(domain))} is too far from "
+                   rf"the cloud's planar bounding box {re.escape(str(bounding_box(cloud)))}: the square")
+        with pytest.raises(ValueError, match=message):
+            fit_surface(cloud, mesh, spec)
+        with pytest.raises(ValueError, match=message):
+            tune_parameters(cloud, validation, mesh, [spec])
+        with pytest.raises(ValueError, match=message):
+            tune_parameters(cloud, validation, mesh, [spec], kdtree.PlanarIndex(cloud[:, :2]))
+        assert tables == []
+
+    def test_a_mesh_wide_but_not_too_wide_for_its_cloud_still_fits(self):
+        # the box joining (5e153, 1e154) and the unit square has a squared
+        # diagonal near 1e308, which is finite
+        cloud = hemisphere_cloud(500, seed=1)
+        mesh = TensorSplineSpace.uniform((2, 2), (5e153, 1e154, 0.0, 1.0), 4)
+        surface = fit_surface(cloud, mesh, WeightSpec.knn(3))
+        assert np.isfinite(surface.coefficients).all()
+        validation = hemisphere_cloud(100, seed=2) * [5e153, 1.0, 1.0] + [5e153, 0.0, 0.0]
+        tuned = tune_parameters(cloud, validation, mesh, [WeightSpec.knn(3)])
+        assert tuned.surface.coefficients.tobytes() == surface.coefficients.tobytes()
+
     def test_iteration_budget_respected(self):
         cloud = perturb(hemisphere_cloud(150, seed=2), noise_std=0.1, seed=3)
         config = FitConfig(weight_grid=knn_parameter_grid(3), max_iterations=15, seed=4)

@@ -67,7 +67,7 @@ class TestKnotVector:
         with pytest.raises(ValueError, match="too narrow"):
             KnotVector.uniform_open(2, 1, 0.0, 1e-310)
         kv = KnotVector.uniform_open(2, 1, 0.0, np.finfo(float).tiny)
-        np.testing.assert_allclose(basis_rows(kv, [kv.knots[-1] / 3])[1].sum(axis=1), 1.0)
+        np.testing.assert_allclose(basis_rows(kv, [kv.knots[-1] / 3])[1].sum(axis=0), 1.0)
 
     def test_knots_are_immutable(self):
         kv = KnotVector(1, [0, 0, 1, 1])
@@ -114,7 +114,7 @@ def dense_basis(kv: KnotVector, ts) -> np.ndarray:
     ``(len(ts), num_basis)`` matrix, zero outside each row's active window."""
     spans, values = basis_rows(kv, ts)
     dense = np.zeros((spans.size, kv.num_basis))
-    np.put_along_axis(dense, spans[:, None] - kv.degree + np.arange(kv.degree + 1), values, axis=1)
+    np.put_along_axis(dense, spans[:, None] - kv.degree + np.arange(kv.degree + 1), values.T, axis=1)
     return dense
 
 
@@ -132,7 +132,7 @@ class TestBasisValue:
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         spans, values = basis_rows(kv, [1.0])
         assert spans[0] == kv.num_basis - 1
-        assert values[0, -1] == 1.0
+        assert values[-1, 0] == 1.0
 
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(7)
@@ -153,7 +153,7 @@ class TestBasisValue:
             kv = random_knot_vector(rng)
             a, b = kv.domain
             ts = np.concatenate([rng.uniform(a, b, size=20), [a, b]])
-            np.testing.assert_allclose(basis_rows(kv, ts)[1].sum(axis=1), 1.0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(basis_rows(kv, ts)[1].sum(axis=0), 1.0, rtol=0, atol=1e-10)
 
     def test_local_support_and_nonnegativity(self):
         rng = np.random.default_rng(13)
@@ -422,13 +422,13 @@ class TestBlockedEvaluation:
             xs[-1], ys[-1] = 1.0, 0.3
         (px, py), expected = degrees, []
         for x, y in zip(xs, ys):
-            (mu,), (bx,) = basis_rows(space.knots_x, [x])
-            (nu,), (by,) = basis_rows(space.knots_y, [y])
+            (mu,), bx = basis_rows(space.knots_x, [x])
+            (nu,), by = basis_rows(space.knots_y, [y])
             total, slots = 0.0, []
             for a in range(px + 1):
                 for b in range(py + 1):
                     c = float(coefficients[mu - px + a, nu - py + b])
-                    total += c * float(bx[a]) * float(by[b])
+                    total += c * float(bx[a, 0]) * float(by[b, 0])
                     slots.append(c)
             expected.append(min(max(total, min(slots)), max(slots)))
         assert tensor_rows(space, xs, ys).values(coefficients).tolist() == expected
