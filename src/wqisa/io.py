@@ -12,18 +12,19 @@ numpy's reader accepts no file the walk refuses.
 Clouds and sampled surface grids are written by one row writer, by the same
 extension rule, in blocks of at most ``_ROWS_PER_BLOCK`` rows, from one
 line buffer reused for the whole file: its separators are set once, each
-block overwrites the fields it writes, and the buffer's bytes, NUL padding
-dropped, go to the file without a copy.  Each value is written as the bytes
+block overwrites the fields it writes, and ``bytes.translate`` drops the
+block's NULs on the way to the file.  Each value is written as the bytes
 of ``'%.17g' % v``, whose 17 significant digits reproduce it exactly.
-numpy formats every value with ``1e-4 <= |v| < 1e16``; Python's ``%``
-formats the others (zeros, subnormals, smaller and larger magnitudes), in
-one call per block.  A grid formats each lattice x and y once and takes its
-z values from ``evaluate_lattice``.  A grid block is whole x rows, or a
-slice of one row past ``_ROWS_PER_BLOCK`` y values: the y column is laid
-out once per grid (per block when rows are sliced), and each block
-broadcasts its x text and formats only its z values.  Surfaces and reports
-are JSON, reports without NaN or infinity.  Run configs are ``key = value``
-lines with finite floats, written as ``%.17g``, and round-trip losslessly.
+numpy fills a fixed field per decimal exponent, sign and digit count for
+each ``1e-4 <= |v| < 1e16``; Python's ``%`` formats the others (zeros,
+subnormals, exact powers of ten, smaller and larger magnitudes), in one
+call per block.  A grid formats each lattice x and y once and takes its z
+values from ``evaluate_lattice``.  A grid block is whole x rows, or a slice
+of one row past ``_ROWS_PER_BLOCK`` y values: the y column is laid out
+once per grid (per block when rows are sliced), and each block broadcasts
+its x text and formats only its z values.  Surfaces and reports are JSON,
+reports without NaN or infinity.  Run configs are ``key = value`` lines
+with finite floats, written as ``%.17g``, and round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -77,56 +78,42 @@ _EXPONENTS = range(-4, 16)
 _QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
 _QUADS = _QUADS.view("<u4").ravel().astype(np.uint64)
 _TRAILING = sum(np.arange(10000) % 10**j == 0 for j in range(1, 5)).astype(np.int8)
-# the byte of the digit words that holds the first of the 17 digits
-_FIRST = 7
 
 
-def _layout(e: int, negative: bool, kept: int) -> tuple[int, bytes, bytes]:
-    """How ``%.17g`` lays out 17 digits with decimal exponent *e* when the
-    digits through the *kept*-th are kept: the byte the first digit goes
-    to, the ``_WIDTH`` chars it writes with NUL at each digit's byte, and
-    each byte's source: 0 for a constant char, 1 for a digit in place and 2
-    for a digit one byte further up, past the '.'."""
-    sign = "-" * negative
-    if e < 0:  # '0.', -e - 1 zeros, the digits
-        head, digits = sign + "0." + "0" * (-e - 1), "\0" * kept
-    else:  # the first e + 1 digits, and a '.' only before a kept fraction digit
-        head, digits = sign, "\0" * (e + 1) + ("." + "\0" * (kept - e - 1) if kept > e + 1 else "")
-    text, at = head + digits, len(head)
-    source = bytes(1 + text.count(".", at, j) if c == "\0" else 0 for j, c in enumerate(text))
-    return at, text.encode().ljust(_WIDTH, b"\0"), source.ljust(_WIDTH, b"\0")
+def _layout(e: int, negative: bool, kept: int) -> bytes:
+    """The field of 17 digits with decimal exponent *e*, the digits through
+    the *kept*-th kept: its ``_WIDTH`` constant chars, then the masks of the
+    digits in place and one byte up.  The sign is byte 0; below 1, bytes
+    ``1 .. 1 - e`` hold ``0.`` and its leading zeros; digit ``i`` is byte
+    ``6 + i`` up to the point, byte ``7 + e``, and ``7 + i`` past it."""
+    field = bytearray(3 * _WIDTH)
+    field[0] = ord("-") * negative
+    if e < 0:
+        field[1 : 2 - e] = b"0." + b"0" * (-e - 1)
+    elif kept > e + 1:  # a '.' only before a kept fraction digit
+        field[7 + e] = ord(".")
+    for i in range(max(kept, e + 1)):
+        field[(1 + (i > e)) * _WIDTH + 6 + i + (i > e)] = 0xFF
+    return bytes(field)
 
 
-def _layout_tables():
-    """Per plan ``18 * (2 * (e + 4) + negative) + kept``: the shift that
-    moves the first digit from byte ``_FIRST`` to its byte, and the constant
-    chars and the masks (0xff) of the digits in place and one byte further
-    up, each field as three little-endian words.  The word tables are
-    word-major, so a lookup gives one contiguous row per word."""
-    at, text, source = zip(
-        *(_layout(e, negative, kept) for e in _EXPONENTS for negative in (False, True) for kept in range(18))
-    )
-    text, source = (np.frombuffer(b"".join(column), np.uint8) for column in (text, source))
-    fields = np.stack([text, 0xFF * (source == 1), 0xFF * (source == 2)]).astype(np.uint8)
-    words = np.ascontiguousarray(fields.view("<u8").reshape(3, -1, 3).transpose(0, 2, 1), np.uint64)
-    return 8 * (_FIRST - np.array(at, np.uint64)), words[0], words[1:]
-
-
-_SHIFTS, _CONSTANTS, _MASKS = _layout_tables()
+# the fields of plan 18 * (2 * (e + 4) + negative) + kept, nine words each
+_PLANS = b"".join(_layout(e, minus, kept) for e in _EXPONENTS for minus in (False, True) for kept in range(18))
+_PLANS = np.frombuffer(_PLANS, "<u8").reshape(-1, 9)
 
 
 def _fields(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of each float64 in *values*, as ``_WIDTH`` ASCII
-    codes a value, NUL after the text.
+    codes a value, with NULs among and after the text's bytes.
 
     A value with ``1e-4 <= |v| < 1e16`` is rounded in numpy.  For
     ``e = floor(log10 |v|)``, Dekker's exact product gives
     ``|v| * 10**(16 - e)`` as ``p + err``, and its 17 digits are
     ``p + rint(err)``: ``p`` lies above 2**53, so it is an even integer, and
     rounding ``err`` half to even rounds ``p + err`` half to even, as
-    ``%.17g`` does.  A value is taken only if ``p + err`` lies in
-    ``[1e16, 1e17)`` and its digits stay below ``1e17``.  Every other value,
-    one whose ``log10`` came out wrong included, is formatted by ``%``.
+    ``%.17g`` does.  A value fills its plan's field (see ``_layout``) only
+    if its digits lie strictly between ``10**16`` and ``10**17``; any other,
+    an exact power of ten or one whose ``log10`` came out wrong, goes to ``%``.
     """
     magnitude = np.abs(values)
     fast = (magnitude >= 1e-4) & (magnitude < 1e16)
@@ -137,9 +124,7 @@ def _fields(values: np.ndarray) -> np.ndarray:
     (a_high, a_low), s_high, s_low = _veltkamp(a), np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
     err = ((a_high * s_high - p) + a_high * s_low + a_low * s_high) + a_low * s_low
     digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    fast &= (p > 1e16) | ((p == 1e16) & (err >= 0))
-    fast &= ((p < 1e17) | ((p == 1e17) & (err < 0))) & (digits < 10**17)
-    digits[~fast] = 10**16
+    fast &= (digits > 10**16) & (digits < 10**17)
     # the 17 digits: a lead one, then four groups of four
     high = digits // 10**8
     low = digits - high * 10**8
@@ -147,25 +132,19 @@ def _fields(values: np.ndarray) -> np.ndarray:
     high -= lead * 10**8
     q1, q3 = high // 10**4, low // 10**4
     q2, q4 = high - q1 * 10**4, low - q3 * 10**4
-    # as ASCII in three little-endian words, the lead digit at byte _FIRST
-    w0 = (lead.astype(np.uint64) + ord("0")) << 8 * _FIRST
-    w1 = np.take(_QUADS, q1) | np.take(_QUADS, q2) << 32
-    w2 = np.take(_QUADS, q3) | np.take(_QUADS, q4) << 32
+    # as ASCII in three little-endian words, digit i at byte 7 + i (one byte
+    # up), and the same words one byte down, in place
+    w1, w2 = (np.take(_QUADS, first) | np.take(_QUADS, second) << 32 for first, second in ((q1, q2), (q3, q4)))
+    up_one = (lead.astype(np.uint64) + ord("0")) << 56, w1, w2
+    in_place = (up_one[0] >> 8) | (up_one[1] << 56), (up_one[1] >> 8) | (up_one[2] << 56), up_one[2] >> 8
     # the digits kept run through the last nonzero one
     low_zeros = np.where(q4 == 0, 4 + np.take(_TRAILING, q3), np.take(_TRAILING, q4))
     high_zeros = np.where(q2 == 0, 4 + np.take(_TRAILING, q1), np.take(_TRAILING, q2))
     trailing = np.where(low == 0, 8 + high_zeros, low_zeros)
-    plan = 18 * (2 * (e - _EXPONENTS[0]) + (values < 0)) + 17 - trailing
-    # the digits moved down to the plan's first byte, and one byte further up
-    shift = np.take(_SHIFTS, plan)
-    up = 64 - shift
-    there = (w0 >> shift) | (w1 << up), (w1 >> shift) | (w2 << up), w2 >> shift
-    further = there[0] << 8, (there[1] << 8) | (there[0] >> 56), (there[2] << 8) | (there[1] >> 56)
-    text = np.take(_CONSTANTS, plan, axis=1)
-    masks = np.take(_MASKS, plan, axis=2)
+    plan = np.take(_PLANS, 18 * (2 * (e - _EXPONENTS[0]) + (values < 0)) + 17 - trailing, axis=0)
     words = np.empty((values.size, 3), "<u8")
     for j in range(3):
-        np.bitwise_or(text[j], (there[j] & masks[0, j]) | (further[j] & masks[1, j]), out=words[:, j])
+        np.bitwise_or(plan[:, j], (in_place[j] & plan[:, 3 + j]) | (up_one[j] & plan[:, 6 + j]), out=words[:, j])
     chars = words.view(np.uint8)
     # zeros, subnormals, the two ends and any value refused above
     rest = np.flatnonzero(~fast)
@@ -186,15 +165,16 @@ def _write_points(path, rows: int, blocks) -> None:
     reused block by block; the separators are set once.
     ``blocks(fields)`` is given the buffer's ``(rows, 3, _WIDTH)`` field
     bytes and yields the row count of each block once it has filled the
-    first rows; a field it leaves keeps the bytes of the block before."""
+    first rows; a field it leaves keeps the bytes of the block before.  A
+    block goes out as one ``bytes.translate`` copy, NULs dropped: unlike a
+    mask's, its cost does not grow when NULs sit inside fields."""
     is_csv = _cloud_format(Path(path)) == "csv"
     line = np.empty((rows, 3, _WIDTH + 1), np.uint8)
     line[:, :, _WIDTH] = np.frombuffer(b",,\n" if is_csv else b"  \n", np.uint8)
     with Path(path).open("wb") as fh:
         fh.write(",".join(_CSV_COLUMNS).encode() + b"\n" if is_csv else b"")
         for count in blocks(line[:, :, :_WIDTH]):
-            chars = line[:count]
-            fh.write(chars[chars != 0])
+            fh.write(line[:count].tobytes().translate(None, b"\0"))
 
 
 def _read_text(path: Path, error: type[ValueError]) -> str:

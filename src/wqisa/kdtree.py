@@ -135,23 +135,30 @@ class PlanarIndex:
             return ids, visited + more
         return ids
 
-    def within_radius(self, query, r: float):
+    def within_radius(self, query, r: float, flat: bool = False):
         """Ids of all points with distance <= *r* (closed ball), ascending id:
-        an array for one point, a list of *m* arrays for a block of *m*."""
+        an array for one point, a list of *m* arrays for a block of *m*.
+
+        With ``flat=True``, a block's ids concatenated in query order and
+        each query's count, ``(ids, sizes)``, as ``NeighbourTable`` reads them.
+        """
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r}")
         queries = query_point(query, self.box)
         block = queries.reshape(-1, 2)
         r2 = r * r
         leaf_q, leaf, _ = self._walk(block, np.full(len(block), r2))
-        found = []
+        ids, sizes = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         for rows, cq, pos, d2 in self._scan(block, leaf_q, leaf):
             inside = d2 <= r2
             cq, pid = cq[inside] - rows.start, self._order[pos[inside]]
             # sorted by (query, id) through one integer key per candidate
-            keys = np.sort(cq * self.size + pid)
-            ends = np.cumsum(np.bincount(cq, minlength=rows.stop - rows.start))
-            found += np.split(keys % self.size, ends[:-1])
+            ids.append(np.sort(cq * self.size + pid) % self.size)
+            sizes.append(np.bincount(cq, minlength=rows.stop - rows.start))
+        ids, sizes = np.concatenate(ids), np.concatenate(sizes)
+        if flat:
+            return ids, sizes
+        found = np.split(ids, np.cumsum(sizes))[:-1]
         return found[0] if queries.ndim == 1 else found
 
     def _bound(self, block: np.ndarray, k: int) -> tuple[np.ndarray, int]:

@@ -257,8 +257,7 @@ class NeighbourTable:
         """The ids of the rows about a *block* of centres, concatenated, and
         each row's size: every point the grid can weigh about its centre."""
         if self.kind == "indicator":
-            rows = self._index.within_radius(block, self.reach)
-            return np.concatenate(rows), np.array([row.size for row in rows])
+            return self._index.within_radius(block, self.reach, True)  # flat: (ids, sizes)
         if self.reach is not None:
             return self._index.knn(block, self.reach).ravel(), np.full(len(block), self.reach)
         n = self.cloud.shape[0]

@@ -366,8 +366,8 @@ class TestWrittenText:
 
 
 def field_text(values) -> list[str]:
-    """The texts ``_fields`` gives *values*: each row's chars up to its first NUL."""
-    return [bytes(row).split(b"\0")[0].decode() for row in _fields(np.asarray(values, dtype=float))]
+    """The texts ``_fields`` gives *values*: each row's chars, NULs dropped."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in _fields(np.asarray(values, dtype=float))]
 
 
 def nudged(values, steps) -> np.ndarray:
@@ -469,6 +469,21 @@ class TestWrittenBytes:
     def test_grid_is_the_reference_text(self, tmp_path, resolution):
         assert_grid_text(tmp_path, negative_surface(9), resolution)
 
+    @pytest.mark.parametrize("fmt, sep", [("xyz", " "), ("csv", ",")])
+    def test_powers_of_ten_in_a_block_are_the_reference_text(self, tmp_path, fmt, sep):
+        # an exact power of ten goes to % amid values of the fast path, in
+        # a grid's x and y columns and in a cloud's every column
+        knots = KnotVector.uniform_open(2, 3, 0.0, 1000.0)
+        surface = WqisaSurface(TensorSplineSpace(knots, knots), np.random.default_rng(5).normal(size=(5, 5)))
+        assert_grid_text(tmp_path, surface, (11, 11), fmt)
+        rng = np.random.default_rng(6)
+        cloud = random_cloud(rng, 600)
+        cloud.ravel()[rng.choice(cloud.size, 400, replace=False)] = np.resize([1.0, 10.0, 1e15, -100.0], 400)
+        path = tmp_path / f"c.{fmt}"
+        write_cloud(path, cloud)
+        header = "x,y,z\n" if fmt == "csv" else ""
+        assert_same_text(path, header + reference_cloud_text(cloud, sep))
+
     def test_grid_of_zeros_is_the_reference_text(self, tmp_path):
         # every z is formatted by %
         space = TensorSplineSpace(KnotVector.uniform_open(1, 2), KnotVector.uniform_open(2, 2))
@@ -539,6 +554,19 @@ class TestGridWriterBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 1000 * 1000 + 8 * _ROWS_PER_BLOCK * 3 * (_WIDTH + 1)
+
+    def test_cloud_memory_is_a_few_blocks(self, tmp_path):
+        # a 200k-point cloud is written a block at a time: the peak stays
+        # within a fixed number of line buffers (its whole text takes 12 MB)
+        cloud = random_cloud(np.random.default_rng(4), 200_000)
+        write_cloud(tmp_path / "warm.csv", cloud[:3])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            write_cloud(tmp_path / "cloud.csv", cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _ROWS_PER_BLOCK * 3 * (_WIDTH + 1)
 
 
 def negative_surface(seed: int) -> WqisaSurface:
