@@ -135,17 +135,19 @@ class PlanarIndex:
             return ids, visited + more
         return ids
 
-    def within_radius(self, query, r: float, flat: bool = False):
+    def within_radius(self, query, r: float):
         """Ids of all points with distance <= *r* (closed ball), ascending id:
-        an array for one point, a list of *m* arrays for a block of *m*.
-
-        With ``flat=True``, a block's ids concatenated in query order and
-        each query's count, ``(ids, sizes)``, as ``NeighbourTable`` reads them.
-        """
+        an array for one point, a list of *m* arrays for a block of *m*."""
         if not r >= 0:
             raise ValueError(f"radius must be nonnegative, got {r}")
         queries = query_point(query, self.box)
-        block = queries.reshape(-1, 2)
+        ids, sizes = self._radius_rows(queries.reshape(-1, 2), r)
+        found = np.split(ids, np.cumsum(sizes))[:-1]
+        return found[0] if queries.ndim == 1 else found
+
+    def _radius_rows(self, block: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """The ids within *r* of each query of a checked *block*, concatenated
+        in query order and ascending id within a query, and each query's count."""
         r2 = r * r
         leaf_q, leaf, _ = self._walk(block, np.full(len(block), r2))
         ids, sizes = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
@@ -155,11 +157,7 @@ class PlanarIndex:
             # sorted by (query, id) through one integer key per candidate
             ids.append(np.sort(cq * self.size + pid) % self.size)
             sizes.append(np.bincount(cq, minlength=rows.stop - rows.start))
-        ids, sizes = np.concatenate(ids), np.concatenate(sizes)
-        if flat:
-            return ids, sizes
-        found = np.split(ids, np.cumsum(sizes))[:-1]
-        return found[0] if queries.ndim == 1 else found
+        return np.concatenate(ids), np.concatenate(sizes)
 
     def _bound(self, block: np.ndarray, k: int) -> tuple[np.ndarray, int]:
         """Each query's k-th squared distance within the smallest subtree on

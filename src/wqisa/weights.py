@@ -257,7 +257,7 @@ class NeighbourTable:
         """The ids of the rows about a *block* of centres, concatenated, and
         each row's size: every point the grid can weigh about its centre."""
         if self.kind == "indicator":
-            return self._index.within_radius(block, self.reach, True)  # flat: (ids, sizes)
+            return self._index._radius_rows(block, self.reach)
         if self.reach is not None:
             return self._index.knn(block, self.reach).ravel(), np.full(len(block), self.reach)
         n = self.cloud.shape[0]

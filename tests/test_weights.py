@@ -327,7 +327,7 @@ class TestEstimateControlPoint:
         # every centre is checked once, before the first block is queried
         monkeypatch.setattr(kdtree, "TABLE_BUDGET", 1)
         queried = []
-        for name in ("knn", "within_radius"):
+        for name in ("knn", "_radius_rows"):
             monkeypatch.setattr(PlanarIndex, name, lambda index, *args: queried.append(args))
         cloud = random_cloud(np.random.default_rng(14), 40)
         spec = WeightSpec.indicator(0.5) if kind == "indicator" else WeightSpec.knn(3)
@@ -458,7 +458,7 @@ class TestSharedNeighbourTable:
         space = _mesh(cloud, 4, 3)
         centres = knot_average_grid(space)
         queried = [np.empty((0, 2))]  # the points of every query, one point or a block
-        for name in ("knn", "within_radius"):
+        for name in ("knn", "_radius_rows"):
             query = getattr(PlanarIndex, name)
             monkeypatch.setattr(
                 PlanarIndex, name,
