@@ -21,6 +21,7 @@ from .splines import (
     insert_knot,
     knot_average_grid,
     knot_averages,
+    refine,
 )
 from .weights import (
     NeighbourTable,
@@ -30,7 +31,7 @@ from .weights import (
     fit_surface,
 )
 from .kdtree import PlanarIndex
-from .mba import MbaSurface, fit_mba, mba_level_coefficients
+from .mba import fit_mba, mba_level_coefficients
 from .metrics import (
     ElementErrorMap,
     ErrorStats,

@@ -192,6 +192,7 @@ def _cmd_compare(args) -> int:
         degrees=fit_config.degrees,
         domain=domain,
     )
+    mba_levels = mba_surface.space.element_counts[0].bit_length()  # level l has 2**l elements a side
 
     write_report(
         {
@@ -205,8 +206,8 @@ def _cmd_compare(args) -> int:
             },
             "mba": {
                 **_assess(mba_surface, data.test, args.density),
-                "iterations": len(mba_surface.levels),
-                "validation_gmse": mba_history[len(mba_surface.levels) - 1],
+                "iterations": mba_levels,
+                "validation_gmse": mba_history[mba_levels - 1],
             },
         },
         args.out,

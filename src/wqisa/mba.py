@@ -14,44 +14,12 @@ and one denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clouds import as_cloud, check_integer, check_planar_extent, joint_bounding_box
 from .metrics import mean_square
 from .pipeline import STAGNATION_TOL, FitConfig
-from .splines import TensorRows, TensorSplineSpace, WqisaSurface, tensor_rows
-
-
-@dataclass(frozen=True, eq=False)
-class MbaSurface:
-    """A stack of per-level surfaces over a common domain; evaluation sums them."""
-
-    levels: tuple[WqisaSurface, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) < 1:
-            raise ValueError("an MBA surface needs at least one level")
-
-    @property
-    def space(self) -> TensorSplineSpace:
-        """The finest level's space; every level covers the same domain."""
-        return self.levels[-1].space
-
-    def evaluate_many(self, xs, ys) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        total = np.zeros(xs.shape[0])
-        for level in self.levels:
-            total += level.evaluate_many(xs, ys)
-        return total
-
-    def evaluate_lattice(self, xs, ys) -> np.ndarray:
-        """Values on the lattice *xs* by *ys*, summed as ``evaluate_many`` sums them."""
-        total = np.zeros(np.size(xs) * np.size(ys))
-        for level in self.levels:
-            total += level.evaluate_lattice(xs, ys)
-        return total
+from .splines import TensorRows, TensorSplineSpace, WqisaSurface, refine, tensor_rows
 
 
 def mba_level_coefficients(rows: TensorRows, z) -> np.ndarray:
@@ -84,7 +52,7 @@ def fit_mba(
     validation,
     degrees: tuple[int, int] = FitConfig.degrees,
     domain: tuple[float, float, float, float] | None = None,
-) -> tuple[MbaSurface, list[float]]:
+) -> tuple[WqisaSurface, list[float]]:
     """Fit levels until validation GMSE rises or stagnates, or *max_levels*
     is reached.
 
@@ -97,10 +65,12 @@ def fit_mba(
     such a level cannot be determined by the data, and each level holds
     four times the coefficients of the one before.
 
-    Returns the surface truncated at the best level together with the full
-    per-level GMSE history (including the increase that stopped the fit,
-    when one occurred).  The default domain is the joint bounding box of
-    the training and validation clouds so both stay evaluable.
+    Returns the kept levels' sum, refined level by level onto the best
+    level's mesh of ``2**l`` elements a side (Lee, Wolberg & Shin, IEEE TVCG
+    1997, section 4), together with the full per-level GMSE history
+    (including the increase that stopped the fit, when one occurred).  The
+    default domain is the joint bounding box of the training and validation
+    clouds so both stay evaluable.
     """
     max_levels = check_integer("max_levels", max_levels, 1)
     cloud = as_cloud(cloud)
@@ -110,7 +80,7 @@ def fit_mba(
     check_planar_extent(domain)
     residual = cloud[:, 2].copy()
     val_pred = np.zeros(validation.shape[0])
-    levels: list[WqisaSurface] = []
+    surface: WqisaSurface | None = None
     gmse_history: list[float] = []
     for level in range(max_levels):
         space = TensorSplineSpace.uniform(degrees, domain, 2**level)
@@ -118,16 +88,15 @@ def fit_mba(
             break
         rows = tensor_rows(space, cloud[:, 0], cloud[:, 1])
         grid = mba_level_coefficients(rows, residual)
-        surface = WqisaSurface(space, grid)
-        candidate_val = val_pred + surface.evaluate_many(validation[:, 0], validation[:, 1])
+        candidate_val = val_pred + WqisaSurface(space, grid).evaluate_many(validation[:, 0], validation[:, 1])
         gmse = mean_square(validation[:, 2] - candidate_val)
         gmse_history.append(gmse)
         previous = gmse_history[level - 1] if level > 0 else None
         if previous is not None and gmse > previous:
             break
-        levels.append(surface)
+        surface = WqisaSurface(space, grid if surface is None else refine(surface, space).coefficients + grid)
         if previous is not None and previous - gmse <= STAGNATION_TOL * previous:
             break
         val_pred = candidate_val
         residual = residual - rows.values(grid)
-    return MbaSurface(tuple(levels)), gmse_history
+    return surface, gmse_history

@@ -219,6 +219,34 @@ def insert_knot(kv: KnotVector, t: float) -> KnotVector:
     return KnotVector(kv.degree, np.insert(kv.knots, pos, t))
 
 
+def refine(surface: WqisaSurface, target: TensorSplineSpace) -> WqisaSurface:
+    """*surface* on the finer space *target*, equal in exact arithmetic, by
+    Boehm's knot insertion (CAD 12(4), 1980): one axis and one knot at a
+    time, with ``-``, ``*``, ``/`` and ``+`` alone, which round alike on every
+    SIMD target.  ``ValueError`` names the axis if the target's degree or
+    domain differs or its knots lack the source's."""
+    c, space = surface.coefficients, surface.space
+    for name, source, finer in zip("xy", (space.knots_x, space.knots_y), (target.knots_x, target.knots_y)):
+        p, knots = source.degree, source.knots
+        if finer.degree != p:
+            raise ValueError(f"target degree {finer.degree} in {name} differs from the source's {p}")
+        if finer.domain != source.domain:
+            raise ValueError(f"target domain {finer.domain} in {name} differs from the source's {source.domain}")
+        edges, counts = np.unique(finer.knots, return_counts=True)
+        have = np.searchsorted(knots, edges, "right") - np.searchsorted(knots, edges, "left")
+        lacking = knots[~np.isin(knots, edges[have <= counts])]
+        if lacking.size:
+            raise ValueError(f"target knots in {name} lack the source's knot {float(lacking[0])!r}")
+        for t in np.repeat(edges, counts - have).tolist():
+            mu = int(np.searchsorted(knots, t, side="right")) - 1
+            i = np.arange(mu - p + 1, mu + 1)
+            alpha = ((t - knots[i]) / (knots[i + p] - knots[i]))[:, None]
+            c = np.concatenate([c[: mu - p + 1], alpha * c[i] + (1.0 - alpha) * c[i - 1], c[mu:]])
+            knots = np.insert(knots, mu + 1, t)
+        c = c.T  # the next axis first; two transposes restore (x, y)
+    return WqisaSurface(target, c)
+
+
 @dataclass(frozen=True, eq=False)
 class TensorSplineSpace:
     """Tensor product of two knot vectors; dimension ``n_x * n_y``."""

@@ -2,7 +2,10 @@
 
 Everything here recomputes results from the defining formulas with plain
 full scans and sorts, deliberately avoiding the library's spatial index and
-span-based evaluation paths.  ``tricky_surface`` is the one edge-case
+span-based evaluation paths; ``reference_fit_mba`` runs the multilevel
+baseline's loop from those formulas and takes only each level's
+``tensor_rows`` from the library, as ``reference_level_coefficients`` does.
+``tricky_surface`` is the one edge-case
 surface that several test modules share, ``noisy_cloud`` samples test
 surfaces other than the hemisphere (``franke_height``, ``step_height``),
 and ``avx512_targets`` names the SIMD targets to switch off when a test
@@ -17,7 +20,8 @@ from math import isfinite
 
 import numpy as np
 
-from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface
+from wqisa.pipeline import STAGNATION_TOL
+from wqisa.splines import KnotVector, TensorSplineSpace, WqisaSurface, tensor_rows
 
 
 def naive_basis(local_knots, t: float) -> float:
@@ -259,6 +263,54 @@ def reference_level_coefficients(rows, z) -> np.ndarray:
                 denominator[first + a * ny + b] += w * w
     grid = [num / den if den > 0.0 else 0.0 for num, den in zip(numerator, denominator)]
     return np.array(grid).reshape(nx, ny)
+
+
+def reference_basis_values(kv: KnotVector, t: float) -> list[float]:
+    """Every basis value of *kv* at *t* by ``naive_basis``, 0.0 outside a
+    basis function's support; at the right end of the domain, which no
+    half-open support holds, the left limit: the last basis value is 1."""
+    knots, p, n = kv.knots.tolist(), kv.degree, kv.num_basis
+    if t == kv.domain[1]:
+        return [0.0] * (n - 1) + [1.0]
+    return [naive_basis(knots[i : i + p + 2], t) if knots[i] <= t < knots[i + p + 1] else 0.0 for i in range(n)]
+
+
+def reference_value(space: TensorSplineSpace, grid: np.ndarray, x: float, y: float) -> float:
+    """The surface value ``sum c[i, j] * B_i(x) * B_j(y)`` over every coefficient, unclamped."""
+    bx, by, rows = reference_basis_values(space.knots_x, x), reference_basis_values(space.knots_y, y), grid.tolist()
+    return sum(c * u * v for row, u in zip(rows, bx) for c, v in zip(row, by))
+
+
+def reference_fit_mba(cloud: np.ndarray, max_levels: int, validation: np.ndarray, degrees, domain):
+    """MBA's level loop in plain loops, with the stop rules ``fit_mba``
+    documents: level ``l`` lies on ``2**l`` elements a side; a level after
+    the first with more coefficients than *cloud* has points is not fitted;
+    a level whose validation GMSE rises is scored but not kept; a level that
+    lowers it by at most ``STAGNATION_TOL`` of the previous GMSE is kept and
+    ends the fit.  Each level's coefficients are ``reference_level_coefficients``
+    of the residual heights, and every value is a ``reference_value`` sum.
+    Returns the kept levels as ``(space, grid)`` pairs and the GMSE history."""
+    levels, history, residual = [], [], cloud[:, 2].tolist()
+    for level in range(max_levels):
+        space = TensorSplineSpace.uniform(degrees, domain, 2**level)
+        if level > 0 and space.shape[0] * space.shape[1] > len(cloud):
+            break
+        grid = reference_level_coefficients(tensor_rows(space, cloud[:, 0], cloud[:, 1]), residual)
+        kept = levels + [(space, grid)]
+        errors = [z - sum(reference_value(s, g, x, y) for s, g in kept) for x, y, z in validation.tolist()]
+        history.append(sum(e * e for e in errors) / len(errors))
+        if level > 0 and history[-1] > history[-2]:
+            break
+        levels = kept
+        if level > 0 and history[-2] - history[-1] <= STAGNATION_TOL * history[-2]:
+            break
+        residual = [r - reference_value(space, grid, x, y) for r, (x, y, _) in zip(residual, cloud.tolist())]
+    return levels, history
+
+
+def mba_level_count(surface: WqisaSurface) -> int:
+    """The levels an MBA fit kept, read off its mesh: level ``l`` has ``2**l`` elements a side."""
+    return surface.space.element_counts[0].bit_length()
 
 
 def random_cloud(rng: np.random.Generator, n: int, scale: float = 1.0, dupes: bool = False) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 import time
 import tracemalloc
+from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_level_coefficients
-from wqisa import mba
-from wqisa.mba import MbaSurface, fit_mba, mba_level_coefficients
+from oracles import mba_level_count, reference_fit_mba, reference_level_coefficients, reference_value
+from wqisa import mba, pipeline, splines
+from wqisa.clouds import joint_bounding_box
+from wqisa.mba import fit_mba, mba_level_coefficients
 from wqisa.splines import TensorSplineSpace, WqisaSurface, tensor_rows
 from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import fit_surface  # noqa: F401  (namespace sanity)
@@ -127,24 +129,6 @@ class TestLevelCoefficients:
         assert peak <= 8 * 8 * len(cloud)
 
 
-class TestMbaSurface:
-    def test_evaluation_sums_levels(self):
-        rng = np.random.default_rng(1)
-        levels = []
-        for lev in range(3):
-            space = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 2**lev)
-            levels.append(WqisaSurface(space, rng.uniform(-1, 1, size=space.shape)))
-        surface = MbaSurface(tuple(levels))
-        xs = rng.uniform(0, 1, size=100)
-        ys = rng.uniform(0, 1, size=100)
-        expected = sum(level.evaluate_many(xs, ys) for level in levels)
-        np.testing.assert_allclose(surface.evaluate_many(xs, ys), expected, atol=1e-12)
-
-    def test_needs_a_level(self):
-        with pytest.raises(ValueError):
-            MbaSurface(())
-
-
 class TestFitMba:
     def test_dyadic_element_counts(self):
         for lev in range(4):
@@ -169,7 +153,7 @@ class TestFitMba:
         train[:, 2] += rng.normal(0, 0.3, size=300)
         validation = hemisphere_cloud(150, seed=5)
         surface, history = fit_mba(train, 8, validation)
-        kept = len(surface.levels)
+        kept = mba_level_count(surface)
         assert kept <= 8
         if len(history) > kept:  # truncated: the next level was worse
             assert history[kept] > history[kept - 1]
@@ -177,14 +161,13 @@ class TestFitMba:
             assert b <= a
 
     def test_training_residual_norm_non_increasing_on_hemisphere(self):
+        # the fit of L levels is the fit of L - 1 levels plus one more
         cloud = hemisphere_cloud(2000, seed=6)
         validation = hemisphere_cloud(500, seed=7)
-        surface, _ = fit_mba(cloud, 4, validation)
         norms = []
-        pred = np.zeros(cloud.shape[0])
-        for level in surface.levels:
-            pred += level.evaluate_many(cloud[:, 0], cloud[:, 1])
-            norms.append(float(np.mean((cloud[:, 2] - pred) ** 2)))
+        for levels in range(1, 5):
+            surface, _ = fit_mba(cloud, levels, validation)
+            norms.append(float(np.mean((cloud[:, 2] - surface.evaluate_many(cloud[:, 0], cloud[:, 1])) ** 2)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_stagnation_keeps_the_level_and_stops(self):
@@ -193,7 +176,7 @@ class TestFitMba:
         cloud = np.column_stack([rng.uniform(0, 1, size=(200, 2)), np.zeros(200)])
         validation = np.column_stack([rng.uniform(0, 1, size=(50, 2)), np.zeros(50)])
         surface, history = fit_mba(cloud, 8, validation)
-        assert len(surface.levels) == len(history) == 2
+        assert mba_level_count(surface) == len(history) == 2
         assert history == [0.0, 0.0]
 
     def test_coefficient_budget_stops_a_noise_free_fit(self):
@@ -205,11 +188,11 @@ class TestFitMba:
         surface, history = fit_mba(cloud, 15, validation)
         assert time.perf_counter() - started < 1.0
         assert all(b < a for a, b in zip(history, history[1:]))
-        kept = len(surface.levels)
+        kept = mba_level_count(surface)
         assert kept == len(history) < 15
-        for level in surface.levels:
-            nx, ny = level.space.shape
-            assert nx * ny <= cloud.shape[0]
+        # the kept levels' meshes grow, so the last holds the most coefficients
+        nx, ny = surface.space.shape
+        assert nx * ny <= cloud.shape[0]
         nx, ny = TensorSplineSpace.uniform((2, 2), (0, 1, 0, 1), 2**kept).shape
         assert nx * ny > cloud.shape[0]
 
@@ -218,7 +201,7 @@ class TestFitMba:
         # surface needs a level
         cloud = hemisphere_cloud(4, seed=1)
         surface, history = fit_mba(cloud, 5, cloud)
-        assert len(surface.levels) == len(history) == 1
+        assert mba_level_count(surface) == len(history) == 1
 
     def test_each_level_builds_the_training_rows_once(self, monkeypatch):
         # the rows of a level give both its coefficients and the residual
@@ -255,3 +238,89 @@ class TestFitMba:
         cloud = hemisphere_cloud(10, seed=0)
         with pytest.raises(ValueError):
             fit_mba(cloud, 0, cloud)
+
+    def test_the_levels_are_refined_without_insert_knot(self, monkeypatch):
+        # the benchmark's tracer counts pipeline.insert_knot as the WQISA
+        # loop's knot insertions, so MBA's refinement must not call it
+        def refused(*args):
+            raise AssertionError("insert_knot called")
+
+        monkeypatch.setattr(pipeline, "insert_knot", refused)
+        monkeypatch.setattr(splines, "insert_knot", refused)
+        surface, history = fit_mba(hemisphere_cloud(2000, seed=6), 4, hemisphere_cloud(500, seed=7))
+        assert mba_level_count(surface) == len(history) == 4
+
+
+MBA_DEGREES = [(0, 0), (1, 1), (2, 2), (3, 2)]
+# a collapsed value and its reference level sum agree within this many ulps
+# of the largest height, for every cloud and degree
+REFERENCE_ULPS = 16
+
+
+def assert_fit_matches_reference(cloud, max_levels, validation, degrees):
+    """``fit_mba`` against ``reference_fit_mba``: the same kept levels, the
+    history within the rounding that values within the bound allow, and the
+    collapsed surface within the bound of the reference level sum at the
+    points, the corners and the finest mesh's knots."""
+    surface, history = fit_mba(cloud, max_levels, validation, degrees)
+    levels, expected = reference_fit_mba(cloud, max_levels, validation, degrees,
+                                         joint_bounding_box(cloud, validation))
+    assert mba_level_count(surface) == len(levels)
+    assert surface.space.element_counts == levels[-1][0].element_counts
+    assert len(history) == len(expected)
+    eps = np.finfo(float).eps
+    tol = REFERENCE_ULPS * eps * np.abs(np.concatenate([cloud[:, 2], validation[:, 2]])).max()
+    # values within tol move a mean square e**2 by at most tol * (2 * |e| + tol)
+    for got, want in zip(history, expected):
+        assert abs(got - want) <= tol * (2.0 * sqrt(want) + tol) + 4.0 * eps * want, (history, expected)
+    x0, x1, y0, y1 = surface.space.domain
+    knots_x, knots_y = surface.space.knots_x.breakpoints, surface.space.knots_y.breakpoints
+    points = np.vstack([cloud[:, :2], validation[:, :2], [[x0, y0], [x0, y1], [x1, y0], [x1, y1]],
+                        np.column_stack([knots_x, np.resize(knots_y, knots_x.size)])])
+    reference = [sum(reference_value(space, grid, x, y) for space, grid in levels) for x, y in points.tolist()]
+    assert np.abs(surface.evaluate_many(points[:, 0], points[:, 1]) - reference).max() <= tol
+    return history
+
+
+class TestFitMbaAgainstReference:
+    """The collapsed fit against the level loop written from its definitions."""
+
+    @pytest.mark.parametrize("degrees", MBA_DEGREES)
+    def test_a_rejected_level_is_scored_but_not_kept(self, degrees):
+        cloud, validation = perturb(hemisphere_cloud(300, 4), noise_std=0.3, seed=5), hemisphere_cloud(100, 6)
+        history = assert_fit_matches_reference(cloud, 8, validation, degrees)
+        assert history[-1] > history[-2]
+
+    @pytest.mark.parametrize("degrees", MBA_DEGREES)
+    def test_the_budget_stops_a_noise_free_fit(self, degrees):
+        cloud, validation = hemisphere_cloud(200, 6), hemisphere_cloud(60, 7)
+        history = assert_fit_matches_reference(cloud, 8, validation, degrees)
+        assert len(history) >= 3 and all(b < a for a, b in zip(history, history[1:]))
+        nx, ny = TensorSplineSpace.uniform(degrees, UNIT_SQUARE, 2 ** len(history)).shape
+        assert nx * ny > len(cloud)
+
+    @pytest.mark.parametrize("degrees", MBA_DEGREES)
+    def test_stagnation_keeps_the_level_and_stops(self, degrees):
+        # on a flat cloud every level scores 0, which is no improvement on 0
+        rng = np.random.default_rng(12)
+        cloud = np.column_stack([rng.uniform(0, 1, size=(80, 2)), np.zeros(80)])
+        validation = np.column_stack([rng.uniform(0, 1, size=(30, 2)), np.zeros(30)])
+        assert assert_fit_matches_reference(cloud, 8, validation, degrees) == [0.0, 0.0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(degrees=st.sampled_from(MBA_DEGREES), max_levels=st.integers(1, 6), n=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), snapped=st.booleans(),
+           kind=st.sampled_from(["noise", "smooth", "constant"]), noise_std=st.sampled_from([0.0, 0.05, 0.3]))
+    def test_hypothesis_clouds(self, degrees, max_levels, n, seed, snapped, kind, noise_std):
+        # coordinates snapped to a quarter grid put points on knots and stack
+        # duplicates; heights are noise, a smooth surface or one value
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(-1.0, 2.0, size=(n + n // 3 + 1, 2))
+        if snapped:
+            xy = np.round(xy * 4.0) / 4.0
+        assume(all(np.ptp(xy, axis=0) >= 0.5))
+        z = {"noise": rng.uniform(-5.0, 5.0, len(xy)),
+             "smooth": np.sin(2.0 * xy[:, 0]) * np.cos(xy[:, 1]),
+             "constant": np.full(len(xy), 2.5)}[kind] + rng.normal(0.0, noise_std, len(xy))
+        cloud = np.column_stack([xy, z])
+        assert_fit_matches_reference(cloud[:n], max_levels, cloud[n:], degrees)

@@ -14,7 +14,6 @@ from wqisa.metrics import (
     punctual_errors,
     surface_sample_points,
 )
-from wqisa.mba import MbaSurface
 from wqisa.splines import KnotVector, OutOfDomainError, TensorSplineSpace, WqisaSurface, insert_knot
 from wqisa.synthetic import hemisphere_cloud, perturb
 from wqisa.weights import WeightSpec, fit_surface
@@ -357,13 +356,3 @@ class TestSurfaceSamples:
         )
         coefficients = np.random.default_rng(32).normal(size=space.shape)
         self.assert_reference(WqisaSurface(space, coefficients), density)
-
-    @pytest.mark.parametrize("density", [1, 4])
-    def test_mba_samples_are_the_reference(self, density):
-        rng = np.random.default_rng(33)
-        bbox = (-2.0, 3.0 / 7.0, 1.0, 1.25)
-        levels = []
-        for level in range(4):
-            space = TensorSplineSpace.uniform((2, 2), bbox, 2**level)
-            levels.append(WqisaSurface(space, rng.normal(size=space.shape)))
-        self.assert_reference(MbaSurface(tuple(levels)), density)

@@ -18,6 +18,7 @@ from wqisa.splines import (
     insert_knot,
     knot_averages,
     locate_spans,
+    refine,
     tensor_rows,
 )
 
@@ -218,6 +219,77 @@ class TestInsertKnot:
             for lo, hi in zip(kv.breakpoints[:-1], kv.breakpoints[1:]):
                 kv = insert_knot(kv, (lo + hi) / 2)
         np.testing.assert_allclose(kv.breakpoints, np.arange(9) / 8.0)
+
+
+def open_knots(degree: int, interior, lo: float = 0.0, hi: float = 1.0) -> KnotVector:
+    """An open knot vector on ``[lo, hi]`` with the *interior* knots, sorted."""
+    return KnotVector(degree, [lo] * (degree + 1) + sorted(interior) + [hi] * (degree + 1))
+
+
+def capped(values, cap: int) -> list:
+    """*values* with each one kept at most *cap* times, in their order."""
+    kept = []
+    for v in values:
+        if kept.count(v) < cap:
+            kept.append(v)
+    return kept
+
+
+# refined values agree within this many ulps of the largest coefficient
+REFINE_ULPS = 4
+
+
+class TestRefine:
+    """``refine`` re-expresses a surface on a finer space by knot insertion."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)), axes=st.sampled_from(["x", "y", "xy"]),
+           box=st.sampled_from([(0.0, 1.0), (-7.25, -1.0 / 3.0)]), data=st.data())
+    def test_the_refined_surface_is_the_surface(self, degrees, axes, box, data):
+        # knots on a twentieths grid repeat, and drawn floats make spans of
+        # many widths (no subnormal one, which a knot vector refuses); a knot
+        # appears at most degree + 1 times
+        lo, hi = box
+        knot = st.one_of(st.integers(1, 19).map(lambda k: lo + (hi - lo) * k / 20.0),
+                         st.floats(lo, hi, exclude_min=True, exclude_max=True).filter(lambda t: abs(t) > 1e-300))
+        sources, targets = [], []
+        for name, p in zip("xy", degrees):
+            interior = capped(data.draw(st.lists(knot, max_size=6)), p + 1)
+            sources.append(open_knots(p, interior, lo, hi))
+            extra = data.draw(st.lists(knot, max_size=6)) if name in axes else []
+            targets.append(open_knots(p, capped(interior + extra, p + 1), lo, hi))
+        source, target = TensorSplineSpace(*sources), TensorSplineSpace(*targets)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        surface = WqisaSurface(source, rng.normal(size=source.shape))
+        refined = refine(surface, target)
+        assert refined.space is target
+        # drawn points, every knot and both ends of each axis, as a lattice
+        xs, ys = (np.concatenate([rng.uniform(lo, hi, 12), kv.breakpoints]) for kv in targets)
+        gx, gy = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+        difference = np.abs(refined.evaluate_many(gx, gy) - surface.evaluate_many(gx, gy)).max()
+        assert difference <= REFINE_ULPS * np.finfo(float).eps * np.abs(surface.coefficients).max()
+
+    def test_a_space_refines_to_itself_bit_for_bit(self):
+        space = refined_space((2, 3))
+        surface = WqisaSurface(space, np.random.default_rng(3).normal(size=space.shape))
+        assert refine(surface, space).coefficients.tobytes() == surface.coefficients.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize(
+        "target, message",
+        [(open_knots(2, [0.3, 0.3, 0.45]), "target knots in {} lack the source's knot 0.6"),
+         (open_knots(2, [0.3, 0.6, 0.6]), "target knots in {} lack the source's knot 0.3"),
+         (open_knots(3, [0.3, 0.3, 0.6]), "target degree 3 in {} differs from the source's 2"),
+         (open_knots(2, [0.3, 0.3, 0.6], hi=1.5), r"target domain \(0.0, 1.5\) in {} differs from the source's \(0.0, 1.0\)")],
+        ids=["missing-knot", "missing-repeat", "degree", "domain"],
+    )
+    def test_a_target_that_is_no_refinement_is_refused(self, axis, target, message):
+        def on_axis(knots, other=open_knots(1, [0.5])):
+            return TensorSplineSpace(*((knots, other) if axis == 0 else (other, knots)))
+
+        space = on_axis(open_knots(2, [0.3, 0.3, 0.6]))
+        with pytest.raises(ValueError, match="^" + message.format("xy"[axis]) + "$"):
+            refine(WqisaSurface(space, np.ones(space.shape)), on_axis(target))
 
 
 def span_of(kv: KnotVector, t: float) -> int:
