@@ -436,7 +436,7 @@ class RunConfig:
 
     def to_fit_config(self) -> FitConfig:
         # an unknown weight kind takes no field, and WeightSpec refuses it by name
-        kernel = KERNELS.get(self.weight) or Kernel(None, (), False)
+        kernel = KERNELS.get(self.weight) or Kernel(None, (), "all")
         keys = {**_SPEC_FIELDS, **_FIT_KEYS, "weight_grid": _SPEC_FIELDS.get(kernel.parameter, "weight")}
         common = {"outlier_filter": self.outlier_filter, "fence": self.fence}
         common.update({name: getattr(self, _SPEC_FIELDS[name]) for name in kernel.optional})

@@ -212,9 +212,9 @@ def tune_parameters(
     training cloud, and one set of validation basis rows serve every
     entry of the grid on this mesh, so the grid holds one weight kind, as
     ``FitConfig`` requires; *index*, a ``PlanarIndex`` over the training
-    points, spares a table of an indexed kind its own.  Each entry is scored
-    as ``fit_surface`` and ``metrics.gmse`` would score it; the winner comes
-    with its validation residuals.
+    points, spares a table of ball or nearest rows its own.  Each entry is
+    scored as ``fit_surface`` and ``metrics.gmse`` would score it; the
+    winner comes with its validation residuals.
 
     Ties keep the earliest grid entry, so an ascending grid prefers the
     smallest parameter.  Grid entries that cannot be fitted (zero-weight
@@ -322,7 +322,7 @@ def fit_split(
         epsilon = 0.01 * mean_square(centred)
     space = TensorSplineSpace.uniform(config.degrees, domain, 1)
     # the training cloud never changes, so one index serves every mesh
-    index = weights.PlanarIndex(data.training) if KERNELS[config.weight_kind].indexed else None
+    index = weights.PlanarIndex(data.training) if KERNELS[config.weight_kind].rows != "all" else None
     records: list[IterationRecord] = []
     best: TuneResult | None = None
     best_iteration = 0

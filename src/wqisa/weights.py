@@ -9,20 +9,23 @@ The window kinds are listed in ``KERNELS``: indicator (closed ball of radius
 ``r``), Gaussian (``exp(-d / (2 sigma^2))``, with a squared-distance variant
 behind a switch), k-nearest-neighbor (uniform weight on the k closest planar
 projections), inverse-distance, and inverse-distance truncated to the K
-closest points.  ``_window`` is the one definition of each kernel.  The
-kinds that ``KERNELS`` marks ``indexed`` find their neighbors through a
-``PlanarIndex`` at every cloud size; the others weigh the whole cloud.
+closest points.  ``_window`` is the one definition of each kernel.
+``KERNELS`` also names the rows a kind's table holds about each centre: a
+ball or the nearest points, found through a ``PlanarIndex`` at every cloud
+size, or all of the cloud.
 
 Coefficients are estimated in batches.  A ``NeighbourTable`` queries its knot
-averages a block at a time, through one ``PlanarIndex`` call per block, and
-each centre's row serves every entry of a weight grid of one kind.  The table
-takes the cloud's box once (its index's, or one ``bounding_box`` for a full
-scan), checks it with ``check_planar_extent`` and ``check_planar_diagonal``
-and each centre with ``query_point``, makes its rows once with
-``clouds.squared_distance``, and runs one pass per batch for the specs still
-going, both in ``budget_runs``: the specs' windows are stacked, and the
-kernels, the Tukey fences (quartiles from one sort of the rows of each
-length, a fence per row), the sums and the clamp act on them at once.  Each
+averages a block at a time, through one ``PlanarIndex`` call per block for
+ball and nearest rows, and each centre's row serves every entry of a weight
+grid of one kind.  The table takes the cloud's box once (its index's, or one
+``bounding_box`` for all rows), checks it with ``check_planar_extent`` and
+``check_planar_diagonal`` and each centre with ``query_point``, makes its
+rows once with ``clouds.squared_distance``, and estimates each batch's specs
+still going in passes, both in ``budget_runs``: a pass stacks the specs
+whose windows fit ``TABLE_BUDGET`` together, so once a batch's rows are that
+wide each spec gets its own pass, and the kernels, the Tukey fences
+(quartiles from one sort of the rows of each length, a fence per row), the
+sums and the clamp act on a pass's windows at once.  Each
 quotient's numerator ``z * w`` and denominator ``w`` are summed by
 ``np.add.reduceat`` over one row in ascending id order, so a coefficient
 depends neither on its batch, nor on the other specs, nor on the machine's
@@ -60,15 +63,15 @@ class Kernel(NamedTuple):
 
     parameter: str | None  # the tunable field, None when the kind has none
     optional: tuple[str, ...]  # further fields the kind accepts
-    indexed: bool  # a PlanarIndex can serve the kind's neighbor queries
+    rows: str  # "ball", "nearest" or "all": what a NeighbourTable row holds
 
 
 KERNELS = {
-    "indicator": Kernel("radius", (), True),
-    "gaussian": Kernel("sigma", ("gaussian_squared",), False),
-    "knn": Kernel("k", (), True),
-    "idw": Kernel(None, ("coincidence_tol",), False),
-    "idw_truncated": Kernel("truncation", ("coincidence_tol",), True),
+    "indicator": Kernel("radius", (), "ball"),
+    "gaussian": Kernel("sigma", ("gaussian_squared",), "all"),
+    "knn": Kernel("k", (), "nearest"),
+    "idw": Kernel(None, ("coincidence_tol",), "all"),
+    "idw_truncated": Kernel("truncation", ("coincidence_tol",), "nearest"),
 }
 
 WEIGHT_KINDS = tuple(KERNELS)
@@ -175,18 +178,20 @@ class Neighbours(NamedTuple):
 class NeighbourTable:
     """Every spec of a weight grid estimated at many window centres.
 
-    One row per centre serves every spec of the grid's kind.  Under the
-    (distance, id) order the k nearest points are a prefix of the K nearest,
-    so knn and idw_truncated rows hold the ``K = min(largest size, n)``
-    nearest; a closed ball holds every smaller ball about its centre, so
-    indicator rows hold the ball of the largest radius; Gaussian and plain
-    IDW rows hold every point.  ``_rows`` makes the rows once, and one pass
-    per batch estimates the specs still going, both in ``budget_runs``.
-    ``estimates`` maps each spec to its
-    coefficients in centre order or to the ``ZeroWeightError`` of its first
-    empty window; filter fallbacks warn while the table is built, spec by
-    spec in grid order.  An *index* over the cloud's planar points serves
-    an indexed kind.
+    One row per centre serves every spec of the grid's kind, and ``kernel``,
+    the kind's ``KERNELS`` entry, names its ``rows``.  Under the (distance,
+    id) order the k nearest points are a prefix of the K nearest, so a
+    ``"nearest"`` row holds the ``K = min(largest size, n)`` nearest; a
+    closed ball holds every smaller ball about its centre, so a ``"ball"``
+    row holds the ball of the largest radius; an ``"all"`` row holds every
+    point.  ``reach`` is that radius or count, n for ``"all"``.  ``_rows``
+    makes the rows once, and each batch's specs still going are estimated
+    in passes whose stacked windows fit ``TABLE_BUDGET``, both in
+    ``budget_runs``.  ``estimates`` maps each spec to its coefficients in
+    centre order or to the ``ZeroWeightError`` of its first empty window;
+    filter fallbacks warn while the table is built, spec by spec in grid
+    order.  An *index* over the cloud's planar points serves the ball and
+    nearest rows.
     """
 
     def __init__(self, cloud, centres, grid, index: PlanarIndex | None = None):
@@ -197,9 +202,11 @@ class NeighbourTable:
         kinds = {spec.kind for spec in grid}
         if len(kinds) != 1:
             raise ValueError(f"a neighbour table serves one weight kind, got {sorted(kinds)}")
-        self.kind = kinds.pop()
-        self.reach = self._reach_for(grid)
-        if KERNELS[self.kind].indexed:
+        self.kernel = KERNELS[kinds.pop()]
+        n = self.cloud.shape[0]
+        largest = n if self.kernel.rows == "all" else max(spec.parameter for spec in grid)
+        self.reach = largest if self.kernel.rows == "ball" else min(largest, n)
+        if self.kernel.rows != "all":
             if index is None:
                 index = PlanarIndex(self.cloud[:, :2])
             elif not np.array_equal(index.points, self.cloud[:, :2]):
@@ -213,7 +220,6 @@ class NeighbourTable:
         self.centres = query_point(centres, self._box).reshape(-1, 2)
         self.estimates: dict[WeightSpec, np.ndarray | ZeroWeightError] = {}
         going: dict[WeightSpec, np.ndarray] = {}
-        n = self.cloud.shape[0]
         for spec in grid:
             if spec.kind == "knn" and spec.k > n:
                 self.estimates[spec] = ZeroWeightError(f"k={spec.k} exceeds cloud size {n}")
@@ -245,36 +251,28 @@ class NeighbourTable:
             raise ZeroWeightError(f"coefficient (i={i}, j={j}): {estimate}")
         return estimate.reshape(shape)
 
-    def _reach_for(self, grid) -> float | int | None:
-        """How far one query must reach to serve every spec of *grid*."""
-        if self.kind == "indicator":
-            return max(spec.radius for spec in grid)
-        if KERNELS[self.kind].indexed:
-            return min(max(spec.parameter for spec in grid), self.cloud.shape[0])
-        return None
-
     def _query(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ids of the rows about a *block* of centres, concatenated, and
         each row's size: every point the grid can weigh about its centre."""
-        if self.kind == "indicator":
+        if self.kernel.rows == "ball":
             return self._index._radius_rows(block, self.reach)
-        if self.reach is not None:
-            return self._index.knn(block, self.reach).ravel(), np.full(len(block), self.reach)
-        n = self.cloud.shape[0]
-        return np.tile(np.arange(n), len(block)), np.full(len(block), n)
+        sizes = np.full(len(block), self.reach)
+        if self.kernel.rows == "nearest":
+            return self._index.knn(block, self.reach).ravel(), sizes
+        return np.tile(np.arange(self.reach), len(block)), sizes
 
     def _rows(self) -> Iterator[tuple[int, Neighbours]]:
         """``(first row, rows)`` batches that cover every centre in order.
 
         The centres are queried in blocks of ``TABLE_BUDGET`` over the
-        widest row: the reach of a knn kind, every point for a full scan,
-        and for a ball the widest seen so far (every point before the
-        first).  A ball's width is known only once it is queried, so a
-        block at most doubles the one before it: a run of narrow balls
-        cannot open a block of the whole mesh.
+        widest row: the reach of nearest or all rows, and for a ball the
+        widest seen so far (every point before the first).  A ball's width
+        is known only once it is queried, so a block at most doubles the one
+        before it: a run of narrow balls cannot open a block of the whole
+        mesh.
         """
-        count, n = len(self.centres), self.cloud.shape[0]
-        widest = n if self.kind == "indicator" or self.reach is None else self.reach
+        count = len(self.centres)
+        widest = self.cloud.shape[0] if self.kernel.rows == "ball" else self.reach
         first, size, seen = 0, count, 1
         while first < count:
             size = min(2 * size, max(1, kdtree.TABLE_BUDGET // widest))
@@ -312,7 +310,7 @@ def _window(rows: Neighbours, spec: WeightSpec, table: NeighbourTable) -> tuple[
         with np.errstate(over="ignore"):
             w = np.exp(-exponent / (2.0 * spec.sigma * spec.sigma))
         return _subset(w > 0.0, starts, ids, w)
-    if spec.kind in ("knn", "idw_truncated"):
+    if table.kernel.rows == "nearest":
         # each row's first `size` in (distance, id) order, re-sorted by id
         count = starts.size - 1
         size = min(spec.parameter, table.cloud.shape[0])

@@ -110,6 +110,15 @@ class TestKnotVector:
         assert TensorSplineSpace.uniform(degrees, bbox, 8).element_counts == (8, 8)
 
 
+def test_reprs_name_degrees_basis_and_elements():
+    kx, ky = KnotVector.uniform_open(2, 4), KnotVector.uniform_open(1, 3, -1.5, 2.0)
+    space = TensorSplineSpace(kx, ky)
+    assert repr(ky) == "KnotVector(degree=1, n=4, domain=[-1.5, 2], elements=3)"
+    assert repr(space) == "TensorSplineSpace(degrees=(2, 1), shape=(6, 4), elements=4x3)"
+    surface = WqisaSurface(space, np.zeros(space.shape))
+    assert repr(surface) == "WqisaSurface(space=TensorSplineSpace(degrees=(2, 1), shape=(6, 4), elements=4x3))"
+
+
 def dense_basis(kv: KnotVector, ts) -> np.ndarray:
     """Every basis value at each point: ``basis_rows`` scattered into a
     ``(len(ts), num_basis)`` matrix, zero outside each row's active window."""

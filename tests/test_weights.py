@@ -471,7 +471,7 @@ class TestSharedNeighbourTable:
                 table.coefficients(spec, space.shape)
             except ZeroWeightError:
                 pass
-        expected = centres if weights.KERNELS[kind].indexed else np.empty((0, 2))
+        expected = centres if weights.KERNELS[kind].rows != "all" else np.empty((0, 2))
         np.testing.assert_array_equal(np.concatenate(queried), expected)
 
     # fence 0 rejects both heights of a two-point window unless they are
@@ -574,6 +574,25 @@ class TestSharedNeighbourTable:
             tracemalloc.stop()
         assert peak <= 8 * len(grid) * len(centres) + (1 << 20)
 
+    @pytest.mark.parametrize("outlier_filter", [False, True])
+    def test_a_full_scan_table_keeps_one_specs_window_at_a_time(self, outlier_filter):
+        # every row holds the whole cloud, wider than half the budget, so
+        # each spec gets its own pass: the peak stays near 8 (unfiltered) and
+        # 10 (filtered) float64s a point, while stacking the four specs'
+        # windows into one pass takes about 22 and 35
+        cloud = random_cloud(np.random.default_rng(22), 20_000)
+        centres = knot_average_grid(_mesh(cloud, 4, 4))
+        grid = [WeightSpec.gaussian(s, outlier_filter=outlier_filter) for s in (0.05, 0.1, 0.2, 0.4)]
+        NeighbourTable(cloud, centres[:1], grid)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            table = NeighbourTable(cloud, centres, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(table.estimates[spec].shape == (len(centres),) for spec in grid)
+        assert peak <= 16 * 8 * len(cloud)
+
     def test_narrow_first_balls_open_no_wide_block(self, monkeypatch):
         # the first centres lie in a sparse corner, where a ball holds about
         # 6 points, and the interior balls about 600: a block sized from the
@@ -600,7 +619,7 @@ class TestSharedNeighbourTable:
     def test_a_table_takes_the_clouds_box_once(self, monkeypatch):
         # 300-point full-scan rows make 6 rows to a batch, 7 batches for the
         # 42 centres; each spec's coincidence tolerance used to take the box
-        # again in every batch.  An indexed table reads its tree's box.
+        # again in every batch.  A table of nearest rows reads its tree's box.
         monkeypatch.setattr(kdtree, "TABLE_BUDGET", 2000)
         cloud = random_cloud(np.random.default_rng(21), 300)
         centres = np.concatenate([cloud[:6, :2], knot_average_grid(_mesh(cloud, 4, 1))])
